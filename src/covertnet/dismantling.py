@@ -294,12 +294,18 @@ def gnd(g: LabeledGraph, spec: StrategySpec) -> DismantlingTrace:
     Each round works on the current largest component with fresh
     degree costs, so earlier removals reshape later rounds. A round's
     whole cover is removed before the stop condition is rechecked.
+    A single-node component has nothing to bisect, so when it is the
+    largest and still above the target it is removed directly.
     """
     _require_kind(spec, "gnd")
     run = _TraceBuilder(g, spec)
     bound = spec.target_lcc_fraction * g.node_count + 1e-9
     while run.lcc_size() > bound:
-        core = induced_subgraph(run.current, largest_connected_component(run.current))
+        lcc = largest_connected_component(run.current)
+        if len(lcc) == 1:
+            run.remove(next(iter(lcc)))
+            continue
+        core = induced_subgraph(run.current, lcc)
         bisection = spectral_bisection(core)
         star = crossing_subgraph(core, bisection)
         picks = wvc(star, core)

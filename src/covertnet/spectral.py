@@ -5,17 +5,24 @@ B with entries A_ij * (w_i + w_j - 1), B yields the Laplacian
 L = diag(B 1) - B, and the Laplacian's second-smallest eigenpair
 (the Fiedler pair) splits the nodes by vector sign. Edges crossing
 the split are the candidates a dismantler should attack.
+
+L is dense, so the Fiedler pair comes from one dense symmetric
+eigensolve. Where the maths
+leaves the vector open, `fiedler` fixes it by rule: a degenerate
+eigenspace yields the normalised projection of the first standard
+basis vector (in sorted label order) with a non-negligible one, and
+entries within 1e-9 of zero relative to the largest become exactly
+0.0, which `bisect` puts in part_m.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import ConvergenceError, GraphError, PreconditionError
+from .errors import GraphError, PreconditionError
 from .graph import LabeledGraph
 
 
@@ -82,52 +89,26 @@ def weighted_laplacian(b: np.ndarray) -> np.ndarray:
     return np.diag(b.sum(axis=1)) - b
 
 
-def _start_vectors(n: int) -> list[np.ndarray]:
-    # two fixed generic starts; the chance that both are orthogonal to
-    # the Fiedler eigenspace is negligible, and we keep the smaller
-    # converged eigenvalue
-    ramp = np.arange(1.0, n + 1.0)
-    rng = random.Random(987654321)
-    noise = np.array([rng.uniform(-1.0, 1.0) for _ in range(n)])
-    return [ramp, noise]
-
-
-def _power_iterate(
-    l: np.ndarray, sigma: float, ones: np.ndarray, x: np.ndarray, tol: float, max_iter: int
-) -> tuple[float, np.ndarray] | None:
-    x = x - (x @ ones) * ones
-    nx = np.linalg.norm(x)
-    if nx < 1e-12:
-        return None
-    x = x / nx
-    for _ in range(max_iter):
-        y = sigma * x - l @ x
-        y -= (y @ ones) * ones
-        ny = np.linalg.norm(y)
-        if ny < 1e-12 * max(sigma, 1.0):
-            # (sigma I - L) annihilates x: x is an exact eigenvector
-            # with eigenvalue sigma (K2 ends up here)
-            lam = float(x @ l @ x)
-            if np.linalg.norm(l @ x - lam * x) <= tol:
-                return lam, x
-            return None
-        y /= ny
-        lam = float(y @ l @ y)
-        if np.linalg.norm(l @ y - lam * y) <= tol:
-            return lam, y
-        x = y
-    return None
-
-
-def fiedler(l: np.ndarray, tol: float = 1e-9, max_iter: int = 50000) -> tuple[float, np.ndarray]:
+def fiedler(l: np.ndarray) -> tuple[float, np.ndarray]:
     """Second-smallest eigenpair of a connected graph's Laplacian.
 
-    Power iteration on (sigma I - L) with sigma = 2 max_i L_ii turns
-    the second-smallest eigenvalue into the dominant one once the
-    constant vector (the kernel) is projected out each step. Returns
-    (eigenvalue, unit vector); the vector's first nonzero component is
-    made positive so reruns agree. An eigenvalue below 1e-10 means the
+    One dense symmetric eigensolve (`np.linalg.eigh`) gives every
+    eigenpair; the second-smallest is the Fiedler pair. Returns
+    (eigenvalue, unit vector). An eigenvalue below 1e-10 means the
     graph was disconnected, which is reported as an error.
+
+    Where the eigenvector is not unique, fixed rules pick it, so the
+    result does not depend on the basis the LAPACK build returns:
+
+    * eigenvalues within 1e-9 * max(1, lambda_max) of lambda_2 form one
+      eigenspace; the vector is the first projection of a standard basis
+      vector e_0, e_1, ... (sorted label order) onto it whose norm is
+      above 1e-6, normalised. The squared norms of these projections
+      sum to the eigenspace's dimension, so one always qualifies. On a
+      one-dimensional eigenspace this is the eigenvector itself;
+    * entries with |v_i| <= 1e-9 * max_j |v_j| are set to exactly 0.0,
+      which `bisect` puts in part_m;
+    * the sign is chosen so that the first non-zero entry is positive.
     """
     l = np.asarray(l, dtype=float)
     if l.ndim != 2 or l.shape[0] != l.shape[1]:
@@ -137,28 +118,23 @@ def fiedler(l: np.ndarray, tol: float = 1e-9, max_iter: int = 50000) -> tuple[fl
     scale = max(1.0, float(np.abs(l).max()))
     if np.abs(l.sum(axis=1)).max() > 1e-8 * scale:
         raise GraphError("laplacian rows must sum to zero")
-    n = l.shape[0]
-    if n < 2:
+    if l.shape[0] < 2:
         raise PreconditionError("fiedler pair needs at least 2 nodes")
-    sigma = 2.0 * float(l.diagonal().max())
-    if sigma <= 0.0:
+    if float(l.diagonal().max()) <= 0.0:
         raise PreconditionError("graph has no edges, so it is disconnected")
-    ones = np.full(n, 1.0 / np.sqrt(n))
-    best: tuple[float, np.ndarray] | None = None
-    for x0 in _start_vectors(n):
-        got = _power_iterate(l, sigma, ones, x0, tol, max_iter)
-        if got is not None and (best is None or got[0] < best[0] - 1e-12):
-            best = got
-    if best is None:
-        raise ConvergenceError(f"fiedler iteration did not converge in {max_iter} steps")
-    lam, vec = best
+    vals, vecs = np.linalg.eigh(l)
+    lam = float(vals[1])
     if lam < 1e-10:
         raise PreconditionError("graph is disconnected (algebraic connectivity is zero)")
-    for comp in vec:
-        if abs(comp) > 1e-12:
-            if comp < 0:
-                vec = -vec
-            break
+    basis = vecs[:, np.abs(vals - lam) <= 1e-9 * max(1.0, float(vals[-1]))]
+    # row i of the basis holds the coordinates of e_i's projection
+    i = int(np.argmax(np.linalg.norm(basis, axis=1) > 1e-6))
+    vec = basis @ basis[i]
+    vec /= np.linalg.norm(vec)
+    small = np.abs(vec) <= 1e-9 * np.abs(vec).max()
+    if vec[np.flatnonzero(~small)[0]] < 0.0:
+        vec = -vec
+    vec[small] = 0.0
     return lam, vec
 
 
@@ -217,10 +193,7 @@ def crossing_subgraph(g: LabeledGraph, bisection: SpectralBisection) -> LabeledG
 
 
 def spectral_bisection(
-    g: LabeledGraph,
-    costs: Mapping[str, float] | None = None,
-    tol: float = 1e-9,
-    max_iter: int = 50000,
+    g: LabeledGraph, costs: Mapping[str, float] | None = None
 ) -> SpectralBisection:
     """Full pipeline: costs -> B -> L -> Fiedler pair -> sign split."""
     if costs is None:
@@ -228,5 +201,5 @@ def spectral_bisection(
     order = node_order(g)
     b = cost_matrix(g, costs, order)
     l = weighted_laplacian(b)
-    lam, vec = fiedler(l, tol=tol, max_iter=max_iter)
+    lam, vec = fiedler(l)
     return bisect(g, dict(zip(order, (float(c) for c in vec))), fiedler_value=lam)

@@ -9,12 +9,12 @@ from covertnet.cli import main as cli_main
 
 
 @pytest.fixture(scope="session")
-def synthesized_reference(tmp_path_factory):
+def synthesized_reference_bytes(tmp_path_factory):
     """Build the default reference network once through the CLI.
 
-    Returns (graph, build_seconds). The wall time belongs to the
-    criterion that checks synthesis, not to later criteria that only
-    reuse the result.
+    Returns (edge-list bytes, build_seconds). The wall time belongs to
+    the criterion that checks synthesis, not to later criteria that
+    only reuse the result.
     """
     out_dir = tmp_path_factory.mktemp("reference-build")
     out_path = out_dir / "chiapas.edges"
@@ -24,5 +24,11 @@ def synthesized_reference(tmp_path_factory):
         code = cli_main(["synthesize", "--output", str(out_path)])
     elapsed = time.perf_counter() - started
     assert code == 0, sink.getvalue()
-    graph = load_edge_list(out_path.read_text())
-    return graph, elapsed
+    return out_path.read_bytes(), elapsed
+
+
+@pytest.fixture(scope="session")
+def synthesized_reference(synthesized_reference_bytes):
+    """The session-built reference network as (graph, build_seconds)."""
+    data, elapsed = synthesized_reference_bytes
+    return load_edge_list(data.decode("utf-8")), elapsed

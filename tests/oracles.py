@@ -2,9 +2,10 @@
 
 Each oracle here deliberately avoids the algorithms and data structures of
 the code under test: betweenness is path enumeration instead of dependency
-accumulation, the Fiedler pair comes from a dense symmetric eigensolve
-instead of power iteration, and the coverage oracle recounts from edge
-lists instead of maintaining incremental state.
+accumulation, the Fiedler oracle returns the whole eigenspace of a bare
+dense eigensolve so that comparisons do not depend on the package's tie
+rules or on the basis LAPACK picks, and the coverage oracle recounts from
+edge lists instead of maintaining incremental state.
 """
 
 from __future__ import annotations

@@ -5,7 +5,7 @@ import pytest
 from covertnet import dump_edge_list, load_edge_list
 from covertnet.cli import main
 
-from util import barbell_graph, star_graph
+from util import barbell_graph, path_graph, star_graph
 
 
 @pytest.fixture
@@ -56,6 +56,15 @@ def test_dismantle_csv_trace(barbell_file, capsys):
     lines = out.strip().splitlines()
     assert lines[0].startswith("step,removed_node,node_cost")
     assert lines[1].split(",")[1] == "a0"  # bridge endpoint goes first
+
+
+def test_dismantle_gnd_down_to_singletons(tmp_path, capsys):
+    path = tmp_path / "path3.edges"
+    path.write_text(dump_edge_list(path_graph(3)))
+    code = main(["dismantle", "--input", str(path), "--strategy", "gnd", "--target-lcc", "0.2"])
+    assert code == 0
+    rows = capsys.readouterr().out.strip().splitlines()[1:]
+    assert [r.split(",")[1] for r in rows] == ["v2", "v0", "v1"]
 
 
 def test_dismantle_json_with_output_prints_summary(barbell_file, tmp_path, capsys):

@@ -21,13 +21,21 @@ from covertnet import (
     largest_connected_component,
     mean_betweenness,
     random_strategy,
+    reference_network,
     run_strategy,
     threshold_cost,
     wvc,
 )
 
 from oracles import greedy_cover_order
-from util import barbell_graph, complete_graph, gnp_graph, random_connected_graph, star_graph
+from util import (
+    barbell_graph,
+    complete_graph,
+    gnp_graph,
+    path_graph,
+    random_connected_graph,
+    star_graph,
+)
 
 
 def test_strategy_spec_validation():
@@ -280,3 +288,29 @@ def test_gnd_first_pick_is_not_simply_the_biggest_hub():
     trace = gnd(g, StrategySpec(kind="gnd", target_lcc_fraction=0.5))
     assert trace.steps[0].node == "mid"
     assert trace.steps[0].cost == 2
+
+
+@pytest.mark.parametrize("cost_model, costs", [("residual", [1, 1, 0]), ("initial", [1, 1, 2])])
+def test_gnd_removes_a_singleton_lcc_directly(cost_model, costs):
+    # target 0.2 of 3 nodes leaves no room even for an isolated node; the
+    # last survivor is a one-node LCC that is removed without a bisection
+    spec = StrategySpec(kind="gnd", target_lcc_fraction=0.2, cost_model=cost_model)
+    trace = gnd(path_graph(3), spec)
+    assert trace.removal_order() == ("v2", "v0", "v1")
+    assert [s.cost for s in trace.steps] == costs
+    assert trace.steps[-1].lcc_size_after == 0
+
+
+GND_REFERENCE_ORDER = (
+    "B1", "Ps2", "Ex1", "P3", "G2", "C1", "C2", "B2", "Ps1", "Ps3", "G1", "Ex2",
+    "P4", "Ra4", "Co1", "Rv1", "Ra3", "P2", "Re1", "Ra1", "Rv4", "Es3", "Es2", "Ra2",
+)
+
+
+@pytest.mark.parametrize("cost_model, total", [("residual", 210), ("initial", 326)])
+def test_gnd_on_bundled_network_is_pinned(cost_model, total):
+    g = reference_network()
+    trace = gnd(g, StrategySpec(kind="gnd", target_lcc_fraction=0.2, cost_model=cost_model))
+    assert trace.removal_order() == GND_REFERENCE_ORDER
+    assert trace.total_cost() == total
+    assert threshold_cost(trace, 0.8) == total

@@ -20,7 +20,15 @@ from covertnet import (
 )
 
 from oracles import dense_fiedler, eigenspace_cosine
-from util import barbell_graph, complete_graph, gnp_graph, path_graph, random_connected_graph
+from util import (
+    barbell_graph,
+    complete_graph,
+    cycle_graph,
+    gnp_graph,
+    path_graph,
+    random_connected_graph,
+    star_graph,
+)
 
 
 def unit_laplacian(g):
@@ -154,6 +162,40 @@ def test_fiedler_sign_convention_is_stable():
     assert np.array_equal(v1, v2)
     first = next(c for c in v1 if abs(c) > 1e-12)
     assert first > 0
+
+
+@pytest.mark.parametrize(
+    "g",
+    [cycle_graph(8), complete_graph(5), star_graph(3)],
+    ids=["C8", "K5", "star3"],
+)
+def test_fiedler_degenerate_eigenspace_returns_first_basis_projection(g):
+    l = unit_laplacian(g)
+    _, basis = dense_fiedler(l)
+    assert basis.shape[1] >= 2
+    # the projection of e_i onto the eigenspace is basis @ basis[i],
+    # whichever orthonormal basis the solver picked; in star3 the hub
+    # (sorted first) is orthogonal to the eigenspace, so e_1 is used
+    i = next(i for i in range(len(basis)) if np.linalg.norm(basis[i]) > 1e-6)
+    want = basis @ basis[i]
+    want /= np.linalg.norm(want)
+    _, vec = fiedler(l)
+    assert np.abs(vec - want).max() <= 1e-9
+
+
+def test_fiedler_zero_entry_goes_to_part_m():
+    g = path_graph(3)
+    split = spectral_bisection(g, costs={v: 1.0 for v in g.nodes})
+    assert split.fiedler_vector["v1"] == 0.0
+    assert split.part_m == frozenset({"v0", "v1"})
+    assert split.part_m_bar == frozenset({"v2"})
+
+
+def test_spectral_bisection_large_cycle_finishes():
+    g = cycle_graph(400)
+    split = spectral_bisection(g)
+    assert split.fiedler_value == pytest.approx(6.0 * (1.0 - math.cos(2.0 * math.pi / 400)))
+    assert len(crossing_subgraph(g, split).edges()) == 2
 
 
 def test_bisect_by_sign():

@@ -1,5 +1,6 @@
 import json
 import random
+from importlib import resources
 
 import pytest
 
@@ -337,3 +338,9 @@ def test_zero_iteration_schedule_still_satisfies_hard_constraints():
     g = synthesize_reference(target)
     assert g.edge_count == 15
     assert g.degree(NAMES[5]) == 4
+
+
+def test_session_build_matches_bundled_edge_list(synthesized_reference_bytes):
+    built, _ = synthesized_reference_bytes
+    bundled = resources.files("covertnet").joinpath("data", "chiapas_reference.edges")
+    assert built == bundled.read_bytes()
