@@ -25,7 +25,6 @@ from .dismantling import (
     threshold_cost,
 )
 from .errors import (
-    ConvergenceError,
     DismantlingError,
     FileFormatError,
     GraphError,
@@ -393,7 +392,7 @@ def main(argv=None) -> int:
     except InfeasibleTargetError as exc:
         print(f"error: infeasible target: {exc}", file=sys.stderr)
         return 3
-    except (GraphError, PreconditionError, DismantlingError, ConvergenceError) as exc:
+    except (GraphError, PreconditionError, DismantlingError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

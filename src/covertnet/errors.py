@@ -18,10 +18,6 @@ class PreconditionError(ValueError):
     """An operation's precondition is not met by the given arguments."""
 
 
-class ConvergenceError(RuntimeError):
-    """An iterative solver hit its iteration cap before converging."""
-
-
 class DismantlingError(RuntimeError):
     """A dismantling run cannot make progress or never met its target."""
 

@@ -3,17 +3,26 @@
 All centrality scores are reported as fractions in [0, 1], never
 percentages. Functions that need a minimum graph size raise
 PreconditionError rather than guessing a value.
+
+Each metric has one implementation: a dense numpy kernel over the
+adjacency matrix in sorted label order and its hop distances, which the
+annealer in `synthesis` shares (O(n^2) memory). Eigenvector centrality
+is the leading eigenvector of one dense `eigh` on the largest connected
+component, a size tie going to the component holding the smallest label
+as in `graph.largest_connected_component`; it is scaled so the maximum
+is 1, and nodes outside that component score 0.
 """
 
 from __future__ import annotations
 
 import json
-from collections import deque
 from dataclasses import dataclass
-from typing import Mapping
 
-from .errors import ConvergenceError, PreconditionError
-from .graph import LabeledGraph, largest_connected_component
+import numpy as np
+
+from .errors import GraphError, PreconditionError
+from .graph import LabeledGraph
+from .spectral import adjacency_matrix, node_order
 
 
 def density(g: LabeledGraph) -> float:
@@ -38,50 +47,92 @@ def average_degree(g: LabeledGraph) -> float:
     return (2.0 * g.edge_count) / g.node_count
 
 
-def _bfs_distances(g: LabeledGraph, source: str, inside: frozenset[str]) -> dict[str, int]:
-    dist = {source: 0}
-    queue = deque([source])
-    while queue:
-        v = queue.popleft()
-        for w in g.neighbors(v):
-            if w in inside and w not in dist:
-                dist[w] = dist[v] + 1
-                queue.append(w)
-    return dist
+def _distances(a: np.ndarray) -> np.ndarray:
+    """All-pairs hop distances; -1 marks unreachable pairs."""
+    n = a.shape[0]
+    dist = np.full((n, n), -1.0)
+    np.fill_diagonal(dist, 0.0)
+    frontier = np.eye(n)
+    d = 0
+    while True:
+        nxt = ((frontier @ a) > 0) & (dist < 0)
+        if not nxt.any():
+            return dist
+        d += 1
+        dist[nxt] = d
+        frontier = nxt.astype(float)
+
+
+def _largest_component(dist: np.ndarray) -> np.ndarray:
+    """Indexes of the largest component; ties go to the smallest index."""
+    root = int((dist >= 0).sum(axis=1).argmax())
+    return np.flatnonzero(dist[root] >= 0)
+
+
+def _clustering(a: np.ndarray) -> np.ndarray:
+    """Per-node local clustering; nodes of degree below 2 score 0."""
+    deg = a.sum(axis=1)
+    closed = ((a @ a) * a).sum(axis=1)  # per node: twice its triangle count
+    pairs = deg * (deg - 1.0)
+    safe = np.where(pairs > 0.0, pairs, 1.0)
+    return np.where(pairs > 0.0, closed / safe, 0.0)
+
+
+def _raw_betweenness(a: np.ndarray, dist: np.ndarray) -> np.ndarray:
+    """Per-node Brandes dependency sums over ordered pairs; sources are rows of `dist`."""
+    n = a.shape[0]
+    maxd = int(dist.max())
+    sigma = np.eye(n)
+    for k in range(1, maxd + 1):
+        prev = sigma * (dist == k - 1)
+        sigma = sigma + (prev @ a) * (dist == k)
+    delta = np.zeros((n, n))
+    for k in range(maxd, 0, -1):
+        on_level = (dist == k) & (sigma > 0)
+        ratio = np.where(on_level, (1.0 + delta) / np.where(sigma > 0, sigma, 1.0), 0.0)
+        delta += (ratio @ a) * (dist == k - 1) * sigma
+    return delta.sum(axis=0) - np.diag(delta)
+
+
+def _leading_vector(a: np.ndarray, dist: np.ndarray) -> np.ndarray:
+    """Leading eigenvector of the largest component, 0 elsewhere; its largest |entry| is > 0."""
+    members = _largest_component(dist)
+    vec = np.linalg.eigh(a[np.ix_(members, members)])[1][:, -1]
+    if vec[int(np.abs(vec).argmax())] < 0:
+        vec = -vec
+    scores = np.zeros(a.shape[0])
+    scores[members] = vec
+    return scores
+
+
+def _matrices(g: LabeledGraph) -> tuple[tuple[str, ...], np.ndarray, np.ndarray]:
+    """Sorted label order, adjacency matrix and hop distances of g."""
+    order = node_order(g)
+    a = adjacency_matrix(g, order)
+    return order, a, _distances(a)
 
 
 def diameter_lcc(g: LabeledGraph) -> int:
     """Longest shortest path within the largest connected component."""
     if g.edge_count == 0:
         raise PreconditionError("diameter needs at least one edge")
-    lcc = largest_connected_component(g)
-    best = 0
-    for v in sorted(lcc):
-        dist = _bfs_distances(g, v, lcc)
-        ecc = max(dist.values())
-        if ecc > best:
-            best = ecc
-    return best
+    _order, _a, dist = _matrices(g)
+    members = _largest_component(dist)
+    return int(dist[np.ix_(members, members)].max())
 
 
 def local_clustering(g: LabeledGraph, v: str) -> float:
     """Fraction of the node's neighbor pairs that are themselves linked."""
-    nbrs = sorted(g.neighbors(v))
-    d = len(nbrs)
-    if d < 2:
-        return 0.0
-    links = 0
-    for i in range(d):
-        for j in range(i + 1, d):
-            if g.has_edge(nbrs[i], nbrs[j]):
-                links += 1
-    return (2.0 * links) / (d * (d - 1))
+    if not g.has_node(v):
+        raise GraphError(f"unknown node {v!r}")
+    order = node_order(g)
+    return float(_clustering(adjacency_matrix(g, order))[order.index(v)])
 
 
 def average_clustering(g: LabeledGraph) -> float:
     if g.node_count == 0:
         raise PreconditionError("average clustering of an empty graph")
-    return sum(local_clustering(g, v) for v in sorted(g.nodes)) / g.node_count
+    return float(_clustering(adjacency_matrix(g)).mean())
 
 
 def betweenness(g: LabeledGraph) -> dict[str, float]:
@@ -94,75 +145,32 @@ def betweenness(g: LabeledGraph) -> dict[str, float]:
     n = g.node_count
     if n < 3:
         raise PreconditionError("betweenness needs at least 3 nodes")
-    order = sorted(g.nodes)
-    adj = {v: sorted(g.neighbors(v)) for v in order}
-    raw = dict.fromkeys(order, 0.0)
-    for s in order:
-        sigma = dict.fromkeys(order, 0.0)
-        sigma[s] = 1.0
-        dist = {s: 0}
-        preds: dict[str, list[str]] = {v: [] for v in order}
-        stack: list[str] = []
-        queue = deque([s])
-        while queue:
-            v = queue.popleft()
-            stack.append(v)
-            for w in adj[v]:
-                if w not in dist:
-                    dist[w] = dist[v] + 1
-                    queue.append(w)
-                if dist[w] == dist[v] + 1:
-                    sigma[w] += sigma[v]
-                    preds[w].append(v)
-        delta = dict.fromkeys(order, 0.0)
-        for w in reversed(stack):
-            for v in preds[w]:
-                delta[v] += (sigma[v] / sigma[w]) * (1.0 + delta[w])
-            if w != s:
-                raw[w] += delta[w]
+    order, a, dist = _matrices(g)
     scale = 1.0 / ((n - 1) * (n - 2))
-    return {v: raw[v] * scale for v in order}
+    return {v: float(raw * scale) for v, raw in zip(order, _raw_betweenness(a, dist))}
 
 
 def mean_betweenness(g: LabeledGraph) -> float:
-    scores = betweenness(g)
-    return sum(scores[v] for v in sorted(scores)) / len(scores)
+    n = g.node_count
+    if n < 3:
+        raise PreconditionError("betweenness needs at least 3 nodes")
+    _order, a, dist = _matrices(g)
+    return float(_raw_betweenness(a, dist).sum()) / (n * (n - 1) * (n - 2))
 
 
-def eigenvector_centrality(
-    g: LabeledGraph, tol: float = 1e-9, max_iter: int = 10000
-) -> dict[str, float]:
+def eigenvector_centrality(g: LabeledGraph) -> dict[str, float]:
     """Principal-eigenvector scores scaled so the maximum is 1.
 
-    Power iteration runs on the largest connected component; nodes
-    outside it score 0. Each update adds the previous iterate (a unit
-    diagonal shift), which breaks the period-2 oscillation bipartite
-    graphs otherwise exhibit without changing the eigenvector.
+    One dense eigensolve on the largest connected component (the module
+    docstring gives the tie rule); nodes outside it score 0.
     """
     if g.node_count == 0:
         raise PreconditionError("eigenvector centrality of an empty graph")
-    lcc = sorted(largest_connected_component(g))
-    x = dict.fromkeys(lcc, 1.0)
-    for _ in range(max_iter):
-        y = {}
-        for v in lcc:
-            y[v] = x[v] + sum(x[u] for u in sorted(g.neighbors(v)))
-        top = max(y.values())
-        for v in lcc:
-            y[v] /= top
-        drift = max(abs(y[v] - x[v]) for v in lcc)
-        x = y
-        if drift < tol and _eigen_residual(g, lcc, x) <= 10.0 * tol:
-            out = dict.fromkeys(g.nodes, 0.0)
-            out.update(x)
-            return {v: out[v] for v in sorted(out)}
-    raise ConvergenceError(f"eigenvector centrality did not converge in {max_iter} iterations")
-
-
-def _eigen_residual(g: LabeledGraph, lcc: list[str], x: Mapping[str, float]) -> float:
-    ax = {v: sum(x[u] for u in sorted(g.neighbors(v))) for v in lcc}
-    lam = sum(x[v] * ax[v] for v in lcc) / sum(x[v] * x[v] for v in lcc)
-    return max(abs(ax[v] - lam * x[v]) for v in lcc)
+    order, a, dist = _matrices(g)
+    # the component's leading eigenvector is positive; abs clears the
+    # rounding-level negatives eigh can leave on near-zero entries
+    vec = np.abs(_leading_vector(a, dist))
+    return {v: float(x) for v, x in zip(order, vec / vec.max())}
 
 
 def degree_centralization(g: LabeledGraph) -> float:

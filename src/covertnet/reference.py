@@ -119,11 +119,6 @@ def reference_network() -> LabeledGraph:
     return load_roles(data.joinpath("chiapas_roster.csv").read_text(), graph)
 
 
-def reference_network_path() -> str:
-    """Filesystem path of the bundled edge list (for CLI examples)."""
-    return str(resources.files("covertnet").joinpath("data", "chiapas_reference.edges"))
-
-
 def _write_data_files() -> None:
     from pathlib import Path
 

@@ -28,6 +28,7 @@ from .errors import (
     PreconditionError,
 )
 from .graph import LabeledGraph, _check_label
+from .metrics import _clustering, _distances, _leading_vector, _raw_betweenness
 
 SOFT_METRICS = (
     "density",
@@ -56,6 +57,8 @@ class AnnealingSchedule:
             raise PreconditionError("initial_temperature must be positive")
         if not 0.0 < self.cooling_factor <= 1.0:
             raise PreconditionError("cooling_factor must be in (0, 1]")
+        if isinstance(self.iterations, bool) or not isinstance(self.iterations, int):
+            raise PreconditionError("iterations must be an integer")
         if self.iterations < 0:
             raise PreconditionError("iterations must be non-negative")
 
@@ -162,6 +165,13 @@ class SynthesisTarget:
         return len(self.nodes)
 
 
+def _json_int(value, what: str) -> int:
+    """A JSON integer; 5.0, 5.5, "5" and true are rejected, not truncated."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise FileFormatError(f"target JSON: {what} must be an integer, got {value!r}")
+    return value
+
+
 def load_synthesis_target(text: str) -> SynthesisTarget:
     """Parse the JSON target format; see the README for the schema."""
     try:
@@ -173,23 +183,26 @@ def load_synthesis_target(text: str) -> SynthesisTarget:
     try:
         hard_doc = dict(doc.get("hard", {}))
         nodes_spec = hard_doc.pop("nodes")
-        edge_count = int(hard_doc.pop("edges"))
-        if isinstance(nodes_spec, int):
-            width = len(str(nodes_spec))
-            nodes = tuple(f"n{i:0{width}d}" for i in range(1, nodes_spec + 1))
-        else:
+        edge_count = _json_int(hard_doc.pop("edges"), "edges")
+        if isinstance(nodes_spec, list):
             nodes = tuple(str(v) for v in nodes_spec)
+        else:
+            size = _json_int(nodes_spec, "nodes")
+            width = len(str(size))
+            nodes = tuple(f"n{i:0{width}d}" for i in range(1, size + 1))
         pair_cov = hard_doc.pop("pair_coverage", None)
         if pair_cov is not None:
-            pair_cov = (str(pair_cov["pair"][0]), str(pair_cov["pair"][1]), int(pair_cov["count"]))
+            count = _json_int(pair_cov["count"], "pair_coverage count")
+            pair_cov = (str(pair_cov["pair"][0]), str(pair_cov["pair"][1]), count)
         top_pair = hard_doc.pop("top_degree_pair", None)
         margin = 2
         if top_pair is not None:
-            margin = int(top_pair.get("margin", 2))
+            margin = _json_int(top_pair.get("margin", 2), "top_degree_pair margin")
             top_pair = (str(top_pair["pair"][0]), str(top_pair["pair"][1]))
+        degrees = dict(hard_doc.pop("degrees", {}))
         hard = HardConstraints(
             connected=bool(hard_doc.pop("connected", True)),
-            degrees=tuple(sorted(dict(hard_doc.pop("degrees", {})).items())),
+            degrees=tuple(sorted((v, _json_int(d, f"degree of {v}")) for v, d in degrees.items())),
             adjacent=tuple((str(u), str(v)) for u, v in hard_doc.pop("adjacent", [])),
             pair_coverage=pair_cov,
             top_degree_pair=top_pair,
@@ -417,7 +430,7 @@ class _Evaluator:
         a = state.a
         deg = state.deg.astype(float)
         out: dict[str, float | None] = {}
-        dist = _bfs_all(a) if self.need_dist else None
+        dist = _distances(a) if self.need_dist else None
         for metric, _value, _weight, nodes in self.terms:
             if metric in out:
                 continue
@@ -428,17 +441,26 @@ class _Evaluator:
             elif metric == "average_degree":
                 out[metric] = (2.0 * m) / n if n >= 1 else None
             elif metric == "diameter_lcc":
-                out[metric] = _diameter(dist) if m else None
+                # a disconnected candidate has no diameter
+                out[metric] = float(dist.max()) if m and (dist >= 0).all() else None
             elif metric == "average_clustering":
-                out[metric] = _avg_clustering(a, deg) if n >= 1 else None
+                out[metric] = float(_clustering(a).mean()) if n >= 1 else None
             elif metric == "mean_betweenness":
-                out[metric] = _mean_betweenness(a, dist) if n >= 3 else None
+                out[metric] = (
+                    float(_raw_betweenness(a, dist).sum()) / (n * (n - 1) * (n - 2))
+                    if n >= 3
+                    else None
+                )
             elif metric == "degree_centralization":
                 out[metric] = (
                     float(deg.max() * n - deg.sum()) / ((n - 1) * (n - 2)) if n >= 3 else None
                 )
             elif metric == "eigenvector_top3":
-                out[metric] = _top3_fraction(a, dist, nodes) if n >= 1 else None
+                # fraction of `nodes` (on the roster, so n >= 1) in the
+                # top-3 eigenvector ranking
+                scores = _leading_vector(a, dist)
+                top = sorted(range(n), key=lambda i: (-scores[i], i))[:3]
+                out[metric] = len(set(top).intersection(nodes)) / len(nodes)
         return out
 
     def objective(self, state: _State) -> float:
@@ -452,69 +474,6 @@ class _Evaluator:
                 diff = got - value
                 total += weight * diff * diff
         return total
-
-
-def _bfs_all(a: np.ndarray) -> np.ndarray:
-    """All-pairs hop distances; -1 marks unreachable pairs."""
-    n = a.shape[0]
-    dist = np.full((n, n), -1.0)
-    np.fill_diagonal(dist, 0.0)
-    frontier = np.eye(n)
-    d = 0
-    while True:
-        nxt = ((frontier @ a) > 0) & (dist < 0)
-        if not nxt.any():
-            return dist
-        d += 1
-        dist[nxt] = d
-        frontier = nxt.astype(float)
-
-
-def _diameter(dist: np.ndarray) -> float | None:
-    if (dist < 0).any():
-        return None
-    return float(dist.max())
-
-
-def _avg_clustering(a: np.ndarray, deg: np.ndarray) -> float:
-    closed = ((a @ a) * a).sum(axis=1)  # per node: twice its triangle count
-    pairs = deg * (deg - 1.0)
-    safe = np.where(pairs > 0.0, pairs, 1.0)
-    return float(np.where(pairs > 0.0, closed / safe, 0.0).mean())
-
-
-def _mean_betweenness(a: np.ndarray, dist: np.ndarray) -> float:
-    """Mean of normalized betweenness; sources are rows of `dist`."""
-    n = a.shape[0]
-    maxd = int(dist.max())
-    sigma = np.eye(n)
-    for k in range(1, maxd + 1):
-        prev = sigma * (dist == k - 1)
-        sigma = sigma + (prev @ a) * (dist == k)
-    delta = np.zeros((n, n))
-    for k in range(maxd, 0, -1):
-        on_level = (dist == k) & (sigma > 0)
-        ratio = np.where(on_level, (1.0 + delta) / np.where(sigma > 0, sigma, 1.0), 0.0)
-        delta += (ratio @ a) * (dist == k - 1) * sigma
-    raw = delta.sum(axis=0) - np.diag(delta)
-    return float(raw.sum()) / (n * (n - 1) * (n - 2))
-
-
-def _top3_fraction(a: np.ndarray, dist: np.ndarray, wanted: tuple[int, ...]) -> float:
-    """Fraction of `wanted` present in the top-3 eigenvector ranking."""
-    n = a.shape[0]
-    sizes = (dist >= 0).sum(axis=1)
-    root = int(sizes.argmax())
-    members = np.flatnonzero(dist[root] >= 0)
-    sub = a[np.ix_(members, members)]
-    vec = np.linalg.eigh(sub)[1][:, -1]
-    if vec[int(np.abs(vec).argmax())] < 0:
-        vec = -vec
-    scores = np.zeros(n)
-    scores[members] = vec
-    ranked = sorted(range(n), key=lambda i: (-scores[i], i))
-    top = set(ranked[:3])
-    return len(top.intersection(wanted)) / len(wanted)
 
 
 def objective(g: LabeledGraph, target: SynthesisTarget) -> float:

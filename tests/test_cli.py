@@ -251,6 +251,17 @@ def test_infeasible_target_is_exit_3(tmp_path, capsys):
     assert "infeasible" in capsys.readouterr().err
 
 
+def test_non_integral_target_field_is_exit_1(tmp_path, capsys):
+    target_path = tmp_path / "target.json"
+    target_path.write_text(
+        json.dumps({"hard": {"nodes": 8, "edges": 12}, "schedule": {"iterations": 10.5}})
+    )
+    out_path = tmp_path / "never.edges"
+    code = main(["synthesize", "--target", str(target_path), "--output", str(out_path)])
+    assert code == 1
+    assert "iterations must be an integer" in capsys.readouterr().err
+
+
 def test_bad_roles_file_is_exit_1(barbell_file, tmp_path, capsys):
     roles = tmp_path / "roles.csv"
     roles.write_text("a0,NotARole\n")

@@ -2,6 +2,8 @@ import random
 
 import pytest
 
+import covertnet
+
 from covertnet import (
     FileFormatError,
     GraphError,
@@ -210,3 +212,8 @@ def test_components_partition_random_graphs():
 def test_path_is_connected():
     g = path_graph(6)
     assert len(connected_components(g)) == 1
+
+
+def test_every_exported_name_resolves():
+    for name in covertnet.__all__:
+        assert hasattr(covertnet, name), name

@@ -4,7 +4,6 @@ import random
 import pytest
 
 from covertnet import (
-    ConvergenceError,
     LabeledGraph,
     PreconditionError,
     average_clustering,
@@ -80,6 +79,13 @@ def test_diameter_uses_largest_component():
         [("a", "b"), ("b", "c"), ("c", "d"), ("x", "y")],
     )
     assert diameter_lcc(g) == 3  # the path, not the far-away pair
+    # a longer path outside the largest component does not count
+    k5 = complete_graph(5)
+    g = LabeledGraph(
+        [*k5.nodes, "p0", "p1", "p2", "p3"],
+        [*k5.edges(), ("p0", "p1"), ("p1", "p2"), ("p2", "p3")],
+    )
+    assert diameter_lcc(g) == 1
 
 
 def test_diameter_matches_brute_force():
@@ -161,8 +167,8 @@ def test_eigenvector_centrality_regular_graph_is_flat():
 
 
 def test_eigenvector_centrality_bipartite_converges():
-    # even-length cycles are bipartite: plain power iteration on A
-    # oscillates with period 2, the shifted iteration must not
+    # even-length cycles are bipartite, so -2 is an eigenvalue next to 2:
+    # the scores must come from the flat vector of 2, not the alternating one
     scores = eigenvector_centrality(cycle_graph(6))
     assert all(v == pytest.approx(1.0, abs=1e-7) for v in scores.values())
 
@@ -172,6 +178,16 @@ def test_eigenvector_centrality_off_component_zero():
     scores = eigenvector_centrality(g)
     assert scores["z"] == 0.0
     assert scores["b"] == pytest.approx(1.0)
+    # equal-size components: the one holding the smallest label scores
+    g = LabeledGraph(["a", "b", "c", "x", "y", "z"],
+                     [("x", "y"), ("y", "z"), ("x", "z"), ("a", "b"), ("b", "c")])
+    scores = eigenvector_centrality(g)
+    assert scores["b"] == 1.0
+    assert scores["a"] == pytest.approx(2**-0.5)
+    assert scores["x"] == scores["y"] == scores["z"] == 0.0
+    # edgeless: every component is a single node, the smallest label wins
+    scores = eigenvector_centrality(LabeledGraph(["q", "p", "r"]))
+    assert scores == {"p": 1.0, "q": 0.0, "r": 0.0}
 
 
 def test_eigenvector_centrality_matches_dense_solver():
@@ -179,23 +195,23 @@ def test_eigenvector_centrality_matches_dense_solver():
     from covertnet import adjacency_matrix, node_order
 
     rng = random.Random(13)
-    for _ in range(20):
-        g = random_connected_graph(rng, rng.randrange(3, 12), rng.randrange(0, 12))
+    graphs = [random_connected_graph(rng, rng.randrange(3, 12), rng.randrange(0, 12))
+              for _ in range(20)]
+    # a K25 with a 37-node tail: scores far down the tail sit near 0
+    k25 = complete_graph(25)
+    tail = [f"t{i:02d}" for i in range(37)]
+    graphs.append(LabeledGraph([*k25.nodes, *tail],
+                               [*k25.edges(), ("v00", tail[0]), *zip(tail, tail[1:])]))
+    for g in graphs:
         order = node_order(g)
         a = adjacency_matrix(g, order)
         vals, vecs = np.linalg.eigh(a)
         lead = np.abs(vecs[:, -1])
         lead /= lead.max()
         scores = eigenvector_centrality(g)
+        assert min(scores.values()) >= 0.0
         for v, expect in zip(order, lead):
-            assert scores[v] == pytest.approx(float(expect), abs=1e-6)
-
-
-def test_eigenvector_centrality_iteration_cap():
-    # regular graphs converge instantly from the flat start, so the cap
-    # needs an irregular graph to bite
-    with pytest.raises(ConvergenceError):
-        eigenvector_centrality(star_graph(5), tol=1e-9, max_iter=1)
+            assert scores[v] == pytest.approx(float(expect), abs=1e-12)
 
 
 def test_degree_centralization_extremes():
