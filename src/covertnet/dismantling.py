@@ -9,8 +9,11 @@ target fraction of the starting node count:
 * adaptive hub attack: always remove the current highest-degree node;
 * random attack: remove uniformly chosen nodes under a fixed seed.
 
-Every removal is logged with its cost and the metrics of the residual
-graph, so strategies can be compared step for step.
+Every removal of a written trace is logged with its cost and the
+metrics of the residual graph, so strategies can be compared step for
+step. A random run whose trace is never written (ensemble runs beyond the
+first in `compare`) keeps only its removal order, costs and LCC sizes
+(`random_removals`).
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from io import StringIO
+from typing import NamedTuple
 
 from . import metrics
 from .errors import DismantlingError, GraphError, PreconditionError
@@ -136,7 +140,25 @@ class DismantlingTrace:
         return json.dumps(doc, indent=2) + "\n"
 
 
-def threshold_cost(trace: DismantlingTrace, p: float) -> int:
+class Removal(NamedTuple):
+    """One removal without the residual metrics: what a threshold cost needs."""
+
+    node: str
+    cost: int
+    cumulative_cost: int
+    lcc_size_after: int
+
+
+@dataclass(frozen=True)
+class Removals:
+    """Removal order, costs and LCC sizes of one run, with no residual metrics."""
+
+    initial_node_count: int
+    initial_lcc_size: int
+    steps: tuple[Removal, ...]
+
+
+def threshold_cost(trace: DismantlingTrace | Removals, p: float) -> int:
     """Cumulative cost of the first step that cut the LCC by fraction p.
 
     Zero when the starting graph already satisfies the reduction; an
@@ -231,12 +253,21 @@ class _TraceBuilder:
             cost = self.initial.degree(node)
         self.current = remove_nodes(self.current, [node])
         self.cumulative += cost
+        self._append(node, cost, self.lcc_size())
+
+    def log(self, step: Removal) -> None:
+        """Record a removal whose cost and LCC size are already known."""
+        self.current = remove_nodes(self.current, [step.node])
+        self.cumulative = step.cumulative_cost
+        self._append(step.node, step.cost, step.lcc_size_after)
+
+    def _append(self, node: str, cost: int, lcc_size: int) -> None:
         self.steps.append(
             RemovalStep(
                 node=node,
                 cost=cost,
                 cumulative_cost=self.cumulative,
-                lcc_size_after=self.lcc_size(),
+                lcc_size_after=lcc_size,
                 density_after=_lenient_density(self.current),
                 fragmentation_after=_lenient_fragmentation(self.current),
                 mean_betweenness_after=_lenient_betweenness(self.current),
@@ -276,15 +307,82 @@ def hub_strategy(g: LabeledGraph, spec: StrategySpec) -> DismantlingTrace:
     return run.finish()
 
 
-def random_strategy(g: LabeledGraph, spec: StrategySpec) -> DismantlingTrace:
-    """Remove uniformly chosen remaining nodes until the target holds."""
+def _find(parent: list[int], i: int) -> int:
+    while parent[i] != i:
+        parent[i] = parent[parent[i]]
+        i = parent[i]
+    return i
+
+
+def random_removals(g: LabeledGraph, spec: StrategySpec) -> Removals:
+    """The random strategy's removals, costs and LCC sizes, without residual metrics.
+
+    Each step removes `remaining[rng.randrange(len(remaining))]` from the
+    sorted remaining labels. The draws do not depend on the graph, so the
+    order is drawn up front, as far as the node count alone can still
+    exceed the target. The LCC size after each prefix then comes from
+    inserting the nodes back in reverse order with union-find (Newman &
+    Ziff, PRL 85:4104, 2000); a node's residual cost is the count of
+    neighbours already back when it is inserted, those removed after it
+    or never. The run stops at the first step whose LCC is within the
+    target.
+    """
     _require_kind(spec, "random")
     rng = random.Random(spec.rng_seed)
-    run = _TraceBuilder(g, spec)
     bound = spec.target_lcc_fraction * g.node_count + 1e-9
-    while run.lcc_size() > bound:
-        remaining = sorted(run.current.nodes)
-        run.remove(remaining[rng.randrange(len(remaining))])
+    pool = sorted(g.nodes)
+    index = {v: i for i, v in enumerate(pool)}
+    adj = [[index[w] for w in g.neighbors(v)] for v in pool]
+    n = len(pool)
+    order: list[int] = []
+    alive = list(range(n))
+    while len(alive) > bound:
+        order.append(alive.pop(rng.randrange(len(alive))))
+    parent = list(range(n))
+    size = [1] * n
+    present = [False] * n
+    largest = 0
+    lcc = [0] * (len(order) + 1)  # lcc[k]: LCC size once the first k drawn nodes are gone
+    residual = [0] * len(order)  # residual[k]: neighbours still there when order[k] goes
+    for t, i in enumerate(alive + order[::-1]):
+        present[i] = True
+        root = _find(parent, i)
+        linked = 0
+        for j in adj[i]:
+            if present[j]:
+                linked += 1
+                other = _find(parent, j)
+                if other != root:
+                    if size[root] < size[other]:
+                        root, other = other, root
+                    parent[other] = root
+                    size[root] += size[other]
+        largest = max(largest, size[root])
+        k = n - t - 1  # drawn nodes still out; i is order[k] when k < len(order)
+        if k <= len(order):
+            lcc[k] = largest
+        if k < len(order):
+            residual[k] = linked
+    steps: list[Removal] = []
+    cumulative = 0
+    for k, i in enumerate(order):
+        if lcc[k] <= bound:
+            break
+        cost = residual[k] if spec.cost_model == "residual" else len(adj[i])
+        cumulative += cost
+        steps.append(Removal(pool[i], cost, cumulative, lcc[k + 1]))
+    return Removals(n, lcc[0], tuple(steps))
+
+
+def random_strategy(g: LabeledGraph, spec: StrategySpec) -> DismantlingTrace:
+    """Remove uniformly chosen remaining nodes until the target holds.
+
+    The removals come from `random_removals`; this adds the residual
+    metrics of each step's graph.
+    """
+    run = _TraceBuilder(g, spec)
+    for step in random_removals(g, spec).steps:
+        run.log(step)
     return run.finish()
 
 

@@ -112,13 +112,25 @@ def _matrices(g: LabeledGraph) -> tuple[tuple[str, ...], np.ndarray, np.ndarray]
     return order, a, _distances(a)
 
 
-def diameter_lcc(g: LabeledGraph) -> int:
-    """Longest shortest path within the largest connected component."""
+def _require_edge(g: LabeledGraph) -> None:
     if g.edge_count == 0:
         raise PreconditionError("diameter needs at least one edge")
-    _order, _a, dist = _matrices(g)
+
+
+def _require_three(g: LabeledGraph) -> None:
+    if g.node_count < 3:
+        raise PreconditionError("betweenness needs at least 3 nodes")
+
+
+def _diameter(dist: np.ndarray) -> int:
     members = _largest_component(dist)
     return int(dist[np.ix_(members, members)].max())
+
+
+def diameter_lcc(g: LabeledGraph) -> int:
+    """Longest shortest path within the largest connected component."""
+    _require_edge(g)
+    return _diameter(_matrices(g)[2])
 
 
 def local_clustering(g: LabeledGraph, v: str) -> float:
@@ -142,20 +154,31 @@ def betweenness(g: LabeledGraph) -> dict[str, float]:
     removes the double count of unordered pairs and rescales so a
     node on every shortest path scores exactly 1.
     """
-    n = g.node_count
-    if n < 3:
-        raise PreconditionError("betweenness needs at least 3 nodes")
+    _require_three(g)
     order, a, dist = _matrices(g)
+    n = g.node_count
     scale = 1.0 / ((n - 1) * (n - 2))
     return {v: float(raw * scale) for v, raw in zip(order, _raw_betweenness(a, dist))}
 
 
-def mean_betweenness(g: LabeledGraph) -> float:
-    n = g.node_count
-    if n < 3:
-        raise PreconditionError("betweenness needs at least 3 nodes")
-    _order, a, dist = _matrices(g)
+def _mean_betweenness(a: np.ndarray, dist: np.ndarray) -> float:
+    n = a.shape[0]
     return float(_raw_betweenness(a, dist).sum()) / (n * (n - 1) * (n - 2))
+
+
+def mean_betweenness(g: LabeledGraph) -> float:
+    _require_three(g)
+    _order, a, dist = _matrices(g)
+    return _mean_betweenness(a, dist)
+
+
+def _eigenvector_scores(
+    order: tuple[str, ...], a: np.ndarray, dist: np.ndarray
+) -> dict[str, float]:
+    # the component's leading eigenvector is positive; abs clears the
+    # rounding-level negatives eigh can leave on near-zero entries
+    vec = np.abs(_leading_vector(a, dist))
+    return {v: float(x) for v, x in zip(order, vec / vec.max())}
 
 
 def eigenvector_centrality(g: LabeledGraph) -> dict[str, float]:
@@ -166,11 +189,7 @@ def eigenvector_centrality(g: LabeledGraph) -> dict[str, float]:
     """
     if g.node_count == 0:
         raise PreconditionError("eigenvector centrality of an empty graph")
-    order, a, dist = _matrices(g)
-    # the component's leading eigenvector is positive; abs clears the
-    # rounding-level negatives eigh can leave on near-zero entries
-    vec = np.abs(_leading_vector(a, dist))
-    return {v: float(x) for v, x in zip(order, vec / vec.max())}
+    return _eigenvector_scores(*_matrices(g))
 
 
 def degree_centralization(g: LabeledGraph) -> float:
@@ -219,16 +238,24 @@ class MetricsReport:
 
 
 def report(g: LabeledGraph) -> MetricsReport:
-    """Compute every metric at once; needs n >= 3 and at least one edge."""
+    """Compute every metric at once; needs n >= 3 and at least one edge.
+
+    The adjacency and distance matrices are built once and shared by the
+    metrics that need them; each field equals its standalone function.
+    """
+    dens, frag, avg_deg = density(g), fragmentation(g), average_degree(g)
+    _require_edge(g)
+    _require_three(g)
+    order, a, dist = _matrices(g)
     return MetricsReport(
         node_count=g.node_count,
         edge_count=g.edge_count,
-        density=density(g),
-        fragmentation=fragmentation(g),
-        average_degree=average_degree(g),
-        diameter_lcc=diameter_lcc(g),
-        average_clustering=average_clustering(g),
-        mean_betweenness=mean_betweenness(g),
+        density=dens,
+        fragmentation=frag,
+        average_degree=avg_deg,
+        diameter_lcc=_diameter(dist),
+        average_clustering=float(_clustering(a).mean()),
+        mean_betweenness=_mean_betweenness(a, dist),
         degree_centralization=degree_centralization(g),
-        eigenvector_centrality=eigenvector_centrality(g),
+        eigenvector_centrality=_eigenvector_scores(order, a, dist),
     )

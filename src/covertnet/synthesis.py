@@ -45,6 +45,11 @@ _REPAIR_ATTEMPTS = 8
 _REPAIR_ITERATIONS = 50_000
 
 
+def _is_int(value) -> bool:
+    """Counts are Python ints: bool, float and str are rejected, never truncated."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class AnnealingSchedule:
     initial_temperature: float = 1.0
@@ -57,7 +62,7 @@ class AnnealingSchedule:
             raise PreconditionError("initial_temperature must be positive")
         if not 0.0 < self.cooling_factor <= 1.0:
             raise PreconditionError("cooling_factor must be in (0, 1]")
-        if isinstance(self.iterations, bool) or not isinstance(self.iterations, int):
+        if not _is_int(self.iterations):
             raise PreconditionError("iterations must be an integer")
         if self.iterations < 0:
             raise PreconditionError("iterations must be non-negative")
@@ -102,8 +107,19 @@ class HardConstraints:
     top_degree_margin: int = 2
 
     def __post_init__(self):
-        object.__setattr__(self, "degrees", tuple((v, int(d)) for v, d in self.degrees))
+        object.__setattr__(self, "degrees", tuple((v, d) for v, d in self.degrees))
         object.__setattr__(self, "adjacent", tuple((u, v) for u, v in self.adjacent))
+        for v, d in self.degrees:
+            if not _is_int(d):
+                raise PreconditionError(f"pinned degree of {v!r} must be an integer, got {d!r}")
+        if self.pair_coverage is not None and not _is_int(self.pair_coverage[2]):
+            raise PreconditionError(
+                f"pair coverage count must be an integer, got {self.pair_coverage[2]!r}"
+            )
+        if not _is_int(self.top_degree_margin):
+            raise PreconditionError(
+                f"top_degree_margin must be an integer, got {self.top_degree_margin!r}"
+            )
         if self.top_degree_margin < 0:
             raise PreconditionError("top_degree_margin must be non-negative")
 
@@ -125,6 +141,8 @@ class SynthesisTarget:
         if len(set(self.nodes)) != len(self.nodes):
             raise PreconditionError("target roster contains duplicate labels")
         n = len(self.nodes)
+        if not _is_int(self.edge_count):
+            raise PreconditionError(f"edge_count must be an integer, got {self.edge_count!r}")
         if self.edge_count < 0 or self.edge_count > n * (n - 1) // 2:
             raise InfeasibleTargetError(
                 f"edge count {self.edge_count} is impossible on {n} nodes"
@@ -167,7 +185,7 @@ class SynthesisTarget:
 
 def _json_int(value, what: str) -> int:
     """A JSON integer; 5.0, 5.5, "5" and true are rejected, not truncated."""
-    if isinstance(value, bool) or not isinstance(value, int):
+    if not _is_int(value):
         raise FileFormatError(f"target JSON: {what} must be an integer, got {value!r}")
     return value
 

@@ -4,12 +4,16 @@ Each oracle here deliberately avoids the algorithms and data structures of
 the code under test: betweenness is path enumeration instead of dependency
 accumulation, the Fiedler oracle returns the whole eigenspace of a bare
 dense eigensolve so that comparisons do not depend on the package's tie
-rules or on the basis LAPACK picks, and the coverage oracle recounts from
-edge lists instead of maintaining incremental state.
+rules or on the basis LAPACK picks, the coverage oracle recounts from
+edge lists instead of maintaining incremental state, and the random-attack
+oracle replays removals one at a time on the graph, with a fresh largest
+component after each, instead of drawing them up front and inserting the
+nodes back with union-find.
 """
 
 from __future__ import annotations
 
+import random
 from collections import deque
 from fractions import Fraction
 
@@ -150,4 +154,34 @@ def connected_atlas(n_min: int, n_max: int) -> list[LabeledGraph]:
             continue
         names = [f"v{i}" for i in range(n)]
         out.append(LabeledGraph(names, [(names[a], names[b]) for a, b in raw.edges()]))
+    return out
+
+
+def lazy_random_removals(
+    g: LabeledGraph, target: float, seed: int, cost_model: str
+) -> list[tuple[str, int, int, int]]:
+    """Replay the random attack one removal at a time.
+
+    While the largest component exceeds target * n, remove a uniformly
+    drawn node from the sorted remaining labels, charging its current
+    ("residual") or original ("initial") degree. Returns
+    (node, cost, cumulative cost, LCC size after) per removal.
+    """
+    from covertnet import largest_connected_component, remove_nodes
+
+    def lcc(h: LabeledGraph) -> int:
+        return len(largest_connected_component(h)) if h.node_count else 0
+
+    rng = random.Random(seed)
+    bound = target * g.node_count + 1e-9
+    current = g
+    total = 0
+    out = []
+    while lcc(current) > bound:
+        remaining = sorted(current.nodes)
+        v = remaining[rng.randrange(len(remaining))]
+        cost = current.degree(v) if cost_model == "residual" else g.degree(v)
+        current = remove_nodes(current, [v])
+        total += cost
+        out.append((v, cost, total, lcc(current)))
     return out

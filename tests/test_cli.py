@@ -2,8 +2,8 @@ import json
 
 import pytest
 
-from covertnet import dump_edge_list, load_edge_list
-from covertnet.cli import main
+from covertnet import dump_edge_list, load_edge_list, reference_network, threshold_cost
+from covertnet.cli import build_comparison, main
 
 from util import barbell_graph, path_graph, star_graph
 
@@ -272,3 +272,24 @@ def test_bad_roles_file_is_exit_1(barbell_file, tmp_path, capsys):
 def test_unknown_command_exits_via_argparse(capsys):
     with pytest.raises(SystemExit):
         main(["frobnicate"])
+
+
+# threshold costs are integers, so the ensemble's mean and population
+# stddev are exact functions of them and do not depend on the machine
+@pytest.mark.parametrize(
+    "runs, mean, stddev",
+    [
+        (
+            100,
+            {0.2: 82.45, 0.5: 168.5, 0.8: 217.13},
+            {0.2: 11.699038422024264, 0.5: 8.784645695758025, 0.8: 1.9982742554514383},
+        ),
+        (1, {0.2: 82.0, 0.5: 170.0, 0.8: 216.0}, {0.2: 0.0, 0.5: 0.0, 0.8: 0.0}),
+    ],
+)
+def test_random_ensemble_on_bundled_network_is_pinned(runs, mean, stddev):
+    report = build_comparison(reference_network(), runs=runs, base_seed=0)
+    assert report.random_mean == mean
+    assert report.random_stddev == stddev
+    assert report.random_runs == runs
+    assert [threshold_cost(report.random, p) for p in (0.2, 0.5, 0.8)] == [82, 170, 216]

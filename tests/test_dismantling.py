@@ -27,7 +27,8 @@ from covertnet import (
     wvc,
 )
 
-from oracles import greedy_cover_order
+from covertnet.dismantling import random_removals
+from oracles import greedy_cover_order, lazy_random_removals
 from util import (
     barbell_graph,
     complete_graph,
@@ -143,6 +144,56 @@ def test_random_strategy_is_seed_deterministic():
     assert a == b
     c = random_strategy(g, StrategySpec(kind="random", rng_seed=43))
     assert c.removal_order() != a.removal_order()
+
+
+def _random_attack_graphs():
+    rng = random.Random(404)
+    graphs = [
+        LabeledGraph(),
+        LabeledGraph(["a"]),
+        LabeledGraph(["a", "b"]),
+        LabeledGraph(["a", "b"], [("a", "b")]),
+        LabeledGraph([f"x{i}" for i in range(6)]),
+    ]
+    for _ in range(70):
+        graphs.append(random_connected_graph(rng, rng.randrange(3, 30), rng.randrange(0, 40)))
+    for _ in range(70):  # mostly disconnected, often with isolated nodes
+        graphs.append(gnp_graph(rng, rng.randrange(3, 30), rng.uniform(0.02, 0.2)))
+    for _ in range(60):  # a connected core plus isolated nodes
+        core = random_connected_graph(rng, rng.randrange(2, 20), rng.randrange(0, 20))
+        loners = [f"z{i}" for i in range(rng.randrange(1, 6))]
+        graphs.append(LabeledGraph(core.nodes + tuple(loners), core.edges()))
+    return graphs
+
+
+def test_random_removals_match_the_lazy_replay():
+    rng = random.Random(405)
+    graphs = _random_attack_graphs()
+    assert len(graphs) >= 200
+    untouched = 0
+    for gi, g in enumerate(graphs):
+        for ci, (target, model) in enumerate(
+            (t, m) for t in (0.2, 0.5, 1.0) for m in ("residual", "initial")
+        ):
+            seed = rng.randrange(10**6)
+            spec = StrategySpec(
+                kind="random", target_lcc_fraction=target, rng_seed=seed, cost_model=model
+            )
+            expected = lazy_random_removals(g, target, seed, model)
+            core = random_removals(g, spec)
+            assert [tuple(r) for r in core.steps] == expected
+            assert core.initial_node_count == g.node_count
+            lcc0 = len(largest_connected_component(g)) if g.node_count else 0
+            assert core.initial_lcc_size == lcc0
+            untouched += not expected and lcc0 > 0
+            if (gi + ci) % 6 == 0:  # the logged trace on one setting per graph
+                trace = random_strategy(g, spec)
+                assert [
+                    (s.node, s.cost, s.cumulative_cost, s.lcc_size_after) for s in trace.steps
+                ] == expected
+                assert trace.initial_lcc_size == lcc0
+    # every graph at target 1.0, plus edgeless ones, starts within its target
+    assert untouched >= 2 * (len(graphs) - 3)
 
 
 def test_gnd_on_barbell_cuts_the_bridge():

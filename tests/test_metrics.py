@@ -5,6 +5,7 @@ import pytest
 
 from covertnet import (
     LabeledGraph,
+    MetricsReport,
     PreconditionError,
     average_clustering,
     average_degree,
@@ -14,8 +15,10 @@ from covertnet import (
     diameter_lcc,
     eigenvector_centrality,
     fragmentation,
+    largest_connected_component,
     local_clustering,
     mean_betweenness,
+    reference_network,
     report,
 )
 
@@ -25,6 +28,7 @@ from util import (
     complete_graph,
     cycle_graph,
     gnp_graph,
+    labels,
     path_graph,
     random_connected_graph,
     star_graph,
@@ -239,3 +243,46 @@ def test_report_is_deterministic():
     rng = random.Random(4)
     g = random_connected_graph(rng, 12, 14)
     assert report(g).to_json() == report(g).to_json()
+
+
+def _standalone_report(g):
+    """The report assembled from the standalone functions, in report's field order."""
+    return MetricsReport(
+        node_count=g.node_count,
+        edge_count=g.edge_count,
+        density=density(g),
+        fragmentation=fragmentation(g),
+        average_degree=average_degree(g),
+        diameter_lcc=diameter_lcc(g),
+        average_clustering=average_clustering(g),
+        mean_betweenness=mean_betweenness(g),
+        degree_centralization=degree_centralization(g),
+        eigenvector_centrality=eigenvector_centrality(g),
+    )
+
+
+def _outcome(build, g):
+    try:
+        return build(g)
+    except PreconditionError as exc:
+        return str(exc)
+
+
+def test_report_equals_the_standalone_functions():
+    rng = random.Random(17)
+    graphs = [reference_network()]
+    for _ in range(10):
+        graphs.append(random_connected_graph(rng, rng.randrange(3, 40), rng.randrange(0, 60)))
+        graphs.append(gnp_graph(rng, rng.randrange(3, 40), rng.uniform(0.02, 0.15)))
+    graphs += [LabeledGraph(labels(n)) for n in (0, 1, 2, 3, 7)]
+    graphs.append(path_graph(2))
+    k5 = complete_graph(5)  # the longer path lies outside the largest component
+    path = [("p0", "p1"), ("p1", "p2"), ("p2", "p3")]
+    graphs.append(LabeledGraph([*k5.nodes, "p0", "p1", "p2", "p3"], [*k5.edges(), *path]))
+    disconnected = 0
+    for g in graphs:
+        got = _outcome(report, g)
+        assert got == _outcome(_standalone_report, g)
+        if isinstance(got, MetricsReport):
+            disconnected += len(largest_connected_component(g)) < g.node_count
+    assert disconnected >= 3

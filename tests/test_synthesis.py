@@ -117,6 +117,22 @@ def test_target_validation():
         small_target(soft=(SoftTarget(metric="eigenvector_top3", value=1.0, nodes=("ghost",)),))
 
 
+@pytest.mark.parametrize("bad", [2.5, 2.0, True, "2"])
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda bad: small_target(hard=HardConstraints(degrees=((NAMES[0], bad),))),
+        lambda bad: small_target(edge_count=bad),
+        lambda bad: small_target(hard=HardConstraints(pair_coverage=(NAMES[0], NAMES[1], bad))),
+        lambda bad: small_target(hard=HardConstraints(top_degree_margin=bad)),
+    ],
+    ids=["pinned_degree", "edge_count", "pair_coverage_count", "top_degree_margin"],
+)
+def test_constructors_reject_non_integral_counts(build, bad):
+    with pytest.raises(PreconditionError, match="must be an integer"):
+        build(bad)
+
+
 def test_static_infeasibility_is_detected_before_annealing():
     # connected on 10 nodes needs at least 9 edges
     with pytest.raises(InfeasibleTargetError):
