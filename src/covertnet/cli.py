@@ -19,6 +19,7 @@ from . import metrics as metrics_mod
 from . import reference, sampling, synthesis
 from .dismantling import (
     DismantlingTrace,
+    Removals,
     StrategySpec,
     TRACE_CSV_HEADER,
     random_removals,
@@ -103,15 +104,23 @@ def _spec_for(args, kind: str) -> StrategySpec:
     )
 
 
+def _reached_cost(trace: DismantlingTrace | Removals, p: float) -> int | None:
+    """`threshold_cost`, or None for a threshold the trace did not reach."""
+    try:
+        return threshold_cost(trace, p)
+    except DismantlingError:
+        return None
+
+
+def _cell(value: float | None, fmt: str = "") -> str:
+    return "not reached" if value is None else format(value, fmt)
+
+
 def _threshold_summary(trace: DismantlingTrace) -> list[str]:
-    lines = []
-    for p in THRESHOLDS:
-        try:
-            cost = threshold_cost(trace, p)
-            lines.append(f"cost to cut lcc by {int(p * 100)}%: {cost}")
-        except DismantlingError:
-            lines.append(f"cost to cut lcc by {int(p * 100)}%: not reached")
-    return lines
+    return [
+        f"cost to cut lcc by {int(p * 100)}%: {_cell(_reached_cost(trace, p))}"
+        for p in THRESHOLDS
+    ]
 
 
 def cmd_dismantle(args) -> int:
@@ -144,8 +153,8 @@ class ComparisonReport:
     random: DismantlingTrace
     random_runs: int
     random_base_seed: int
-    random_mean: dict[float, float]
-    random_stddev: dict[float, float]
+    random_mean: dict[float, float | None]
+    random_stddev: dict[float, float | None]
 
     def _curves(self, trace: DismantlingTrace) -> dict:
         n0 = trace.initial_node_count
@@ -167,17 +176,11 @@ class ComparisonReport:
         }
 
     def _strategy_doc(self, trace: DismantlingTrace) -> dict:
-        costs = {}
-        for p in THRESHOLDS:
-            try:
-                costs[str(p)] = threshold_cost(trace, p)
-            except DismantlingError:
-                costs[str(p)] = None
         doc = {
             "strategy": trace.strategy.to_dict(),
             "removals": len(trace.steps),
             "total_cost": trace.total_cost(),
-            "threshold_costs": costs,
+            "threshold_costs": {str(p): _reached_cost(trace, p) for p in THRESHOLDS},
         }
         doc.update(self._curves(trace))
         return doc
@@ -215,7 +218,9 @@ def build_comparison(
     """Run all three strategies plus a seeded random ensemble.
 
     Only the ensemble's first run is a logged trace; the others keep
-    just their removals, which is all their threshold costs need.
+    just their removals, which is all their threshold costs need. The
+    ensemble's mean and stddev of a threshold are None unless every run
+    reached it.
     """
     if runs < 1:
         raise PreconditionError("--runs must be at least 1")
@@ -227,12 +232,13 @@ def build_comparison(
     ]
     random_trace = run_strategy(g, specs[0])
     ensemble = [random_trace] + [random_removals(g, spec) for spec in specs[1:]]
-    mean: dict[float, float] = {}
-    stddev: dict[float, float] = {}
+    mean: dict[float, float | None] = {}
+    stddev: dict[float, float | None] = {}
     for p in THRESHOLDS:
-        costs = [threshold_cost(t, p) for t in ensemble]
-        mean[p] = statistics.fmean(costs)
-        stddev[p] = statistics.pstdev(costs)
+        costs = [_reached_cost(t, p) for t in ensemble]
+        reached = None not in costs
+        mean[p] = statistics.fmean(costs) if reached else None
+        stddev[p] = statistics.pstdev(costs) if reached else None
     return ComparisonReport(
         target_lcc_fraction=target_lcc,
         node_count=g.node_count,
@@ -253,25 +259,24 @@ def cmd_compare(args) -> int:
         _write_text(args.output, report.to_json())
     if args.curves is not None:
         _write_text(args.curves, report.to_tidy_csv())
-    header = f"{'strategy':<22}" + "".join(f"cost@{int(p * 100)}%".rjust(10) for p in THRESHOLDS)
-    print(header)
-    for name, trace in (("gnd", report.gnd), ("hub", report.hub)):
-        row = f"{name:<22}"
-        for p in THRESHOLDS:
-            row += str(threshold_cost(trace, p)).rjust(10)
-        print(row)
-    row = f"random(seed={args.seed})".ljust(22)
-    for p in THRESHOLDS:
-        row += str(threshold_cost(report.random, p)).rjust(10)
-    print(row)
-    row = f"random mean(n={args.runs})".ljust(22)
-    for p in THRESHOLDS:
-        row += f"{report.random_mean[p]:.1f}".rjust(10)
-    print(row)
-    row = f"random stddev(n={args.runs})".ljust(22)
-    for p in THRESHOLDS:
-        row += f"{report.random_stddev[p]:.1f}".rjust(10)
-    print(row)
+    rows = [
+        (name, [_cell(_reached_cost(trace, p)) for p in THRESHOLDS])
+        for name, trace in (
+            ("gnd", report.gnd),
+            ("hub", report.hub),
+            (f"random(seed={args.seed})", report.random),
+        )
+    ]
+    for name, stat in (
+        (f"random mean(n={args.runs})", report.random_mean),
+        (f"random stddev(n={args.runs})", report.random_stddev),
+    ):
+        rows.append((name, [_cell(stat[p], ".1f") for p in THRESHOLDS]))
+    # columns widen only when a "not reached" cell would not fit
+    width = max(10, 1 + max(len(cell) for _name, cells in rows for cell in cells))
+    print("strategy".ljust(22) + "".join(f"cost@{int(p * 100)}%".rjust(width) for p in THRESHOLDS))
+    for name, cells in rows:
+        print(name.ljust(22) + "".join(cell.rjust(width) for cell in cells))
     return 0
 
 

@@ -3,17 +3,17 @@
 Three strategies reduce a graph's largest connected component below a
 target fraction of the starting node count:
 
-* spectral dismantling: each round bisects the current component with
-  a degree-cost Fiedler vector and removes a greedy vertex cover of
-  the crossing edges (best coverage-per-cost ratio first);
+* spectral dismantling (gnd): each round bisects the current component
+  with a degree-cost Fiedler vector and removes a greedy vertex cover
+  of the crossing edges (best coverage-per-cost ratio first);
 * adaptive hub attack: always remove the current highest-degree node;
 * random attack: remove uniformly chosen nodes under a fixed seed.
 
-Every removal of a written trace is logged with its cost and the
-metrics of the residual graph, so strategies can be compared step for
-step. A random run whose trace is never written (ensemble runs beyond the
-first in `compare`) keeps only its removal order, costs and LCC sizes
-(`random_removals`).
+A strategy only chooses its removal order. One pass over the order
+gives every removal's cost and the LCC size after it (`Removals`), and
+one masked adjacency matrix gives the density, fragmentation and mean
+betweenness of each residual graph, so that strategies can be compared
+step for step in a `DismantlingTrace`.
 """
 
 from __future__ import annotations
@@ -25,10 +25,12 @@ from fractions import Fraction
 from io import StringIO
 from typing import NamedTuple
 
+import numpy as np
+
 from . import metrics
 from .errors import DismantlingError, GraphError, PreconditionError
 from .graph import LabeledGraph, induced_subgraph, largest_connected_component, remove_nodes
-from .spectral import crossing_subgraph, spectral_bisection
+from .spectral import adjacency_matrix, crossing_subgraph, node_order, spectral_bisection
 
 STRATEGY_KINDS = ("gnd", "hub", "random")
 COST_MODELS = ("residual", "initial")
@@ -219,92 +221,56 @@ def wvc(g_star: LabeledGraph, g: LabeledGraph) -> tuple[str, ...]:
         host_deg.pop(best)
 
 
-def _lenient_density(g: LabeledGraph) -> float:
-    # residual graphs can shrink below the metric preconditions;
-    # log an empty/singleton graph as fully fragmented
-    return metrics.density(g) if g.node_count >= 2 else 0.0
-
-
-def _lenient_fragmentation(g: LabeledGraph) -> float:
-    return metrics.fragmentation(g) if g.node_count >= 2 else 1.0
-
-
-def _lenient_betweenness(g: LabeledGraph) -> float:
-    return metrics.mean_betweenness(g) if g.node_count >= 3 else 0.0
-
-
-class _TraceBuilder:
-    def __init__(self, g: LabeledGraph, spec: StrategySpec):
-        self.spec = spec
-        self.initial = g
-        self.current = g
-        self.cumulative = 0
-        self.steps: list[RemovalStep] = []
-
-    def lcc_size(self) -> int:
-        if self.current.node_count == 0:
-            return 0
-        return len(largest_connected_component(self.current))
-
-    def remove(self, node: str) -> None:
-        if self.spec.cost_model == "residual":
-            cost = self.current.degree(node)
-        else:
-            cost = self.initial.degree(node)
-        self.current = remove_nodes(self.current, [node])
-        self.cumulative += cost
-        self._append(node, cost, self.lcc_size())
-
-    def log(self, step: Removal) -> None:
-        """Record a removal whose cost and LCC size are already known."""
-        self.current = remove_nodes(self.current, [step.node])
-        self.cumulative = step.cumulative_cost
-        self._append(step.node, step.cost, step.lcc_size_after)
-
-    def _append(self, node: str, cost: int, lcc_size: int) -> None:
-        self.steps.append(
-            RemovalStep(
-                node=node,
-                cost=cost,
-                cumulative_cost=self.cumulative,
-                lcc_size_after=lcc_size,
-                density_after=_lenient_density(self.current),
-                fragmentation_after=_lenient_fragmentation(self.current),
-                mean_betweenness_after=_lenient_betweenness(self.current),
-            )
-        )
-
-    def finish(self) -> DismantlingTrace:
-        try:
-            initial_metrics = metrics.report(self.initial)
-        except PreconditionError:
-            initial_metrics = None
-        lcc0 = 0
-        if self.initial.node_count:
-            lcc0 = len(largest_connected_component(self.initial))
-        return DismantlingTrace(
-            strategy=self.spec,
-            initial_node_count=self.initial.node_count,
-            initial_lcc_size=lcc0,
-            initial_metrics=initial_metrics,
-            steps=tuple(self.steps),
-        )
-
-
 def _require_kind(spec: StrategySpec, kind: str) -> None:
     if spec.kind != kind:
         raise PreconditionError(f"spec kind {spec.kind!r} given to the {kind} strategy")
 
 
-def hub_strategy(g: LabeledGraph, spec: StrategySpec) -> DismantlingTrace:
-    """Adaptively remove the highest-degree node until the target holds."""
-    _require_kind(spec, "hub")
-    run = _TraceBuilder(g, spec)
-    bound = spec.target_lcc_fraction * g.node_count + 1e-9
-    while run.lcc_size() > bound:
-        pick = min(run.current.nodes, key=lambda v: (-run.current.degree(v), v))
-        run.remove(pick)
-    return run.finish()
+def _random_order(g: LabeledGraph, spec: StrategySpec, bound: float) -> list[str]:
+    # the draws do not depend on the graph, so they are made up front, as
+    # far as the node count alone can still exceed the target
+    rng = random.Random(spec.rng_seed)
+    alive = sorted(g.nodes)
+    order: list[str] = []
+    while len(alive) > bound:
+        order.append(alive.pop(rng.randrange(len(alive))))
+    return order
+
+
+def _hub_order(g: LabeledGraph, spec: StrategySpec, bound: float) -> list[str]:
+    # a pick depends on residual degrees only, never on the LCC; ties go
+    # to the smallest label
+    degree = {v: g.degree(v) for v in g.nodes}
+    order: list[str] = []
+    while len(degree) > bound:
+        pick = min(degree, key=lambda v: (-degree[v], v))
+        order.append(pick)
+        del degree[pick]
+        for w in g.neighbors(pick):
+            if w in degree:
+                degree[w] -= 1
+    return order
+
+
+def _gnd_order(g: LabeledGraph, spec: StrategySpec, bound: float) -> list[str]:
+    current = g
+    order: list[str] = []
+    while True:
+        lcc = largest_connected_component(current)
+        if len(lcc) <= bound:
+            return order
+        if len(lcc) == 1:
+            picks: tuple[str, ...] = tuple(lcc)
+        else:
+            core = induced_subgraph(current, lcc)
+            picks = wvc(crossing_subgraph(core, spectral_bisection(core)), core)
+            if not picks:
+                raise DismantlingError("bisection produced no crossing edges to cover")
+        order.extend(picks)
+        current = remove_nodes(current, picks)
+
+
+_ORDERS = {"gnd": _gnd_order, "hub": _hub_order, "random": _random_order}
 
 
 def _find(parent: list[int], i: int) -> int:
@@ -314,35 +280,30 @@ def _find(parent: list[int], i: int) -> int:
     return i
 
 
-def random_removals(g: LabeledGraph, spec: StrategySpec) -> Removals:
-    """The random strategy's removals, costs and LCC sizes, without residual metrics.
+def _removals(g: LabeledGraph, spec: StrategySpec) -> Removals:
+    """The strategy's removal order with its costs and LCC sizes.
 
-    Each step removes `remaining[rng.randrange(len(remaining))]` from the
-    sorted remaining labels. The draws do not depend on the graph, so the
-    order is drawn up front, as far as the node count alone can still
-    exceed the target. The LCC size after each prefix then comes from
-    inserting the nodes back in reverse order with union-find (Newman &
-    Ziff, PRL 85:4104, 2000); a node's residual cost is the count of
-    neighbours already back when it is inserted, those removed after it
-    or never. The run stops at the first step whose LCC is within the
-    target.
+    The LCC size after each prefix of the order comes from inserting the
+    nodes back in reverse order with union-find (Newman & Ziff, PRL
+    85:4104, 2000); a node's residual cost is the count of neighbours
+    already back when it is inserted, those removed after it or never.
+    hub and random stop at the first step whose LCC is within the target;
+    gnd's order ends with the round that got there, and a round is never
+    cut.
     """
-    _require_kind(spec, "random")
-    rng = random.Random(spec.rng_seed)
     bound = spec.target_lcc_fraction * g.node_count + 1e-9
     pool = sorted(g.nodes)
     index = {v: i for i, v in enumerate(pool)}
     adj = [[index[w] for w in g.neighbors(v)] for v in pool]
     n = len(pool)
-    order: list[int] = []
-    alive = list(range(n))
-    while len(alive) > bound:
-        order.append(alive.pop(rng.randrange(len(alive))))
+    order = [index[v] for v in _ORDERS[spec.kind](g, spec, bound)]
+    removed = set(order)
+    alive = [i for i in range(n) if i not in removed]
     parent = list(range(n))
     size = [1] * n
     present = [False] * n
     largest = 0
-    lcc = [0] * (len(order) + 1)  # lcc[k]: LCC size once the first k drawn nodes are gone
+    lcc = [0] * (len(order) + 1)  # lcc[k]: LCC size once the first k removals are made
     residual = [0] * len(order)  # residual[k]: neighbours still there when order[k] goes
     for t, i in enumerate(alive + order[::-1]):
         present[i] = True
@@ -358,7 +319,7 @@ def random_removals(g: LabeledGraph, spec: StrategySpec) -> Removals:
                     parent[other] = root
                     size[root] += size[other]
         largest = max(largest, size[root])
-        k = n - t - 1  # drawn nodes still out; i is order[k] when k < len(order)
+        k = n - t - 1  # removed nodes still out; i is order[k] when k < len(order)
         if k <= len(order):
             lcc[k] = largest
         if k < len(order):
@@ -366,7 +327,7 @@ def random_removals(g: LabeledGraph, spec: StrategySpec) -> Removals:
     steps: list[Removal] = []
     cumulative = 0
     for k, i in enumerate(order):
-        if lcc[k] <= bound:
+        if lcc[k] <= bound and spec.kind != "gnd":
             break
         cost = residual[k] if spec.cost_model == "residual" else len(adj[i])
         cumulative += cost
@@ -374,16 +335,64 @@ def random_removals(g: LabeledGraph, spec: StrategySpec) -> Removals:
     return Removals(n, lcc[0], tuple(steps))
 
 
-def random_strategy(g: LabeledGraph, spec: StrategySpec) -> DismantlingTrace:
-    """Remove uniformly chosen remaining nodes until the target holds.
+def _logged(g: LabeledGraph, spec: StrategySpec, run: Removals) -> DismantlingTrace:
+    """The trace of `run`, with the metrics of each step's residual graph.
 
-    The removals come from `random_removals`; this adds the residual
-    metrics of each step's graph.
+    One adjacency matrix in sorted label order serves every step; a
+    step's residual graph is its rows and columns of the nodes not yet
+    removed. A residual graph below a metric's size precondition logs
+    density 0.0, fragmentation 1.0 and mean betweenness 0.0.
     """
-    run = _TraceBuilder(g, spec)
-    for step in random_removals(g, spec).steps:
-        run.log(step)
-    return run.finish()
+    labels = node_order(g)
+    index = {v: i for i, v in enumerate(labels)}
+    a = adjacency_matrix(g, labels)
+    keep = np.ones(len(labels), dtype=bool)
+    steps: list[RemovalStep] = []
+    for s in run.steps:
+        keep[index[s.node]] = False
+        sub = a[np.ix_(keep, keep)]
+        n = sub.shape[0]
+        density = metrics._density(n, int(sub.sum()) // 2) if n >= 2 else 0.0
+        betweenness = metrics._mean_betweenness(sub, metrics._distances(sub)) if n >= 3 else 0.0
+        steps.append(RemovalStep(*s, density, 1.0 - density, betweenness))
+    try:
+        initial_metrics = metrics.report(g)
+    except PreconditionError:
+        initial_metrics = None
+    return DismantlingTrace(
+        strategy=spec,
+        initial_node_count=run.initial_node_count,
+        initial_lcc_size=run.initial_lcc_size,
+        initial_metrics=initial_metrics,
+        steps=tuple(steps),
+    )
+
+
+def run_strategy(g: LabeledGraph, spec: StrategySpec) -> DismantlingTrace:
+    """Run the strategy named by the spec and log its trace."""
+    return _logged(g, spec, _removals(g, spec))
+
+
+def random_removals(g: LabeledGraph, spec: StrategySpec) -> Removals:
+    """The random strategy's removals, costs and LCC sizes, without residual metrics.
+
+    Each step removes `remaining[rng.randrange(len(remaining))]` from the
+    sorted remaining labels.
+    """
+    _require_kind(spec, "random")
+    return _removals(g, spec)
+
+
+def random_strategy(g: LabeledGraph, spec: StrategySpec) -> DismantlingTrace:
+    """Remove uniformly chosen remaining nodes until the target holds."""
+    _require_kind(spec, "random")
+    return run_strategy(g, spec)
+
+
+def hub_strategy(g: LabeledGraph, spec: StrategySpec) -> DismantlingTrace:
+    """Adaptively remove the highest-degree node until the target holds."""
+    _require_kind(spec, "hub")
+    return run_strategy(g, spec)
 
 
 def gnd(g: LabeledGraph, spec: StrategySpec) -> DismantlingTrace:
@@ -396,27 +405,4 @@ def gnd(g: LabeledGraph, spec: StrategySpec) -> DismantlingTrace:
     largest and still above the target it is removed directly.
     """
     _require_kind(spec, "gnd")
-    run = _TraceBuilder(g, spec)
-    bound = spec.target_lcc_fraction * g.node_count + 1e-9
-    while run.lcc_size() > bound:
-        lcc = largest_connected_component(run.current)
-        if len(lcc) == 1:
-            run.remove(next(iter(lcc)))
-            continue
-        core = induced_subgraph(run.current, lcc)
-        bisection = spectral_bisection(core)
-        star = crossing_subgraph(core, bisection)
-        picks = wvc(star, core)
-        if not picks:
-            raise DismantlingError("bisection produced no crossing edges to cover")
-        for node in picks:
-            run.remove(node)
-    return run.finish()
-
-
-_STRATEGY_RUNNERS = {"gnd": gnd, "hub": hub_strategy, "random": random_strategy}
-
-
-def run_strategy(g: LabeledGraph, spec: StrategySpec) -> DismantlingTrace:
-    """Dispatch to the strategy named by the spec."""
-    return _STRATEGY_RUNNERS[spec.kind](g, spec)
+    return run_strategy(g, spec)

@@ -25,12 +25,16 @@ from .graph import LabeledGraph
 from .spectral import adjacency_matrix, node_order
 
 
+def _density(n: int, m: int) -> float:
+    return (2.0 * m) / (n * (n - 1))
+
+
 def density(g: LabeledGraph) -> float:
     """Fraction of the n(n-1)/2 possible edges that are present."""
     n = g.node_count
     if n < 2:
         raise PreconditionError("density needs at least 2 nodes")
-    return (2.0 * g.edge_count) / (n * (n - 1))
+    return _density(n, g.edge_count)
 
 
 def fragmentation(g: LabeledGraph) -> float:
@@ -38,7 +42,7 @@ def fragmentation(g: LabeledGraph) -> float:
     n = g.node_count
     if n < 2:
         raise PreconditionError("fragmentation needs at least 2 nodes")
-    return 1.0 - (2.0 * g.edge_count) / (n * (n - 1))
+    return 1.0 - _density(n, g.edge_count)
 
 
 def average_degree(g: LabeledGraph) -> float:

@@ -28,7 +28,7 @@ from .errors import (
     PreconditionError,
 )
 from .graph import LabeledGraph, _check_label
-from .metrics import _clustering, _distances, _leading_vector, _raw_betweenness
+from .metrics import _clustering, _density, _distances, _leading_vector, _raw_betweenness
 
 SOFT_METRICS = (
     "density",
@@ -453,9 +453,9 @@ class _Evaluator:
             if metric in out:
                 continue
             if metric == "density":
-                out[metric] = (2.0 * m) / (n * (n - 1)) if n >= 2 else None
+                out[metric] = _density(n, m) if n >= 2 else None
             elif metric == "fragmentation":
-                out[metric] = 1.0 - (2.0 * m) / (n * (n - 1)) if n >= 2 else None
+                out[metric] = 1.0 - _density(n, m) if n >= 2 else None
             elif metric == "average_degree":
                 out[metric] = (2.0 * m) / n if n >= 1 else None
             elif metric == "diameter_lcc":

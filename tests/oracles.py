@@ -5,21 +5,23 @@ the code under test: betweenness is path enumeration instead of dependency
 accumulation, the Fiedler oracle returns the whole eigenspace of a bare
 dense eigensolve so that comparisons do not depend on the package's tie
 rules or on the basis LAPACK picks, the coverage oracle recounts from
-edge lists instead of maintaining incremental state, and the random-attack
-oracle replays removals one at a time on the graph, with a fresh largest
-component after each, instead of drawing them up front and inserting the
-nodes back with union-find.
+edge lists instead of maintaining incremental state, and the dismantling
+oracle replays removals one at a time on a rebuilt graph, with a fresh
+largest component and fresh metrics after each, instead of taking a
+removal order up front, inserting the nodes back with union-find and
+masking one adjacency matrix.
 """
 
 from __future__ import annotations
 
+import functools
 import random
 from collections import deque
 from fractions import Fraction
 
 import numpy as np
 
-from covertnet import LabeledGraph
+from covertnet import DismantlingTrace, LabeledGraph, MetricsReport, StrategySpec
 
 
 def enumerate_betweenness(g: LabeledGraph) -> dict[str, Fraction]:
@@ -157,31 +159,82 @@ def connected_atlas(n_min: int, n_max: int) -> list[LabeledGraph]:
     return out
 
 
-def lazy_random_removals(
-    g: LabeledGraph, target: float, seed: int, cost_model: str
-) -> list[tuple[str, int, int, int]]:
-    """Replay the random attack one removal at a time.
+@functools.lru_cache(maxsize=1024)
+def _residual_metrics(h: LabeledGraph) -> tuple[float, float, float]:
+    # cached because replays of one graph under several targets and cost
+    # models revisit the same residual graphs
+    from covertnet import density, fragmentation, mean_betweenness
 
-    While the largest component exceeds target * n, remove a uniformly
-    drawn node from the sorted remaining labels, charging its current
-    ("residual") or original ("initial") degree. Returns
-    (node, cost, cumulative cost, LCC size after) per removal.
+    n = h.node_count
+    return (
+        density(h) if n >= 2 else 0.0,
+        fragmentation(h) if n >= 2 else 1.0,
+        mean_betweenness(h) if n >= 3 else 0.0,
+    )
+
+
+@functools.lru_cache(maxsize=16)
+def _initial_metrics(g: LabeledGraph) -> MetricsReport | None:
+    from covertnet import PreconditionError, report
+
+    try:
+        return report(g)
+    except PreconditionError:
+        return None
+
+
+def lazy_trace(g: LabeledGraph, spec: StrategySpec) -> DismantlingTrace:
+    """Replay a dismantling strategy one removal at a time on the graph.
+
+    While the largest component exceeds target * n: hub removes the
+    highest-degree node (smallest label on ties), random a uniformly drawn
+    node from the sorted remaining labels, and gnd bisects the largest
+    component and removes the greedy cover of its crossing edges, a whole
+    round at a time, or the component itself when it is a single node.
+    Each removal charges the current ("residual") or original ("initial")
+    degree, rebuilds the graph, finds its largest component by BFS and
+    logs density, fragmentation and mean betweenness from the public
+    metric functions, as 0.0, 1.0 and 0.0 below their size preconditions.
     """
-    from covertnet import largest_connected_component, remove_nodes
+    from covertnet import (
+        RemovalStep,
+        crossing_subgraph,
+        induced_subgraph,
+        largest_connected_component,
+        remove_nodes,
+        spectral_bisection,
+        wvc,
+    )
 
     def lcc(h: LabeledGraph) -> int:
         return len(largest_connected_component(h)) if h.node_count else 0
 
-    rng = random.Random(seed)
-    bound = target * g.node_count + 1e-9
+    rng = random.Random(spec.rng_seed)
+    bound = spec.target_lcc_fraction * g.node_count + 1e-9
     current = g
     total = 0
-    out = []
-    while lcc(current) > bound:
-        remaining = sorted(current.nodes)
-        v = remaining[rng.randrange(len(remaining))]
-        cost = current.degree(v) if cost_model == "residual" else g.degree(v)
+    steps = []
+
+    def remove(v: str) -> None:
+        nonlocal current, total
+        cost = current.degree(v) if spec.cost_model == "residual" else g.degree(v)
         current = remove_nodes(current, [v])
         total += cost
-        out.append((v, cost, total, lcc(current)))
-    return out
+        steps.append(RemovalStep(v, cost, total, lcc(current), *_residual_metrics(current)))
+
+    while lcc(current) > bound:
+        if spec.kind == "hub":
+            remove(min(current.nodes, key=lambda v: (-current.degree(v), v)))
+        elif spec.kind == "random":
+            remaining = sorted(current.nodes)
+            remove(remaining[rng.randrange(len(remaining))])
+        else:
+            core = induced_subgraph(current, largest_connected_component(current))
+            if core.node_count == 1:
+                remove(core.nodes[0])
+                continue
+            picks = wvc(crossing_subgraph(core, spectral_bisection(core)), core)
+            assert picks, "a connected core of two or more nodes has crossing edges"
+            for v in picks:
+                remove(v)
+    return DismantlingTrace(spec, g.node_count, lcc(g), _initial_metrics(g), tuple(steps))

@@ -293,3 +293,24 @@ def test_random_ensemble_on_bundled_network_is_pinned(runs, mean, stddev):
     assert report.random_stddev == stddev
     assert report.random_runs == runs
     assert [threshold_cost(report.random, p) for p in (0.2, 0.5, 0.8)] == [82, 170, 216]
+
+
+@pytest.mark.parametrize("target", [0.3, 0.5])
+def test_compare_reports_unreached_thresholds(target, tmp_path, capsys):
+    # a run that stops at an LCC fraction of 0.3 or 0.5 never cuts the LCC
+    # by 80 %: that threshold is "not reached" in the table and null in JSON
+    out_path = tmp_path / "comparison.json"
+    argv = ["compare", "--runs", "3", "--target-lcc", str(target), "--output", str(out_path)]
+    assert main(argv) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 6
+    assert len({len(line) for line in lines}) == 1  # the columns stay aligned
+    for line in (lines[1], lines[3], lines[4], lines[5]):  # gnd, random(seed=0), mean, stddev
+        assert line.endswith(" not reached")
+    doc = json.loads(read(out_path))
+    assert doc["strategies"]["gnd"]["threshold_costs"] == {"0.2": 69, "0.5": 169, "0.8": None}
+    assert doc["strategies"]["random"]["threshold_costs"]["0.8"] is None
+    ensemble = doc["random_ensemble"]
+    for stat in ("threshold_cost_mean", "threshold_cost_stddev"):
+        assert ensemble[stat]["0.8"] is None
+        assert ensemble[stat]["0.2"] is not None and ensemble[stat]["0.5"] is not None
