@@ -157,15 +157,15 @@ class ComparisonReport:
     random_stddev: dict[float, float | None]
 
     def _curves(self, trace: DismantlingTrace) -> dict:
-        n0 = trace.initial_node_count
-        cost = [[trace.initial_lcc_size / n0, 0]]
+        start = trace.lcc_fraction(trace.initial_lcc_size)
+        cost = [[start, 0]]
         dens = []
         betw = []
         if trace.initial_metrics is not None:
-            dens.append([trace.initial_lcc_size / n0, trace.initial_metrics.density])
-            betw.append([trace.initial_lcc_size / n0, trace.initial_metrics.mean_betweenness])
+            dens.append([start, trace.initial_metrics.density])
+            betw.append([start, trace.initial_metrics.mean_betweenness])
         for s in trace.steps:
-            frac = s.lcc_size_after / n0
+            frac = trace.lcc_fraction(s.lcc_size_after)
             cost.append([frac, s.cumulative_cost])
             dens.append([frac, s.density_after])
             betw.append([frac, s.mean_betweenness_after])

@@ -103,12 +103,16 @@ class DismantlingTrace:
     def total_cost(self) -> int:
         return self.steps[-1].cumulative_cost if self.steps else 0
 
+    def lcc_fraction(self, lcc_size: int) -> float:
+        """lcc_size over the initial node count; 0.0 on an empty graph."""
+        n0 = self.initial_node_count
+        return lcc_size / n0 if n0 else 0.0
+
     def to_csv(self) -> str:
         out = StringIO()
         out.write(TRACE_CSV_HEADER + "\n")
-        n0 = self.initial_node_count
         for i, s in enumerate(self.steps, start=1):
-            frac = s.lcc_size_after / n0 if n0 else 0.0
+            frac = self.lcc_fraction(s.lcc_size_after)
             out.write(
                 f"{i},{s.node},{s.cost},{s.cumulative_cost},{s.lcc_size_after},"
                 f"{frac!r},{s.density_after!r},{s.fragmentation_after!r},"
@@ -129,9 +133,7 @@ class DismantlingTrace:
                     "node_cost": s.cost,
                     "cumulative_cost": s.cumulative_cost,
                     "lcc_size": s.lcc_size_after,
-                    "lcc_fraction": s.lcc_size_after / self.initial_node_count
-                    if self.initial_node_count
-                    else 0.0,
+                    "lcc_fraction": self.lcc_fraction(s.lcc_size_after),
                     "density": s.density_after,
                     "fragmentation": s.fragmentation_after,
                     "mean_betweenness": s.mean_betweenness_after,

@@ -6,6 +6,12 @@ L = diag(B 1) - B, and the Laplacian's second-smallest eigenpair
 (the Fiedler pair) splits the nodes by vector sign. Edges crossing
 the split are the candidates a dismantler should attack.
 
+Every edge weight w_i + w_j - 1 must be positive. A zero weight would
+drop the edge from the Laplacian and a negative one would make L
+indefinite, so `cost_matrix` raises PreconditionError naming the first
+such edge in sorted label order. Costs above 0.5 always pass, and the
+default degree costs give every edge a weight of at least 1.
+
 L is dense, so the Fiedler pair comes from one dense symmetric
 eigensolve. Where the maths
 leaves the vector open, `fiedler` fixes it by rule: a degenerate
@@ -67,14 +73,23 @@ def cost_matrix(
     """Weighted adjacency: entry (i, j) is A_ij * (w_i + w_j - 1).
 
     With unit costs this reduces to the plain adjacency matrix, so the
-    unweighted problem is the w = 1 special case.
+    unweighted problem is the w = 1 special case. An edge whose weight
+    is not positive raises PreconditionError.
     """
     _check_costs(g, costs)
     if order is None:
         order = node_order(g)
     a = adjacency_matrix(g, order)
     w = np.array([float(costs[v]) for v in order])
-    return a * (w[:, None] + w[None, :] - 1.0)
+    weights = w[:, None] + w[None, :] - 1.0
+    bad = [tuple(sorted((order[i], order[j]))) for i, j in np.argwhere((a > 0) & (weights <= 0))]
+    if bad:
+        u, v = min(bad)
+        raise PreconditionError(
+            f"edge ({u!r}, {v!r}) has weight {costs[u]!r} + {costs[v]!r} - 1 <= 0;"
+            " the costs of an edge's endpoints must sum to more than 1"
+        )
+    return a * weights
 
 
 def weighted_laplacian(b: np.ndarray) -> np.ndarray:

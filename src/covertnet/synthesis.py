@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import random
 from dataclasses import dataclass, field
 
@@ -50,6 +51,11 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _is_finite(value) -> bool:
+    """Reals are finite numbers: NaN, the infinities and non-numbers are rejected."""
+    return isinstance(value, numbers.Real) and math.isfinite(value)
+
+
 @dataclass(frozen=True)
 class AnnealingSchedule:
     initial_temperature: float = 1.0
@@ -58,8 +64,8 @@ class AnnealingSchedule:
     rng_seed: int = 7
 
     def __post_init__(self):
-        if self.initial_temperature <= 0.0:
-            raise PreconditionError("initial_temperature must be positive")
+        if not (_is_finite(self.initial_temperature) and self.initial_temperature > 0.0):
+            raise PreconditionError("initial_temperature must be positive and finite")
         if not 0.0 < self.cooling_factor <= 1.0:
             raise PreconditionError("cooling_factor must be in (0, 1]")
         if not _is_int(self.iterations):
@@ -85,8 +91,10 @@ class SoftTarget:
     def __post_init__(self):
         if self.metric not in SOFT_METRICS:
             raise PreconditionError(f"unknown soft metric {self.metric!r}")
-        if self.weight < 0.0:
-            raise PreconditionError("soft target weight must be non-negative")
+        if not _is_finite(self.value):
+            raise PreconditionError(f"soft target value must be finite, got {self.value!r}")
+        if not (_is_finite(self.weight) and self.weight >= 0.0):
+            raise PreconditionError("soft target weight must be non-negative and finite")
         object.__setattr__(self, "nodes", tuple(self.nodes))
         if self.metric == "eigenvector_top3":
             if not 1 <= len(self.nodes) <= 3:
@@ -175,8 +183,8 @@ class SynthesisTarget:
         for t in self.soft:
             for v in t.nodes:
                 known(v)
-        if self.missing_metric_penalty < 0.0:
-            raise PreconditionError("missing_metric_penalty must be non-negative")
+        if not (_is_finite(self.missing_metric_penalty) and self.missing_metric_penalty >= 0.0):
+            raise PreconditionError("missing_metric_penalty must be non-negative and finite")
 
     @property
     def node_count(self) -> int:
@@ -239,9 +247,7 @@ def load_synthesis_target(text: str) -> SynthesisTarget:
         )
         schedule = AnnealingSchedule(**dict(doc.get("schedule", {})))
         penalty = float(doc.get("missing_metric_penalty", 100.0))
-    except InfeasibleTargetError:
-        raise
-    except FileFormatError:
+    except (InfeasibleTargetError, FileFormatError):
         raise
     except (KeyError, TypeError, ValueError, IndexError) as exc:
         raise FileFormatError(f"target JSON: {exc}") from None
@@ -257,6 +263,26 @@ def load_synthesis_target(text: str) -> SynthesisTarget:
     except PreconditionError as exc:
         # a self-inconsistent file is a format problem for the caller
         raise FileFormatError(f"target JSON: {exc}") from None
+
+
+def _index_pairs(idx: dict[str, int], edges) -> list[tuple[int, int]]:
+    """Labelled edges as (low, high) index pairs."""
+    return [(min(idx[u], idx[v]), max(idx[u], idx[v])) for u, v in edges]
+
+
+def _push(items: list, pos: dict, pair: tuple[int, int]) -> None:
+    pos[pair] = len(items)
+    items.append(pair)
+
+
+def _pop(items: list, pos: dict, pair: tuple[int, int]) -> None:
+    """Swap-remove `pair`. The annealer samples edges and non-edges by
+    position, so the order of pushes and pops is part of the RNG path."""
+    at = pos.pop(pair)
+    last = items.pop()
+    if last != pair:
+        items[at] = last
+        pos[last] = at
 
 
 class _State:
@@ -276,81 +302,41 @@ class _State:
             for j in range(i + 1, n):
                 pair = (i, j)
                 if pair in edge_set:
-                    self._insert(pair)
+                    self._link(pair, True)
+                    _push(self.edges, self.edge_pos, pair)
                 else:
-                    self.non_edge_pos[pair] = len(self.non_edges)
-                    self.non_edges.append(pair)
+                    _push(self.non_edges, self.non_edge_pos, pair)
 
-    def _insert(self, pair: tuple[int, int]) -> None:
+    def _link(self, pair: tuple[int, int], on: bool) -> None:
+        """Flip `pair` in the matrix, degrees and bitsets: add it (on) or drop it."""
         i, j = pair
-        self.a[i, j] = self.a[j, i] = 1.0
-        self.deg[i] += 1
-        self.deg[j] += 1
-        self.bits[i] |= 1 << j
-        self.bits[j] |= 1 << i
-        self.edge_pos[pair] = len(self.edges)
-        self.edges.append(pair)
-
-    def _delete(self, pair: tuple[int, int]) -> None:
-        i, j = pair
-        self.a[i, j] = self.a[j, i] = 0.0
-        self.deg[i] -= 1
-        self.deg[j] -= 1
-        self.bits[i] &= ~(1 << j)
-        self.bits[j] &= ~(1 << i)
-        pos = self.edge_pos.pop(pair)
-        last = self.edges.pop()
-        if last != pair:
-            self.edges[pos] = last
-            self.edge_pos[last] = pos
-
-    def _list_add_non_edge(self, pair: tuple[int, int]) -> None:
-        self.non_edge_pos[pair] = len(self.non_edges)
-        self.non_edges.append(pair)
-
-    def _list_del_non_edge(self, pair: tuple[int, int]) -> None:
-        pos = self.non_edge_pos.pop(pair)
-        last = self.non_edges.pop()
-        if last != pair:
-            self.non_edges[pos] = last
-            self.non_edge_pos[last] = pos
+        step = 1 if on else -1
+        self.a[i, j] = self.a[j, i] = float(on)
+        self.deg[i] += step
+        self.deg[j] += step
+        self.bits[i] ^= 1 << j
+        self.bits[j] ^= 1 << i
 
     def swap(self, out_pair: tuple[int, int], in_pair: tuple[int, int]) -> None:
         """Replace edge `out_pair` with non-edge `in_pair`."""
-        self._delete(out_pair)
-        self._list_add_non_edge(out_pair)
-        self._list_del_non_edge(in_pair)
-        self._insert(in_pair)
+        self._link(out_pair, False)
+        _pop(self.edges, self.edge_pos, out_pair)
+        _push(self.non_edges, self.non_edge_pos, out_pair)
+        _pop(self.non_edges, self.non_edge_pos, in_pair)
+        self._link(in_pair, True)
+        _push(self.edges, self.edge_pos, in_pair)
 
     def has(self, i: int, j: int) -> bool:
         return bool(self.bits[i] >> j & 1)
 
-    def connected(self) -> bool:
-        if self.n == 0:
-            return True
-        full = (1 << self.n) - 1
-        reach = 1
-        frontier = 1
-        while frontier:
-            grown = 0
-            f = frontier
-            while f:
-                low = f & -f
-                grown |= self.bits[low.bit_length() - 1]
-                f ^= low
-            frontier = grown & ~reach
-            reach |= frontier
-        return reach == full
-
     def component_count(self) -> int:
-        seen = 0
+        """Bitset BFS from each lowest unseen node."""
+        unseen = (1 << self.n) - 1
         count = 0
-        for start in range(self.n):
-            if seen >> start & 1:
-                continue
+        while unseen:
             count += 1
-            frontier = 1 << start
-            seen |= frontier
+            frontier = unseen & -unseen
+            unseen ^= frontier
             while frontier:
                 grown = 0
                 f = frontier
@@ -358,8 +344,8 @@ class _State:
                     low = f & -f
                     grown |= self.bits[low.bit_length() - 1]
                     f ^= low
-                frontier = grown & ~seen
-                seen |= frontier
+                frontier = grown & unseen
+                unseen ^= frontier
         return count
 
 
@@ -369,64 +355,45 @@ class _HardCheck:
     def __init__(self, target: SynthesisTarget, order: tuple[str, ...]):
         idx = {v: i for i, v in enumerate(order)}
         hc = target.hard
-        self.connected = hc.connected
+        # one node or none is trivially connected
+        self.connected = hc.connected and len(order) > 1
         self.pins = tuple((idx[v], d) for v, d in hc.degrees)
-        self.required = frozenset(
-            (min(idx[u], idx[v]), max(idx[u], idx[v])) for u, v in hc.adjacent
-        )
+        self.required = frozenset(_index_pairs(idx, hc.adjacent))
         self.pair_cov = None
         if hc.pair_coverage is not None:
             u, v, count = hc.pair_coverage
             self.pair_cov = (idx[u], idx[v], count)
         self.top_pair = None
-        if hc.top_degree_pair is not None:
+        # with two nodes or fewer there is no other node to outrank
+        if hc.top_degree_pair is not None and len(order) > 2:
             u, v = hc.top_degree_pair
-            others = np.ones(len(order), dtype=bool)
-            others[idx[u]] = others[idx[v]] = False
+            others = np.ones(len(order), dtype=np.int64)
+            others[idx[u]] = others[idx[v]] = 0
             self.top_pair = (idx[u], idx[v], hc.top_degree_margin, others)
 
-    def ok(self, state: _State) -> bool:
+    def _excess(self, state: _State):
+        """Each rule's integer distance from holding, cheapest rules first."""
         deg = state.deg
         for i, want in self.pins:
-            if deg[i] != want:
-                return False
+            yield abs(int(deg[i]) - want)
         for i, j in self.required:
-            if not state.has(i, j):
-                return False
+            yield 1 - state.has(i, j)
         if self.pair_cov is not None:
             i, j, count = self.pair_cov
-            if deg[i] + deg[j] - (1 if state.has(i, j) else 0) != count:
-                return False
-        if self.top_pair is not None:
-            i, j, margin, others = self.top_pair
-            lim = min(deg[i], deg[j]) - margin
-            if state.n > 2 and int(deg[others].max()) > lim:
-                return False
-        if self.connected and not state.connected():
-            return False
-        return True
-
-    def violations(self, state: _State) -> float:
-        """Integer-valued distance from feasibility; zero means feasible."""
-        deg = state.deg
-        v = 0
-        for i, want in self.pins:
-            v += abs(int(deg[i]) - want)
-        for i, j in self.required:
-            if not state.has(i, j):
-                v += 1
-        if self.pair_cov is not None:
-            i, j, count = self.pair_cov
-            v += abs(int(deg[i]) + int(deg[j]) - (1 if state.has(i, j) else 0) - count)
+            yield abs(int(deg[i]) + int(deg[j]) - state.has(i, j) - count)
         if self.top_pair is not None:
             i, j, margin, others = self.top_pair
             lim = min(int(deg[i]), int(deg[j])) - margin
-            if state.n > 2:
-                excess = deg[others] - lim
-                v += int(excess[excess > 0].sum())
+            yield int(np.maximum(deg - lim, 0) @ others)
         if self.connected:
-            v += state.component_count() - 1
-        return float(v)
+            yield state.component_count() - 1
+
+    def ok(self, state: _State) -> bool:
+        return not any(self._excess(state))
+
+    def violations(self, state: _State) -> float:
+        """Integer-valued distance from feasibility; zero means feasible."""
+        return float(sum(self._excess(state)))
 
 
 class _Evaluator:
@@ -435,9 +402,9 @@ class _Evaluator:
     def __init__(self, target: SynthesisTarget, order: tuple[str, ...]):
         idx = {v: i for i, v in enumerate(order)}
         self.penalty = target.missing_metric_penalty
-        self.terms = []
-        for t in target.soft:
-            self.terms.append((t.metric, t.value, t.weight, tuple(idx[v] for v in t.nodes)))
+        self.terms = [
+            (t.metric, t.value, t.weight, tuple(idx[v] for v in t.nodes)) for t in target.soft
+        ]
         wanted = {t.metric for t in target.soft}
         self.need_dist = bool(wanted & {"diameter_lcc", "mean_betweenness", "eigenvector_top3"})
 
@@ -481,57 +448,55 @@ class _Evaluator:
                 out[metric] = len(set(top).intersection(nodes)) / len(nodes)
         return out
 
-    def objective(self, state: _State) -> float:
+    def contributions(self, state: _State):
+        """(metric, achieved, contribution) for each soft target, in target order."""
         vals = self.values(state)
-        total = 0.0
         for metric, value, weight, _nodes in self.terms:
             got = vals[metric]
             if got is None:
-                total += weight * self.penalty
+                yield metric, None, weight * self.penalty
             else:
                 diff = got - value
-                total += weight * diff * diff
+                yield metric, got, weight * diff * diff
+
+    def objective(self, state: _State) -> float:
+        # an explicit left-to-right sum: builtin sum() rounds differently
+        # on newer Pythons, and the annealer's path depends on every bit
+        total = 0.0
+        for _metric, _got, contribution in self.contributions(state):
+            total += contribution
         return total
+
+
+def _candidate(g: LabeledGraph, target: SynthesisTarget) -> tuple[_State, _Evaluator]:
+    """g's state and the target's evaluator, both in sorted roster order."""
+    if set(g.nodes) != set(target.nodes):
+        raise GraphError("candidate graph and target roster disagree")
+    order = tuple(sorted(target.nodes))
+    idx = {v: i for i, v in enumerate(order)}
+    return _State(len(order), _index_pairs(idx, g.edges())), _Evaluator(target, order)
 
 
 def objective(g: LabeledGraph, target: SynthesisTarget) -> float:
     """Weighted squared deviation of g from the target's soft metrics."""
-    if set(g.nodes) != set(target.nodes):
-        raise GraphError("candidate graph and target roster disagree")
-    order = tuple(sorted(target.nodes))
-    idx = {v: i for i, v in enumerate(order)}
-    pairs = [(min(idx[u], idx[v]), max(idx[u], idx[v])) for u, v in g.edges()]
-    state = _State(len(order), pairs)
-    return _Evaluator(target, order).objective(state)
+    state, evaluator = _candidate(g, target)
+    return evaluator.objective(state)
 
 
 def soft_report(g: LabeledGraph, target: SynthesisTarget) -> list[dict]:
-    """Achieved-versus-target rows for every soft metric."""
-    if set(g.nodes) != set(target.nodes):
-        raise GraphError("candidate graph and target roster disagree")
-    order = tuple(sorted(target.nodes))
-    idx = {v: i for i, v in enumerate(order)}
-    pairs = [(min(idx[u], idx[v]), max(idx[u], idx[v])) for u, v in g.edges()]
-    state = _State(len(order), pairs)
-    ev = _Evaluator(target, order)
-    vals = ev.values(state)
-    rows = []
-    for t in target.soft:
-        got = vals[t.metric]
-        if got is None:
-            contribution = t.weight * target.missing_metric_penalty
-        else:
-            contribution = t.weight * (got - t.value) ** 2
-        rows.append(
-            {
-                "metric": t.metric,
-                "target": t.value,
-                "weight": t.weight,
-                "achieved": got,
-                "contribution": contribution,
-            }
-        )
-    return rows
+    """Achieved-versus-target rows for every soft metric; adding their
+    contributions in row order gives `objective` exactly."""
+    state, evaluator = _candidate(g, target)
+    return [
+        {
+            "metric": metric,
+            "target": t.value,
+            "weight": t.weight,
+            "achieved": got,
+            "contribution": contribution,
+        }
+        for t, (metric, got, contribution) in zip(target.soft, evaluator.contributions(state))
+    ]
 
 
 def _static_feasibility(target: SynthesisTarget) -> None:
@@ -593,22 +558,20 @@ def _anneal(
     score,
     guard,
     protected: frozenset[tuple[int, int]],
-    stop_at: float,
-) -> tuple[float, float, list[tuple[int, int]]]:
+) -> tuple[float, list[tuple[int, int]]]:
     """Generic annealing loop over single edge swaps.
 
-    Returns (final score, best score, best edge list). Temperature
-    cools every proposal; the acceptance coin is only flipped for
-    uphill moves, so the RNG sequence is reproducible.
+    Returns (final score, best edge list). Scores are
+    non-negative, so the loop stops early at 0.0. Temperature cools
+    every proposal; the acceptance coin is only flipped for uphill
+    moves, so the RNG sequence is reproducible.
     """
     cur = score(state)
     best = cur
     best_edges = list(state.edges)
     t = t0
     for _ in range(iterations):
-        if cur <= stop_at:
-            break
-        if not state.edges or not state.non_edges:
+        if cur <= 0.0 or not state.edges or not state.non_edges:
             break
         out_pair = state.edges[rng.randrange(len(state.edges))]
         in_pair = state.non_edges[rng.randrange(len(state.non_edges))]
@@ -628,18 +591,7 @@ def _anneal(
                 best_edges = list(state.edges)
         else:
             state.swap(in_pair, out_pair)
-    return cur, best, best_edges
-
-
-def _restore(state: _State, edges: list[tuple[int, int]]) -> None:
-    want = set(edges)
-    have = set(state.edges)
-    for pair in sorted(have - want):
-        state._delete(pair)
-        state._list_add_non_edge(pair)
-    for pair in sorted(want - have):
-        state._list_del_non_edge(pair)
-        state._insert(pair)
+    return cur, best_edges
 
 
 def synthesize_reference(
@@ -660,7 +612,6 @@ def synthesize_reference(
     sched = target.schedule
     rng = random.Random(sched.rng_seed)
 
-    initial_pairs: list[tuple[int, int]] | None = None
     if initial is not None:
         if set(initial.nodes) != set(order):
             raise GraphError("initial graph and target roster disagree")
@@ -668,32 +619,23 @@ def synthesize_reference(
             raise GraphError(
                 f"initial graph has {initial.edge_count} edges, target wants {target.edge_count}"
             )
-        initial_pairs = [
-            (min(idx[u], idx[v]), max(idx[u], idx[v])) for u, v in initial.edges()
-        ]
 
     state = None
     last_violations = None
     for attempt in range(_REPAIR_ATTEMPTS):
-        if attempt == 0 and initial_pairs is not None:
-            pairs = list(initial_pairs)
+        if attempt == 0 and initial is not None:
+            pairs = _index_pairs(idx, initial.edges())
         else:
             pairs = _random_fill(rng, n, target.edge_count, check.required)
         candidate = _State(n, pairs)
         missing = [pair for pair in sorted(check.required) if not candidate.has(*pair)]
-        traded_all = True
         for pair in missing:
-            # force the required adjacency in by trading away an
-            # expendable edge
+            # force the required adjacency in by trading away an expendable
+            # edge; _static_feasibility leaves at least one per missing pair
             expendable = [e for e in candidate.edges if e not in check.required]
-            if not expendable:
-                traded_all = False
-                break
             candidate.swap(expendable[rng.randrange(len(expendable))], pair)
-        if not traded_all:
-            continue
         if check.violations(candidate) > 0.0:
-            cur, _best, _edges = _anneal(
+            cur, _edges = _anneal(
                 candidate,
                 rng,
                 iterations=_REPAIR_ITERATIONS,
@@ -702,7 +644,6 @@ def synthesize_reference(
                 score=check.violations,
                 guard=None,
                 protected=check.required,
-                stop_at=0.0,
             )
             last_violations = cur
             if cur > 0.0:
@@ -716,7 +657,7 @@ def synthesize_reference(
             f"{last_violations})"
         )
 
-    _final, _best, best_edges = _anneal(
+    _final, best_edges = _anneal(
         state,
         rng,
         iterations=sched.iterations,
@@ -725,7 +666,5 @@ def synthesize_reference(
         score=evaluator.objective,
         guard=check.ok,
         protected=check.required,
-        stop_at=0.0,
     )
-    _restore(state, best_edges)
-    return LabeledGraph(order, [(order[i], order[j]) for i, j in sorted(state.edges)])
+    return LabeledGraph(order, [(order[i], order[j]) for i, j in sorted(best_edges)])

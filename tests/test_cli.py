@@ -143,6 +143,17 @@ def test_compare_prints_cost_table(barbell_file, tmp_path, capsys):
     assert len(curves) > 3
 
 
+def test_compare_on_empty_graph_writes_json(tmp_path, capsys):
+    empty = tmp_path / "empty.edges"
+    empty.write_text("")
+    out_path = tmp_path / "comparison.json"
+    assert main(["compare", "--input", str(empty), "--output", str(out_path)]) == 0
+    assert "Traceback" not in capsys.readouterr().err
+    doc = json.loads(read(out_path))
+    assert doc["node_count"] == 0
+    assert doc["strategies"]["gnd"]["cost_curve"] == [[0.0, 0]]
+
+
 def test_sample_writes_edge_list(tmp_path, capsys):
     src = tmp_path / "truth.edges"
     src.write_text(dump_edge_list(star_graph(6)))

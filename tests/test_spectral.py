@@ -1,5 +1,6 @@
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -74,6 +75,24 @@ def test_cost_validation():
         cost_matrix(g, {"v0": -1.0, "v1": 1.0, "v2": 1.0})
     with pytest.raises(GraphError):
         cost_matrix(g, {"v0": 0.0, "v1": 0.0, "v2": 0.0})
+
+
+@pytest.mark.parametrize(
+    "costs, edge",
+    [
+        ({"a": 0.0, "b": 0.0, "c": 1.0, "d": 1.0}, "('a', 'b')"),
+        ({"a": 0.2, "b": 0.2, "c": 0.2, "d": 0.2}, "('a', 'b')"),
+        ({"a": 1.0, "b": 0.5, "c": 0.5, "d": 0.0}, "('b', 'c')"),
+    ],
+)
+def test_edge_weights_must_be_positive(costs, edge):
+    # w_u + w_v - 1 <= 0 used to surface as "graph is disconnected" or
+    # "graph has no edges" from the Fiedler solve
+    g = LabeledGraph(["a", "b", "c", "d"], [("a", "b"), ("b", "c"), ("c", "d")])
+    with pytest.raises(PreconditionError, match=re.escape(f"edge {edge}")):
+        cost_matrix(g, costs)
+    with pytest.raises(PreconditionError, match=re.escape(f"edge {edge}")):
+        spectral_bisection(g, costs)
 
 
 def test_weighted_laplacian_hand_value():

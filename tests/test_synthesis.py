@@ -1,7 +1,10 @@
 import json
+import math
 import random
+from dataclasses import replace
 from importlib import resources
 
+import numpy as np
 import pytest
 
 from covertnet import (
@@ -16,6 +19,8 @@ from covertnet import (
     SynthesisTarget,
     average_clustering,
     average_degree,
+    connected_components,
+    default_chiapas_target,
     degree_centralization,
     density,
     diameter_lcc,
@@ -24,9 +29,11 @@ from covertnet import (
     load_synthesis_target,
     mean_betweenness,
     objective,
+    reference_network,
     soft_report,
     synthesize_reference,
 )
+from covertnet.synthesis import _HardCheck, _index_pairs, _State
 
 from util import labels, random_connected_graph
 
@@ -130,6 +137,22 @@ def test_target_validation():
 )
 def test_constructors_reject_non_integral_counts(build, bad):
     with pytest.raises(PreconditionError, match="must be an integer"):
+        build(bad)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda bad: SoftTarget(metric="density", value=bad),
+        lambda bad: SoftTarget(metric="density", value=0.5, weight=bad),
+        lambda bad: AnnealingSchedule(initial_temperature=bad),
+        lambda bad: small_target(missing_metric_penalty=bad),
+    ],
+    ids=["soft_value", "soft_weight", "initial_temperature", "missing_metric_penalty"],
+)
+def test_constructors_reject_non_finite_numbers(build, bad):
+    with pytest.raises(PreconditionError, match="finite"):
         build(bad)
 
 
@@ -267,8 +290,15 @@ def test_objective_matches_soft_report_contributions():
     rng = random.Random(92)
     g = random_connected_graph(rng, 9, 14)
     target = full_soft_target(g, tuple(sorted(g.nodes)[:2]))
+    # weights other than powers of two show a second score formula's
+    # rounding, such as weight * d ** 2 beside weight * d * d
+    soft = tuple(replace(t, weight=1.1 + 0.3 * k) for k, t in enumerate(target.soft))
+    target = replace(target, soft=soft)
     rows = soft_report(g, target)
-    assert objective(g, target) == pytest.approx(sum(r["contribution"] for r in rows))
+    total = 0.0
+    for row in rows:
+        total += row["contribution"]
+    assert objective(g, target) == total
 
 
 def test_missing_metric_draws_the_penalty():
@@ -336,11 +366,23 @@ def test_load_target_with_numbered_roster():
         ("hard", "pair_coverage", {"pair": ["a", "b"], "count": 3.5}),
         ("hard", "top_degree_pair", {"pair": ["a", "b"], "margin": 1.5}),
         ("schedule", "iterations", 10.5),
+        # json writes these as NaN and Infinity, which Python's parser accepts
+        ("soft", "value", math.nan),
+        ("soft", "weight", math.nan),
+        ("soft", "weight", math.inf),
+        ("schedule", "initial_temperature", math.inf),
+        ("schedule", "initial_temperature", math.nan),
+        ("top", "missing_metric_penalty", math.inf),
     ],
 )
 def test_load_target_rejects_non_integral_numbers(section, key, value):
-    doc = {"hard": {"nodes": ["a", "b", "c", "d"], "edges": 4}, "schedule": {"iterations": 10}}
-    doc[section][key] = value
+    doc = {
+        "hard": {"nodes": ["a", "b", "c", "d"], "edges": 4},
+        "soft": [{"metric": "density", "value": 0.5}],
+        "schedule": {"iterations": 10},
+    }
+    sections = {"hard": doc["hard"], "soft": doc["soft"][0], "schedule": doc["schedule"], "top": doc}
+    sections[section][key] = value
     with pytest.raises(FileFormatError):
         load_synthesis_target(json.dumps(doc))
 
@@ -379,3 +421,81 @@ def test_session_build_matches_bundled_edge_list(synthesized_reference_bytes):
     built, _ = synthesized_reference_bytes
     bundled = resources.files("covertnet").joinpath("data", "chiapas_reference.edges")
     assert built == bundled.read_bytes()
+
+
+def hard_rule_distances(g, hard):
+    """Each hard rule's distance from holding, from LabeledGraph queries alone."""
+    out = [abs(g.degree(v) - d) for v, d in hard.degrees]
+    out += [0 if g.has_edge(u, v) else 1 for u, v in {tuple(sorted(p)) for p in hard.adjacent}]
+    if hard.pair_coverage is not None:
+        u, v, count = hard.pair_coverage
+        out.append(abs(g.degree(u) + g.degree(v) - g.has_edge(u, v) - count))
+    if hard.top_degree_pair is not None and g.node_count > 2:
+        u, v = hard.top_degree_pair
+        lim = min(g.degree(u), g.degree(v)) - hard.top_degree_margin
+        out.append(sum(max(0, g.degree(w) - lim) for w in g.nodes if w not in (u, v)))
+    if hard.connected and g.node_count > 1:
+        out.append(len(connected_components(g)) - 1)
+    return out
+
+
+def sparse_hard_target():
+    return small_target(
+        edge_count=12,
+        hard=HardConstraints(
+            connected=True,
+            degrees=((NAMES[0], 4),),
+            adjacent=((NAMES[2], NAMES[1]),),
+            pair_coverage=(NAMES[0], NAMES[3], 6),
+            top_degree_pair=(NAMES[0], NAMES[3]),
+            top_degree_margin=0,
+        ),
+        schedule=quick_schedule(iterations=0),
+    )
+
+
+@pytest.mark.parametrize("which", ["chiapas", "sparse"])
+def test_hard_check_matches_graph_queries_on_swap_walks(which):
+    # a walk of single swaps from a feasible graph that, like the
+    # annealer's guard, undoes every swap that breaks a rule
+    if which == "chiapas":
+        target, start = default_chiapas_target(), reference_network()
+    else:
+        target = sparse_hard_target()
+        start = synthesize_reference(target)
+    order = tuple(sorted(target.nodes))
+    idx = {v: i for i, v in enumerate(order)}
+    state = _State(len(order), _index_pairs(idx, start.edges()))
+    check = _HardCheck(target, order)
+    every_pair = [(i, j) for i in range(len(order)) for j in range(i + 1, len(order))]
+
+    def compared():
+        assert sorted(state.edges + state.non_edges) == every_pair
+        assert state.edge_pos == {p: k for k, p in enumerate(state.edges)}
+        assert state.non_edge_pos == {p: k for k, p in enumerate(state.non_edges)}
+        g = LabeledGraph(order, [(order[i], order[j]) for i, j in state.edges])
+        a = np.zeros((len(order), len(order)))
+        for i, j in state.edges:
+            a[i, j] = a[j, i] = 1.0
+        assert np.array_equal(state.a, a)
+        assert [int(d) for d in state.deg] == [g.degree(v) for v in order]
+        assert all(state.has(i, j) == g.has_edge(order[i], order[j]) for i, j in every_pair)
+        distances = hard_rule_distances(g, target.hard)
+        assert check.violations(state) == float(sum(distances))
+        assert check.ok(state) == (not any(distances))
+        return check.ok(state)
+
+    rng = random.Random(17)
+    verdicts = [compared()]
+    for _ in range(400):
+        out_pair = state.edges[rng.randrange(len(state.edges))]
+        in_pair = state.non_edges[rng.randrange(len(state.non_edges))]
+        state.swap(out_pair, in_pair)
+        verdicts.append(compared())
+        if not verdicts[-1]:
+            state.swap(in_pair, out_pair)
+    assert verdicts[0] and verdicts.count(True) >= 20 and verdicts.count(False) >= 20
+    # random fills sit far from feasibility
+    for _ in range(20):
+        state = _State(len(order), rng.sample(every_pair, target.edge_count))
+        assert not compared()
