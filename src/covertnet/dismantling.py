@@ -355,7 +355,7 @@ def _logged(g: LabeledGraph, spec: StrategySpec, run: Removals) -> DismantlingTr
         sub = a[np.ix_(keep, keep)]
         n = sub.shape[0]
         density = metrics._density(n, int(sub.sum()) // 2) if n >= 2 else 0.0
-        betweenness = metrics._mean_betweenness(sub, metrics._distances(sub)) if n >= 3 else 0.0
+        betweenness = metrics._mean_betweenness(sub, *metrics._paths(sub)) if n >= 3 else 0.0
         steps.append(RemovalStep(*s, density, 1.0 - density, betweenness))
     try:
         initial_metrics = metrics.report(g)

@@ -175,13 +175,14 @@ def load_edge_list(source) -> LabeledGraph:
     edge_set: set[frozenset[str]] = set()
 
     def note(label: str, lineno: int) -> None:
+        if label in seen:  # checked on first sight, so an error names that line
+            return
         try:
             _check_label(label)
         except GraphError as exc:
             raise FileFormatError(f"line {lineno}: {exc}") from None
-        if label not in seen:
-            seen.add(label)
-            order.append(label)
+        seen.add(label)
+        order.append(label)
 
     for lineno, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()

@@ -5,12 +5,14 @@ percentages. Functions that need a minimum graph size raise
 PreconditionError rather than guessing a value.
 
 Each metric has one implementation: a dense numpy kernel over the
-adjacency matrix in sorted label order and its hop distances, which the
-annealer in `synthesis` shares (O(n^2) memory). Eigenvector centrality
-is the leading eigenvector of one dense `eigh` on the largest connected
-component, a size tie going to the component holding the smallest label
-as in `graph.largest_connected_component`; it is scaled so the maximum
-is 1, and nodes outside that component score 0.
+adjacency matrix in sorted label order, shared with the annealer in
+`synthesis` (O(n^2) memory). One BFS sweep from every source gives the
+hop distances and shortest-path counts that diameter and betweenness
+share. Eigenvector centrality is the leading eigenvector of one dense
+`eigh` on the largest connected component, a size tie going to the
+component holding the smallest label as in
+`graph.largest_connected_component`; it is scaled so the maximum is 1,
+and nodes outside that component score 0.
 """
 
 from __future__ import annotations
@@ -51,20 +53,26 @@ def average_degree(g: LabeledGraph) -> float:
     return (2.0 * g.edge_count) / g.node_count
 
 
-def _distances(a: np.ndarray) -> np.ndarray:
-    """All-pairs hop distances; -1 marks unreachable pairs."""
+def _paths(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """All-pairs hop distances (-1 if unreachable) and shortest-path counts.
+
+    One BFS sweep: the counts reaching level k are the level k-1 counts
+    times `a`, each an exact integer in float.
+    """
     n = a.shape[0]
     dist = np.full((n, n), -1.0)
     np.fill_diagonal(dist, 0.0)
-    frontier = np.eye(n)
+    sigma = frontier = np.eye(n)
     d = 0
     while True:
-        nxt = ((frontier @ a) > 0) & (dist < 0)
+        counts = frontier @ a
+        nxt = (counts > 0) & (dist < 0)
         if not nxt.any():
-            return dist
+            return dist, sigma
         d += 1
         dist[nxt] = d
-        frontier = nxt.astype(float)
+        frontier = np.where(nxt, counts, 0.0)
+        sigma += frontier
 
 
 def _largest_component(dist: np.ndarray) -> np.ndarray:
@@ -82,26 +90,25 @@ def _clustering(a: np.ndarray) -> np.ndarray:
     return np.where(pairs > 0.0, closed / safe, 0.0)
 
 
-def _raw_betweenness(a: np.ndarray, dist: np.ndarray) -> np.ndarray:
-    """Per-node Brandes dependency sums over ordered pairs; sources are rows of `dist`."""
-    n = a.shape[0]
+def _raw_betweenness(a: np.ndarray, dist: np.ndarray, sigma: np.ndarray) -> np.ndarray:
+    """Per-node Brandes dependency sums over ordered pairs; sources are the rows of `_paths`."""
     maxd = int(dist.max())
-    sigma = np.eye(n)
-    for k in range(1, maxd + 1):
-        prev = sigma * (dist == k - 1)
-        sigma = sigma + (prev @ a) * (dist == k)
-    delta = np.zeros((n, n))
+    safe = np.where(sigma > 0, sigma, 1.0)
+    delta = np.zeros_like(sigma)
+    level = dist == maxd
     for k in range(maxd, 0, -1):
-        on_level = (dist == k) & (sigma > 0)
-        ratio = np.where(on_level, (1.0 + delta) / np.where(sigma > 0, sigma, 1.0), 0.0)
-        delta += (ratio @ a) * (dist == k - 1) * sigma
+        below = dist == k - 1
+        ratio = np.where(level, (1.0 + delta) / safe, 0.0)
+        delta += (ratio @ a) * below * sigma
+        level = below
     return delta.sum(axis=0) - np.diag(delta)
 
 
 def _leading_vector(a: np.ndarray, dist: np.ndarray) -> np.ndarray:
     """Leading eigenvector of the largest component, 0 elsewhere; its largest |entry| is > 0."""
     members = _largest_component(dist)
-    vec = np.linalg.eigh(a[np.ix_(members, members)])[1][:, -1]
+    sub = a if len(members) == a.shape[0] else a[np.ix_(members, members)]
+    vec = np.linalg.eigh(sub)[1][:, -1]
     if vec[int(np.abs(vec).argmax())] < 0:
         vec = -vec
     scores = np.zeros(a.shape[0])
@@ -109,11 +116,11 @@ def _leading_vector(a: np.ndarray, dist: np.ndarray) -> np.ndarray:
     return scores
 
 
-def _matrices(g: LabeledGraph) -> tuple[tuple[str, ...], np.ndarray, np.ndarray]:
-    """Sorted label order, adjacency matrix and hop distances of g."""
+def _matrices(g: LabeledGraph) -> tuple[tuple[str, ...], np.ndarray, np.ndarray, np.ndarray]:
+    """Sorted label order, adjacency matrix, hop distances and shortest-path counts of g."""
     order = node_order(g)
     a = adjacency_matrix(g, order)
-    return order, a, _distances(a)
+    return order, a, *_paths(a)
 
 
 def _require_edge(g: LabeledGraph) -> None:
@@ -159,21 +166,20 @@ def betweenness(g: LabeledGraph) -> dict[str, float]:
     node on every shortest path scores exactly 1.
     """
     _require_three(g)
-    order, a, dist = _matrices(g)
+    order, a, dist, sigma = _matrices(g)
     n = g.node_count
     scale = 1.0 / ((n - 1) * (n - 2))
-    return {v: float(raw * scale) for v, raw in zip(order, _raw_betweenness(a, dist))}
+    return {v: float(raw * scale) for v, raw in zip(order, _raw_betweenness(a, dist, sigma))}
 
 
-def _mean_betweenness(a: np.ndarray, dist: np.ndarray) -> float:
+def _mean_betweenness(a: np.ndarray, dist: np.ndarray, sigma: np.ndarray) -> float:
     n = a.shape[0]
-    return float(_raw_betweenness(a, dist).sum()) / (n * (n - 1) * (n - 2))
+    return float(_raw_betweenness(a, dist, sigma).sum()) / (n * (n - 1) * (n - 2))
 
 
 def mean_betweenness(g: LabeledGraph) -> float:
     _require_three(g)
-    _order, a, dist = _matrices(g)
-    return _mean_betweenness(a, dist)
+    return _mean_betweenness(*_matrices(g)[1:])
 
 
 def _eigenvector_scores(
@@ -193,7 +199,7 @@ def eigenvector_centrality(g: LabeledGraph) -> dict[str, float]:
     """
     if g.node_count == 0:
         raise PreconditionError("eigenvector centrality of an empty graph")
-    return _eigenvector_scores(*_matrices(g))
+    return _eigenvector_scores(*_matrices(g)[:3])
 
 
 def degree_centralization(g: LabeledGraph) -> float:
@@ -250,7 +256,7 @@ def report(g: LabeledGraph) -> MetricsReport:
     dens, frag, avg_deg = density(g), fragmentation(g), average_degree(g)
     _require_edge(g)
     _require_three(g)
-    order, a, dist = _matrices(g)
+    order, a, dist, sigma = _matrices(g)
     return MetricsReport(
         node_count=g.node_count,
         edge_count=g.edge_count,
@@ -259,7 +265,7 @@ def report(g: LabeledGraph) -> MetricsReport:
         average_degree=avg_deg,
         diameter_lcc=_diameter(dist),
         average_clustering=float(_clustering(a).mean()),
-        mean_betweenness=_mean_betweenness(a, dist),
+        mean_betweenness=_mean_betweenness(a, dist, sigma),
         degree_centralization=degree_centralization(g),
         eigenvector_centrality=_eigenvector_scores(order, a, dist),
     )

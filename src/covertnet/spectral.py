@@ -23,6 +23,7 @@ entries within 1e-9 of zero relative to the largest become exactly
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -61,6 +62,9 @@ def _check_costs(g: LabeledGraph, costs: Mapping[str, float]) -> None:
     extra = set(costs) - node_set
     if extra:
         raise GraphError(f"cost given for unknown node {min(extra)!r}")
+    for v in sorted(costs):
+        if not math.isfinite(costs[v]):
+            raise GraphError(f"cost of {v!r} must be finite, got {costs[v]!r}")
     if any(costs[v] < 0 for v in costs):
         raise GraphError("costs must be non-negative")
     if g.node_count and not any(costs[v] > 0 for v in costs):

@@ -29,7 +29,7 @@ from .errors import (
     PreconditionError,
 )
 from .graph import LabeledGraph, _check_label
-from .metrics import _clustering, _density, _distances, _leading_vector, _raw_betweenness
+from .metrics import _clustering, _density, _leading_vector, _mean_betweenness, _paths
 
 SOFT_METRICS = (
     "density",
@@ -178,13 +178,21 @@ class SynthesisTarget:
             if count < 0 or count > max(0, 2 * n - 3):
                 raise InfeasibleTargetError(f"pair coverage {count} is impossible")
         if self.hard.top_degree_pair is not None:
-            known(self.hard.top_degree_pair[0])
-            known(self.hard.top_degree_pair[1])
+            u, v = map(known, self.hard.top_degree_pair)
+            if u == v:
+                raise PreconditionError("top degree pair needs two distinct nodes")
         for t in self.soft:
             for v in t.nodes:
                 known(v)
         if not (_is_finite(self.missing_metric_penalty) and self.missing_metric_penalty >= 0.0):
             raise PreconditionError("missing_metric_penalty must be non-negative and finite")
+        worst = 0.0  # the objective with every metric at its farthest value or missing
+        for t in self.soft:
+            top = max(n - 1, 0) if t.metric in ("average_degree", "diameter_lcc") else 1
+            d = max(abs(t.value), abs(t.value - top))
+            worst += max(t.weight * d * d, t.weight * self.missing_metric_penalty)
+            if not math.isfinite(worst):
+                raise PreconditionError(f"soft target {t.metric!r} can overflow the objective")
 
     @property
     def node_count(self) -> int:
@@ -415,7 +423,7 @@ class _Evaluator:
         a = state.a
         deg = state.deg.astype(float)
         out: dict[str, float | None] = {}
-        dist = _distances(a) if self.need_dist else None
+        dist, sigma = _paths(a) if self.need_dist else (None, None)
         for metric, _value, _weight, nodes in self.terms:
             if metric in out:
                 continue
@@ -431,11 +439,7 @@ class _Evaluator:
             elif metric == "average_clustering":
                 out[metric] = float(_clustering(a).mean()) if n >= 1 else None
             elif metric == "mean_betweenness":
-                out[metric] = (
-                    float(_raw_betweenness(a, dist).sum()) / (n * (n - 1) * (n - 2))
-                    if n >= 3
-                    else None
-                )
+                out[metric] = _mean_betweenness(a, dist, sigma) if n >= 3 else None
             elif metric == "degree_centralization":
                 out[metric] = (
                     float(deg.max() * n - deg.sum()) / ((n - 1) * (n - 2)) if n >= 3 else None
@@ -444,7 +448,7 @@ class _Evaluator:
                 # fraction of `nodes` (on the roster, so n >= 1) in the
                 # top-3 eigenvector ranking
                 scores = _leading_vector(a, dist)
-                top = sorted(range(n), key=lambda i: (-scores[i], i))[:3]
+                top = np.argsort(-scores, kind="stable")[:3].tolist()
                 out[metric] = len(set(top).intersection(nodes)) / len(nodes)
         return out
 

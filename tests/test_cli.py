@@ -273,6 +273,32 @@ def test_non_integral_target_field_is_exit_1(tmp_path, capsys):
     assert "iterations must be an integer" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        (
+            {"hard": {"nodes": 3, "edges": 3},
+             "soft": [{"metric": "density", "value": 1e308, "weight": 1e308}]},
+            "soft target 'density' can overflow the objective",
+        ),
+        (
+            {"hard": {"nodes": 4, "edges": 3, "top_degree_pair": {"pair": ["n1", "n1"]}}},
+            "top degree pair needs two distinct nodes",
+        ),
+    ],
+    ids=["objective_overflow", "duplicate_top_pair"],
+)
+def test_self_inconsistent_target_is_exit_1(tmp_path, capsys, doc, message):
+    target_path = tmp_path / "target.json"
+    target_path.write_text(json.dumps(doc))
+    out_path = tmp_path / "never.edges"
+    code = main(["synthesize", "--target", str(target_path), "--output", str(out_path)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err == f"error: target JSON: {message}\n"
+    assert not out_path.exists()
+
+
 def test_bad_roles_file_is_exit_1(barbell_file, tmp_path, capsys):
     roles = tmp_path / "roles.csv"
     roles.write_text("a0,NotARole\n")

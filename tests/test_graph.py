@@ -125,6 +125,17 @@ def test_load_edge_list_errors_carry_line_numbers():
         load_edge_list("a b\nx y,z")
 
 
+def test_load_edge_list_reports_a_bad_label_at_its_first_mention():
+    # labels are checked once, on first sight; good labels seen before
+    # the bad one, and mentioned again, do not move the reported line
+    text = "a b\nb c\n\nc a\na d,e\nd,e b\n"
+    with pytest.raises(FileFormatError) as err:
+        load_edge_list(text)
+    assert str(err.value) == (
+        "line 5: label 'd,e' contains whitespace, a comma, or starts with '#'"
+    )
+
+
 def test_edge_list_round_trip():
     rng = random.Random(11)
     for _ in range(25):

@@ -1,12 +1,15 @@
 import json
 import random
+from collections import deque
 
+import numpy as np
 import pytest
 
 from covertnet import (
     LabeledGraph,
     MetricsReport,
     PreconditionError,
+    adjacency_matrix,
     average_clustering,
     average_degree,
     betweenness,
@@ -18,9 +21,11 @@ from covertnet import (
     largest_connected_component,
     local_clustering,
     mean_betweenness,
+    node_order,
     reference_network,
     report,
 )
+from covertnet.metrics import _paths, _raw_betweenness
 
 from oracles import brute_diameter, enumerate_betweenness
 from util import (
@@ -286,3 +291,101 @@ def test_report_equals_the_standalone_functions():
         if isinstance(got, MetricsReport):
             disconnected += len(largest_connected_component(g)) < g.node_count
     assert disconnected >= 3
+
+
+# Frozen regression reference: the distance and betweenness kernels as
+# they were before one BFS sweep gave both distances and path counts.
+# They are kept verbatim so the sweep can be held to the same bits.
+def _frozen_distances(a):
+    n = a.shape[0]
+    dist = np.full((n, n), -1.0)
+    np.fill_diagonal(dist, 0.0)
+    frontier = np.eye(n)
+    d = 0
+    while True:
+        nxt = ((frontier @ a) > 0) & (dist < 0)
+        if not nxt.any():
+            return dist
+        d += 1
+        dist[nxt] = d
+        frontier = nxt.astype(float)
+
+
+def _frozen_raw_betweenness(a, dist):
+    n = a.shape[0]
+    maxd = int(dist.max())
+    sigma = np.eye(n)
+    for k in range(1, maxd + 1):
+        prev = sigma * (dist == k - 1)
+        sigma = sigma + (prev @ a) * (dist == k)
+    delta = np.zeros((n, n))
+    for k in range(maxd, 0, -1):
+        on_level = (dist == k) & (sigma > 0)
+        ratio = np.where(on_level, (1.0 + delta) / np.where(sigma > 0, sigma, 1.0), 0.0)
+        delta += (ratio @ a) * (dist == k - 1) * sigma
+    return delta.sum(axis=0) - np.diag(delta)
+
+
+def _bfs_paths(g, order):
+    """Hop distances and shortest-path counts from a plain per-source BFS."""
+    n = len(order)
+    dist = [[-1] * n for _ in range(n)]
+    sigma = [[0] * n for _ in range(n)]
+    for s, source in enumerate(order):
+        seen = {source: 0}
+        counts = {source: 1}
+        queue = deque([source])
+        while queue:
+            v = queue.popleft()
+            for w in g.neighbors(v):
+                if w not in seen:
+                    seen[w] = seen[v] + 1
+                    queue.append(w)
+                if seen[w] == seen[v] + 1:
+                    counts[w] = counts.get(w, 0) + counts[v]
+        for t, target in enumerate(order):
+            if target in seen:
+                dist[s][t], sigma[s][t] = seen[target], counts[target]
+    return dist, sigma
+
+
+def _kernel_input(g):
+    order = node_order(g)
+    return order, adjacency_matrix(g, order)
+
+
+def test_paths_match_a_per_source_bfs():
+    rng = random.Random(41)
+    graphs = [LabeledGraph(labels(n)) for n in (0, 1, 2, 5)]  # n <= 2 and edgeless
+    graphs += [path_graph(2), barbell_graph(3), reference_network()]
+    graphs += [gnp_graph(rng, rng.randrange(3, 25), rng.uniform(0.05, 0.3)) for _ in range(15)]
+    graphs += [random_connected_graph(rng, rng.randrange(3, 25), rng.randrange(0, 30))
+               for _ in range(15)]
+    disconnected = 0
+    for g in graphs:
+        order, a = _kernel_input(g)
+        dist, sigma = _paths(a)
+        want_dist, want_sigma = _bfs_paths(g, order)
+        assert dist.tolist() == want_dist
+        assert sigma.tolist() == want_sigma
+        disconnected += bool((dist < 0).any())
+    assert disconnected >= 5
+
+
+def test_paths_kernel_is_bit_identical_to_the_frozen_reference():
+    rng = random.Random(97)
+    connected = 0
+    for i in range(200):
+        n = rng.randrange(3, 45)
+        if i % 2:
+            g = random_connected_graph(rng, n, rng.randrange(0, 2 * n))
+        else:
+            g = gnp_graph(rng, n, rng.uniform(0.02, 0.3))
+        _order, a = _kernel_input(g)
+        dist, sigma = _paths(a)
+        frozen = _frozen_distances(a)
+        assert dist.tobytes() == frozen.tobytes()
+        got = _raw_betweenness(a, dist, sigma)
+        assert got.tobytes() == _frozen_raw_betweenness(a, frozen).tobytes()
+        connected += bool((dist >= 0).all())
+    assert 60 <= connected <= 160

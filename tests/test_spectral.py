@@ -77,6 +77,18 @@ def test_cost_validation():
         cost_matrix(g, {"v0": 0.0, "v1": 0.0, "v2": 0.0})
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_costs_name_the_first_bad_node(bad):
+    g = LabeledGraph(["a", "b", "c", "d"], [("a", "b"), ("b", "c"), ("c", "d")])
+    costs = {"a": bad, "b": 2.0, "c": 2.0, "d": 1.0}
+    with pytest.raises(GraphError, match=re.escape(f"cost of 'a' must be finite, got {bad!r}")):
+        spectral_bisection(g, costs)
+    # the first in sorted label order is named, whatever the dict order
+    costs = {"d": bad, "c": 2.0, "b": bad, "a": 1.0}
+    with pytest.raises(GraphError, match="cost of 'b' must be finite"):
+        cost_matrix(g, costs)
+
+
 @pytest.mark.parametrize(
     "costs, edge",
     [

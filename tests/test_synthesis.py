@@ -120,6 +120,8 @@ def test_target_validation():
         small_target(hard=HardConstraints(pair_coverage=(NAMES[0], NAMES[0], 3)))
     with pytest.raises(InfeasibleTargetError):
         small_target(hard=HardConstraints(pair_coverage=(NAMES[0], NAMES[1], 18)))
+    with pytest.raises(PreconditionError, match="two distinct nodes"):
+        small_target(hard=HardConstraints(top_degree_pair=(NAMES[0], NAMES[0])))
     with pytest.raises(PreconditionError):
         small_target(soft=(SoftTarget(metric="eigenvector_top3", value=1.0, nodes=("ghost",)),))
 
@@ -154,6 +156,34 @@ def test_constructors_reject_non_integral_counts(build, bad):
 def test_constructors_reject_non_finite_numbers(build, bad):
     with pytest.raises(PreconditionError, match="finite"):
         build(bad)
+
+
+@pytest.mark.parametrize(
+    "metric, value, weight, penalty",
+    [
+        ("density", 1e308, 1e308, 100.0),  # weight * d * d overflows
+        ("density", 0.5, 1e307, 100.0),  # d is at most 1, but the penalty term overflows
+        ("diameter_lcc", 1e154, 1e3, 0.0),  # d is measured from 0 and from n - 1
+        ("mean_betweenness", -1e200, 1.0, 0.0),
+    ],
+)
+def test_targets_that_can_overflow_the_objective_are_rejected(metric, value, weight, penalty):
+    soft = (SoftTarget(metric=metric, value=value, weight=weight),)
+    with pytest.raises(PreconditionError, match="overflow the objective"):
+        small_target(soft=soft, missing_metric_penalty=penalty)
+
+
+def test_worst_case_objective_just_inside_the_float_range_is_accepted():
+    # density's deviation is at most 1 on [0, 1]; average_degree's is
+    # n - 1 = 9 from a target of 0 on ten nodes
+    small_target(soft=(SoftTarget(metric="density", value=0.0, weight=1e307),),
+                 missing_metric_penalty=1.0)
+    small_target(soft=(SoftTarget(metric="average_degree", value=0.0, weight=1e306),),
+                 missing_metric_penalty=0.0)
+    # two terms that fit alone but not together
+    soft = (SoftTarget(metric="density", value=0.0, weight=1e308),) * 2
+    with pytest.raises(PreconditionError, match="overflow the objective"):
+        small_target(soft=soft, missing_metric_penalty=1.0)
 
 
 def test_static_infeasibility_is_detected_before_annealing():
