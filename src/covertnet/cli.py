@@ -85,7 +85,10 @@ def _metrics_table(rep: metrics_mod.MetricsReport) -> str:
 def cmd_metrics(args) -> int:
     g = _load_graph(args)
     rep = metrics_mod.report(g)
-    _write_text(args.output, rep.to_json() if args.format == "json" else _metrics_table(rep))
+    if args.format == "json":
+        _write_text(args.output, rep.to_json())
+    else:
+        _write_text(args.output, _metrics_table(rep))
     return 0
 
 
@@ -124,7 +127,10 @@ def cmd_dismantle(args) -> int:
     g = _load_graph(args)
     spec = _spec_for(args, args.strategy)
     trace = run_strategy(g, spec)
-    _write_text(args.output, trace.to_json() if args.format == "json" else trace.to_csv())
+    if args.format == "json":
+        _write_text(args.output, trace.to_json())
+    else:
+        _write_text(args.output, trace.to_csv())
     summary = [
         f"strategy: {spec.kind}",
         f"removals: {len(trace.steps)}",
@@ -163,7 +169,11 @@ class ComparisonReport:
             cost.append([frac, s.cumulative_cost])
             dens.append([frac, s.density_after])
             betw.append([frac, s.mean_betweenness_after])
-        return {"cost_curve": cost, "density_curve": dens, "betweenness_curve": betw}
+        return {
+            "cost_curve": cost,
+            "density_curve": dens,
+            "betweenness_curve": betw,
+        }
 
     def _strategy_doc(self, trace: DismantlingTrace) -> dict:
         doc = {
@@ -328,7 +338,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_input(p, needs_roles=True):
-        p.add_argument("--input", help="edge-list file (default: the bundled reference network)")
+        p.add_argument(
+            "--input",
+            default=None,
+            help="edge-list file (default: the bundled reference network)",
+        )
         if needs_roles:
             p.add_argument("--roles", default=None, help="roles CSV to attach")
 

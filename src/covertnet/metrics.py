@@ -57,9 +57,12 @@ def _paths(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """All-pairs hop distances (-1 if unreachable) and shortest-path counts.
 
     One BFS sweep: the counts reaching level k are the level k-1 counts
-    times `a`, each an exact integer in float.
+    times `a`, each an exact integer in float. A count past the largest
+    float is carried as that float, so an overflow never turns into
+    inf * 0 = NaN and the distances stay exact whatever the counts do.
     """
     n = a.shape[0]
+    big = np.finfo(float).max
     dist = np.full((n, n), -1.0)
     np.fill_diagonal(dist, 0.0)
     sigma = frontier = np.eye(n)
@@ -71,7 +74,7 @@ def _paths(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             return dist, sigma
         d += 1
         dist[nxt] = d
-        frontier = np.where(nxt, counts, 0.0)
+        frontier = np.where(nxt, np.minimum(counts, big), 0.0)
         sigma += frontier
 
 
@@ -107,8 +110,7 @@ def _raw_betweenness(a: np.ndarray, dist: np.ndarray, sigma: np.ndarray) -> np.n
 def _leading_vector(a: np.ndarray, dist: np.ndarray) -> np.ndarray:
     """Leading eigenvector of the largest component, 0 elsewhere; its largest |entry| is > 0."""
     members = _largest_component(dist)
-    sub = a if len(members) == a.shape[0] else a[np.ix_(members, members)]
-    vec = np.linalg.eigh(sub)[1][:, -1]
+    vec = np.linalg.eigh(a[np.ix_(members, members)])[1][:, -1]
     if vec[int(np.abs(vec).argmax())] < 0:
         vec = -vec
     scores = np.zeros(a.shape[0])
@@ -179,7 +181,8 @@ def _mean_betweenness(a: np.ndarray, dist: np.ndarray, sigma: np.ndarray) -> flo
 
 def mean_betweenness(g: LabeledGraph) -> float:
     _require_three(g)
-    return _mean_betweenness(*_matrices(g)[1:])
+    _order, a, dist, sigma = _matrices(g)
+    return _mean_betweenness(a, dist, sigma)
 
 
 def _eigenvector_scores(

@@ -25,7 +25,7 @@ from covertnet import (
     reference_network,
     report,
 )
-from covertnet.metrics import _paths, _raw_betweenness
+from covertnet.metrics import _diameter, _largest_component, _paths, _raw_betweenness
 
 from oracles import brute_diameter, enumerate_betweenness
 from util import (
@@ -389,3 +389,25 @@ def test_paths_kernel_is_bit_identical_to_the_frozen_reference():
         assert got.tobytes() == _frozen_raw_betweenness(a, frozen).tobytes()
         connected += bool((dist >= 0).all())
     assert 60 <= connected <= 160
+
+
+def _layered_graph(layers, width=3, extra=()):
+    """Chain of `width`-node layers, every edge between neighbouring layers."""
+    names = [[f"l{i:02d}_{j}" for j in range(width)] for i in range(layers)]
+    edges = [(u, v) for left, right in zip(names, names[1:]) for u in left for v in right]
+    return LabeledGraph([v for layer in names for v in layer] + list(extra), edges)
+
+
+def test_paths_distances_survive_overflowing_counts():
+    # A graph needs about 1 940 nodes before its path counts pass the
+    # largest float; scaling every edge to 1e100 overflows the counts of
+    # a 30-node layered graph within four levels instead. The distances
+    # depend only on which entries are nonzero, so they must not move.
+    g = _layered_graph(10, extra=["lone"])
+    _order, a = _kernel_input(g)
+    with np.errstate(over="ignore"):
+        dist, sigma = _paths(a * 1e100)
+    assert dist.tobytes() == _paths(a)[0].tobytes()
+    assert (sigma == np.finfo(float).max).any()
+    assert _largest_component(dist).tolist() == list(range(30))
+    assert _diameter(dist) == brute_diameter(g) == 9
