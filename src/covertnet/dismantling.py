@@ -21,7 +21,6 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from io import StringIO
 from typing import NamedTuple
 
@@ -186,8 +185,8 @@ def wvc(g_star: LabeledGraph, g: LabeledGraph) -> tuple[str, ...]:
 
     Repeatedly takes the node with the best ratio of uncovered
     g_star edges to removal cost (its degree in g), smallest label on
-    ties, deleting the pick from both graphs. Ratios are compared as
-    exact rationals so ties are genuine.
+    ties, deleting the pick from both graphs. Ratios k/h are compared
+    by cross-multiplying their integer terms, so ties are exact.
     """
     for v in g_star.nodes:
         if not g.has_node(v):
@@ -200,8 +199,7 @@ def wvc(g_star: LabeledGraph, g: LabeledGraph) -> tuple[str, ...]:
     host_adj = {v: set(g.neighbors(v)) for v in g.nodes}
     picks: list[str] = []
     while True:
-        best = None
-        best_ratio = None
+        best, best_k, best_h = None, 0, 1
         for v in sorted(star_adj):
             k = len(star_adj[v])
             if k == 0:
@@ -209,9 +207,8 @@ def wvc(g_star: LabeledGraph, g: LabeledGraph) -> tuple[str, ...]:
             h = host_deg[v]
             if h == 0:
                 raise GraphError(f"node {v!r} has uncovered edges but zero cost")
-            ratio = Fraction(k, h)
-            if best_ratio is None or ratio > best_ratio:
-                best, best_ratio = v, ratio
+            if k * best_h > best_k * h:
+                best, best_k, best_h = v, k, h
         if best is None:
             return tuple(picks)
         picks.append(best)

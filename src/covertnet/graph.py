@@ -3,6 +3,10 @@
 The graph type is an immutable value: every mutation-shaped operation
 returns a new graph. Node labels are short whitespace-free strings so
 they survive the edge-list format unescaped.
+
+A graph is checked once, where it enters (the constructor or the
+edge-list parser). Derived graphs are built on its checked neighbour
+sets, so they check only the roles a caller adds.
 """
 
 from __future__ import annotations
@@ -51,15 +55,12 @@ class LabeledGraph:
         edges: Iterable[tuple[str, str]] = (),
         roles: Mapping[str, Role] | None = None,
     ):
-        order: list[str] = []
         adj: dict[str, set[str]] = {}
         for label in nodes:
             _check_label(label)
             if label in adj:
                 raise GraphError(f"duplicate node label {label!r}")
             adj[label] = set()
-            order.append(label)
-        m = 0
         for u, v in edges:
             if u not in adj or v not in adj:
                 missing = u if u not in adj else v
@@ -70,7 +71,12 @@ class LabeledGraph:
                 raise GraphError(f"duplicate edge {u!r} -- {v!r}")
             adj[u].add(v)
             adj[v].add(u)
-            m += 1
+        g = self._of(adj, roles)
+        self._order, self._adj, self._m, self._roles = g._order, g._adj, g._m, g._roles
+
+    @classmethod
+    def _of(cls, adj: Mapping[str, Iterable[str]], roles: Mapping[str, Role] | None = None):
+        """Graph on a symmetric, loop-free map of checked labels, in map order; checks `roles`."""
         role_map: dict[str, Role] = {}
         if roles:
             for label, role in roles.items():
@@ -79,10 +85,12 @@ class LabeledGraph:
                 if not isinstance(role, Role):
                     raise GraphError(f"role for {label!r} must be a Role, got {role!r}")
                 role_map[label] = role
-        self._order = tuple(order)
-        self._adj = {v: frozenset(s) for v, s in adj.items()}
-        self._m = m
-        self._roles = role_map
+        g = cls.__new__(cls)
+        g._order = tuple(adj)
+        g._adj = {v: frozenset(s) for v, s in adj.items()}
+        g._m = sum(map(len, g._adj.values())) // 2
+        g._roles = role_map
+        return g
 
     @property
     def nodes(self) -> tuple[str, ...]:
@@ -134,7 +142,7 @@ class LabeledGraph:
         """New graph with `roles` merged over any existing assignments."""
         merged = dict(self._roles)
         merged.update(roles)
-        return LabeledGraph(self._order, self.edges(), merged)
+        return LabeledGraph._of(self._adj, merged)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, LabeledGraph):
@@ -169,20 +177,16 @@ def load_edge_list(source) -> LabeledGraph:
         lines = source.splitlines()
     else:
         lines = source
-    order: list[str] = []
-    seen: set[str] = set()
-    edges: list[tuple[str, str]] = []
-    edge_set: set[frozenset[str]] = set()
+    adj: dict[str, set[str]] = {}
 
-    def note(label: str, lineno: int) -> None:
-        if label in seen:  # checked on first sight, so an error names that line
-            return
-        try:
-            _check_label(label)
-        except GraphError as exc:
-            raise FileFormatError(f"line {lineno}: {exc}") from None
-        seen.add(label)
-        order.append(label)
+    def note(label: str, lineno: int) -> set[str]:
+        if label not in adj:  # checked on first sight, so an error names that line
+            try:
+                _check_label(label)
+            except GraphError as exc:
+                raise FileFormatError(f"line {lineno}: {exc}") from None
+            adj[label] = set()
+        return adj[label]
 
     for lineno, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()
@@ -197,14 +201,11 @@ def load_edge_list(source) -> LabeledGraph:
         u, v = parts
         if u == v:
             raise FileFormatError(f"line {lineno}: self-loop at {u!r}")
-        key = frozenset((u, v))
-        if key in edge_set:
+        if v in adj.get(u, ()):
             raise FileFormatError(f"line {lineno}: duplicate edge {u!r} -- {v!r}")
-        note(u, lineno)
-        note(v, lineno)
-        edge_set.add(key)
-        edges.append((u, v))
-    return LabeledGraph(order, edges)
+        note(u, lineno).add(v)
+        note(v, lineno).add(u)
+    return LabeledGraph._of(adj)
 
 
 def dump_edge_list(g: LabeledGraph) -> str:
@@ -255,10 +256,9 @@ def induced_subgraph(g: LabeledGraph, keep: Iterable[str]) -> LabeledGraph:
     for v in keep_set:
         if not g.has_node(v):
             raise GraphError(f"unknown node {v!r}")
-    nodes = [v for v in g.nodes if v in keep_set]
-    edges = [(u, v) for u, v in g.edges() if u in keep_set and v in keep_set]
+    adj = {v: g.neighbors(v) & keep_set for v in g.nodes if v in keep_set}
     roles = {v: r for v, r in g.roles.items() if v in keep_set}
-    return LabeledGraph(nodes, edges, roles)
+    return LabeledGraph._of(adj, roles)
 
 
 def remove_nodes(g: LabeledGraph, drop: Iterable[str]) -> LabeledGraph:

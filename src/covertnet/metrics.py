@@ -95,6 +95,8 @@ def _clustering(a: np.ndarray) -> np.ndarray:
 
 def _raw_betweenness(a: np.ndarray, dist: np.ndarray, sigma: np.ndarray) -> np.ndarray:
     """Per-node Brandes dependency sums over ordered pairs; sources are the rows of `_paths`."""
+    if (sigma >= np.finfo(float).max).any():  # a count `_paths` saturated is not exact
+        raise PreconditionError("a shortest-path count overflows a float")
     maxd = int(dist.max())
     safe = np.where(sigma > 0, sigma, 1.0)
     delta = np.zeros_like(sigma)
@@ -205,14 +207,17 @@ def eigenvector_centrality(g: LabeledGraph) -> dict[str, float]:
     return _eigenvector_scores(*_matrices(g)[:3])
 
 
+def _degree_centralization(deg: np.ndarray) -> float:
+    """Freeman centralization of an integer degree vector (n >= 3), rounded once."""
+    n = deg.shape[0]
+    return float(deg.max() * n - deg.sum()) / ((n - 1) * (n - 2))
+
+
 def degree_centralization(g: LabeledGraph) -> float:
     """Freeman centralization: star graphs score 1, regular graphs 0."""
-    n = g.node_count
-    if n < 3:
+    if g.node_count < 3:
         raise PreconditionError("degree centralization needs at least 3 nodes")
-    degs = [g.degree(v) for v in g.nodes]
-    top = max(degs)
-    return sum(top - d for d in degs) / float((n - 1) * (n - 2))
+    return _degree_centralization(np.array([g.degree(v) for v in g.nodes]))
 
 
 @dataclass(frozen=True)

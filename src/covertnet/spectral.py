@@ -201,14 +201,12 @@ def crossing_subgraph(g: LabeledGraph, bisection: SpectralBisection) -> LabeledG
     union = bisection.part_m | bisection.part_m_bar
     if union != set(g.nodes) or (bisection.part_m & bisection.part_m_bar):
         raise GraphError("bisection does not partition this graph's nodes")
-    crossing = [
-        (u, v)
-        for u, v in g.edges()
-        if (u in bisection.part_m) != (v in bisection.part_m)
-    ]
-    touched = {u for e in crossing for u in e}
-    nodes = [v for v in g.nodes if v in touched]
-    return LabeledGraph(nodes, crossing)
+    adj = {}
+    for v in g.nodes:
+        side = bisection.part_m if v in bisection.part_m else bisection.part_m_bar
+        if crossing := g.neighbors(v) - side:
+            adj[v] = crossing
+    return LabeledGraph._of(adj)
 
 
 def spectral_bisection(

@@ -29,7 +29,8 @@ from .errors import (
     PreconditionError,
 )
 from .graph import LabeledGraph, _check_label
-from .metrics import _clustering, _density, _leading_vector, _mean_betweenness, _paths
+from .metrics import _clustering, _degree_centralization, _density, _leading_vector
+from .metrics import _mean_betweenness, _paths
 
 SOFT_METRICS = (
     "density",
@@ -421,7 +422,6 @@ class _Evaluator:
         n = state.n
         m = len(state.edges)
         a = state.a
-        deg = state.deg.astype(float)
         out: dict[str, float | None] = {}
         dist, sigma = _paths(a) if self.need_dist else (None, None)
         for metric, _value, _weight, nodes in self.terms:
@@ -441,9 +441,7 @@ class _Evaluator:
             elif metric == "mean_betweenness":
                 out[metric] = _mean_betweenness(a, dist, sigma) if n >= 3 else None
             elif metric == "degree_centralization":
-                out[metric] = (
-                    float(deg.max() * n - deg.sum()) / ((n - 1) * (n - 2)) if n >= 3 else None
-                )
+                out[metric] = _degree_centralization(state.deg) if n >= 3 else None
             elif metric == "eigenvector_top3":
                 # fraction of `nodes` (on the roster, so n >= 1) in the
                 # top-3 eigenvector ranking

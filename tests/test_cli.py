@@ -351,3 +351,46 @@ def test_compare_reports_unreached_thresholds(target, tmp_path, capsys):
     for stat in ("threshold_cost_mean", "threshold_cost_stddev"):
         assert ensemble[stat]["0.8"] is None
         assert ensemble[stat]["0.2"] is not None and ensemble[stat]["0.5"] is not None
+
+
+SWEEP_EDGE_LISTS = {
+    "empty": "",
+    "one-node": "a\n",
+    "two-isolated": "a\nb\n",
+    "one-edge": "a b\n",
+    "three-isolated": "a\nb\nc\n",
+    "path-3": "a b\nb c\n",
+    "two-triangles": "a b\nb c\na c\nd e\ne f\nd f\n",
+    "triangle-and-isolated": "a b\nb c\na c\nd\n",
+    "two-k2": "a b\nc d\n",
+}
+
+
+def _sweep_commands(path, tmp_path):
+    yield ["metrics", "--input", path]
+    yield ["metrics", "--input", path, "--format", "json"]
+    for strategy in ("gnd", "hub", "random"):
+        seed = ["--seed", "4"] if strategy == "random" else []
+        for fmt in ("csv", "json"):
+            for cost_model in ("residual", "initial"):
+                yield [
+                    "dismantle", "--input", path, "--strategy", strategy, *seed,
+                    "--format", fmt, "--cost-model", cost_model,
+                ]
+    yield ["compare", "--input", path, "--runs", "5"]
+    yield [
+        "compare", "--input", path, "--runs", "5",
+        "--output", str(tmp_path / "cmp.json"), "--curves", str(tmp_path / "curves.csv"),
+    ]
+    for confirm in ([], ["--no-mutual-confirmation"]):
+        yield ["sample", "--input", path, "--seeds", "1", "--k", "2", "--waves", "1",
+               "--rng-seed", "3", *confirm]
+
+
+@pytest.mark.parametrize("name", sorted(SWEEP_EDGE_LISTS))
+def test_every_subcommand_ends_in_an_exit_code_on_tiny_graphs(name, tmp_path, capsys):
+    path = tmp_path / "g.edges"
+    path.write_text(SWEEP_EDGE_LISTS[name])
+    for argv in _sweep_commands(str(path), tmp_path):
+        assert main(argv) in (0, 1, 2, 3), argv
+        capsys.readouterr()

@@ -94,9 +94,14 @@ def test_wvc_rejects_non_subgraph():
 
 
 def test_wvc_matches_greedy_simulation():
+    # the larger graphs give ties between unequal pairs such as 2/6 and
+    # 1/3, which the oracle compares as Fractions
     rng = random.Random(50)
-    for _ in range(150):
-        g = random_connected_graph(rng, rng.randrange(3, 8), rng.randrange(0, 10))
+    for trial in range(200):
+        if trial < 150:
+            g = random_connected_graph(rng, rng.randrange(3, 8), rng.randrange(0, 10))
+        else:
+            g = random_connected_graph(rng, rng.randrange(20, 41), rng.randrange(10, 80))
         vector = {v: rng.uniform(-1.0, 1.0) for v in g.nodes}
         try:
             split = bisect(g, vector)

@@ -9,13 +9,16 @@ from covertnet import (
     GraphError,
     LabeledGraph,
     Role,
+    SpectralBisection,
     connected_components,
+    crossing_subgraph,
     dump_edge_list,
     dump_roles,
     induced_subgraph,
     largest_connected_component,
     load_edge_list,
     load_roles,
+    reference_network,
     remove_nodes,
 )
 
@@ -228,3 +231,54 @@ def test_path_is_connected():
 def test_every_exported_name_resolves():
     for name in covertnet.__all__:
         assert hasattr(covertnet, name), name
+
+
+def _assert_built_as(g, nodes, edges, roles=None):
+    # a graph built on the trusted path must equal the graph the public
+    # constructor builds, with every check, from the same nodes and edges
+    rebuilt = LabeledGraph(nodes, edges, roles)
+    assert g == rebuilt
+    assert g.nodes == rebuilt.nodes == tuple(nodes)
+    assert g.edge_count == rebuilt.edge_count == len(edges)
+    assert g.edges() == rebuilt.edges()
+
+
+def _trusted_path_inputs(rng):
+    yield reference_network()
+    yield LabeledGraph()
+    yield LabeledGraph(["solo"], roles={"solo": Role.GUIDE})
+    for _ in range(100):
+        # low densities leave isolated nodes
+        g = gnp_graph(rng, rng.randrange(2, 30), rng.uniform(0.0, 0.4))
+        nodes = list(g.nodes)
+        rng.shuffle(nodes)
+        roles = {v: rng.choice(list(Role)) for v in nodes if rng.random() < 0.3}
+        yield LabeledGraph(nodes, g.edges(), roles)
+
+
+def _subset(rng, g):
+    return {v for v in g.nodes if rng.random() < 0.6}
+
+
+def test_derived_graphs_equal_a_checked_rebuild():
+    rng = random.Random(12)
+    for g in _trusted_path_inputs(rng):
+        _assert_built_as(g, g.nodes, g.edges(), g.roles)
+        lines = [v for v in g.nodes if g.degree(v) == 0]
+        lines += [f"{u} {v}" if rng.random() < 0.5 else f"{v} {u}" for u, v in g.edges()]
+        rng.shuffle(lines)
+        mentions = dict.fromkeys(v for line in lines for v in line.split())
+        _assert_built_as(load_edge_list("\n".join(lines)), mentions, g.edges())
+        roles = {v: rng.choice(list(Role)) for v in _subset(rng, g)}
+        _assert_built_as(g.with_roles(roles), g.nodes, g.edges(), {**g.roles, **roles})
+        for keep in (_subset(rng, g), set(g.nodes) - _subset(rng, g)):
+            nodes = [v for v in g.nodes if v in keep]
+            edges = [(u, v) for u, v in g.edges() if u in keep and v in keep]
+            roles = {v: r for v, r in g.roles.items() if v in keep}
+            _assert_built_as(induced_subgraph(g, keep), nodes, edges, roles)
+            _assert_built_as(remove_nodes(g, set(g.nodes) - keep), nodes, edges, roles)
+        part_m = frozenset(_subset(rng, g))
+        split = SpectralBisection(part_m, frozenset(g.nodes) - part_m, 0.0, {})
+        edges = [(u, v) for u, v in g.edges() if (u in part_m) != (v in part_m)]
+        touched = {v for e in edges for v in e}
+        _assert_built_as(crossing_subgraph(g, split), [v for v in g.nodes if v in touched], edges)

@@ -25,7 +25,13 @@ from covertnet import (
     reference_network,
     report,
 )
-from covertnet.metrics import _diameter, _largest_component, _paths, _raw_betweenness
+from covertnet.metrics import (
+    _diameter,
+    _largest_component,
+    _mean_betweenness,
+    _paths,
+    _raw_betweenness,
+)
 
 from oracles import brute_diameter, enumerate_betweenness
 from util import (
@@ -411,3 +417,17 @@ def test_paths_distances_survive_overflowing_counts():
     assert (sigma == np.finfo(float).max).any()
     assert _largest_component(dist).tolist() == list(range(30))
     assert _diameter(dist) == brute_diameter(g) == 9
+
+
+def test_betweenness_rejects_saturated_counts():
+    # a saturated count is no longer exact, so dividing by it would give
+    # a wrong betweenness; the distances stay usable (test above)
+    g = _layered_graph(10, extra=["lone"])
+    _order, a = _kernel_input(g)
+    with np.errstate(over="ignore"):
+        dist, sigma = _paths(a * 1e100)
+    with pytest.raises(PreconditionError, match="overflows a float"):
+        _raw_betweenness(a * 1e100, dist, sigma)
+    with pytest.raises(PreconditionError, match="overflows a float"):
+        _mean_betweenness(a * 1e100, dist, sigma)
+    assert _mean_betweenness(a, *_paths(a)) == mean_betweenness(g)

@@ -295,9 +295,7 @@ def test_evaluator_agrees_with_plain_metrics():
         assert rows["diameter_lcc"]["achieved"] == diameter_lcc(g)
         assert rows["average_clustering"]["achieved"] == average_clustering(g)
         assert rows["mean_betweenness"]["achieved"] == mean_betweenness(g)
-        assert rows["degree_centralization"]["achieved"] == pytest.approx(
-            degree_centralization(g), abs=1e-12
-        )
+        assert rows["degree_centralization"]["achieved"] == degree_centralization(g)
 
 
 def test_evaluator_top3_agrees_with_eigenvector_ranking():
