@@ -55,9 +55,8 @@ def _load_graph(args) -> LabeledGraph:
     if args.input is None:
         return reference.reference_network()
     g = load_edge_list(_read_text(args.input))
-    roles_path = getattr(args, "roles", None)
-    if roles_path:
-        g = load_roles(_read_text(roles_path), g)
+    if args.roles:
+        g = load_roles(_read_text(args.roles), g)
     return g
 
 
@@ -92,15 +91,15 @@ def cmd_metrics(args) -> int:
     return 0
 
 
-def _spec_for(args, kind: str) -> StrategySpec:
-    seed = args.seed if kind == "random" else None
-    if kind == "random" and seed is None:
+def _spec_for(args) -> StrategySpec:
+    seed = args.seed if args.strategy == "random" else None
+    if args.strategy == "random" and seed is None:
         raise PreconditionError("the random strategy needs --seed")
     return StrategySpec(
-        kind=kind,
+        kind=args.strategy,
         target_lcc_fraction=args.target_lcc,
         rng_seed=seed,
-        cost_model=getattr(args, "cost_model", "residual"),
+        cost_model=args.cost_model,
     )
 
 
@@ -125,7 +124,7 @@ def _threshold_summary(trace: DismantlingTrace) -> list[str]:
 
 def cmd_dismantle(args) -> int:
     g = _load_graph(args)
-    spec = _spec_for(args, args.strategy)
+    spec = _spec_for(args)
     trace = run_strategy(g, spec)
     if args.format == "json":
         _write_text(args.output, trace.to_json())
@@ -337,14 +336,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_input(p, needs_roles=True):
+    def add_input(p):
         p.add_argument(
             "--input",
             default=None,
             help="edge-list file (default: the bundled reference network)",
         )
-        if needs_roles:
-            p.add_argument("--roles", default=None, help="roles CSV to attach")
+        p.add_argument("--roles", default=None, help="roles CSV to attach")
 
     p = sub.add_parser("metrics", help="report topology metrics")
     add_input(p)

@@ -27,7 +27,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import metrics
-from .errors import DismantlingError, GraphError, PreconditionError
+from .errors import DismantlingError, GraphError, PreconditionError, _is_int
 from .graph import LabeledGraph, induced_subgraph, largest_connected_component, remove_nodes
 from .spectral import adjacency_matrix, crossing_subgraph, node_order, spectral_bisection
 
@@ -59,8 +59,8 @@ class StrategySpec:
             raise PreconditionError(f"unknown strategy kind {self.kind!r}")
         if not 0.0 < self.target_lcc_fraction <= 1.0:
             raise PreconditionError("target_lcc_fraction must be in (0, 1]")
-        if (self.rng_seed is not None) != (self.kind == "random"):
-            raise PreconditionError("rng_seed is required for random and forbidden otherwise")
+        if not (_is_int(self.rng_seed) if self.kind == "random" else self.rng_seed is None):
+            raise PreconditionError("rng_seed must be an integer for random and None otherwise")
         if self.cost_model not in COST_MODELS:
             raise PreconditionError(f"unknown cost model {self.cost_model!r}")
 

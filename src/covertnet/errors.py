@@ -1,9 +1,14 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the integer rule.
 
 The CLI maps these onto exit codes: file/format problems exit 1,
 violated preconditions and failed computations exit 2, and
 unsatisfiable synthesis targets exit 3.
 """
+
+
+def _is_int(value) -> bool:
+    """Counts and seeds are Python ints: bool, float and str are rejected, never truncated."""
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 class GraphError(ValueError):

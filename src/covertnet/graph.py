@@ -166,6 +166,17 @@ class LabeledGraph:
         return f"LabeledGraph(nodes={self.node_count}, edges={self.edge_count})"
 
 
+def _content_lines(source):
+    """(line number, text) of each line of a string or of lines that is not blank
+    once its `#` comment and surrounding whitespace are stripped."""
+    lines = source.splitlines() if isinstance(source, str) else source
+    for lineno, raw in enumerate(lines, start=1):
+        # most lines hold no comment: testing for "#" first is cheaper than always splitting
+        line = (raw.partition("#")[0] if "#" in raw else raw).strip()
+        if line:
+            yield lineno, line
+
+
 def load_edge_list(source) -> LabeledGraph:
     """Parse an edge list from a string, an open text file, or lines.
 
@@ -173,10 +184,6 @@ def load_edge_list(source) -> LabeledGraph:
     edge) or a single label (an isolated node). `#` starts a comment,
     blank lines are skipped. Nodes appear in first-mention order.
     """
-    if isinstance(source, str):
-        lines = source.splitlines()
-    else:
-        lines = source
     adj: dict[str, set[str]] = {}
 
     def note(label: str, lineno: int) -> set[str]:
@@ -188,10 +195,7 @@ def load_edge_list(source) -> LabeledGraph:
             adj[label] = set()
         return adj[label]
 
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in _content_lines(source):
         parts = line.split()
         if len(parts) == 1:
             note(parts[0], lineno)
@@ -221,15 +225,8 @@ def dump_edge_list(g: LabeledGraph) -> str:
 
 def load_roles(source, g: LabeledGraph) -> LabeledGraph:
     """Attach roles from `label,role` CSV lines to a copy of `g`."""
-    if isinstance(source, str):
-        lines = source.splitlines()
-    else:
-        lines = source
     parsed: dict[str, Role] = {}
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in _content_lines(source):
         parts = [p.strip() for p in line.split(",")]
         if len(parts) != 2 or not all(parts):
             raise FileFormatError(f"line {lineno}: expected 'label,role'")

@@ -14,7 +14,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .errors import PreconditionError
+from .errors import PreconditionError, _is_int
 from .graph import LabeledGraph
 
 
@@ -27,6 +27,9 @@ class SamplingConfig:
     mutual_confirmation: bool = True
 
     def __post_init__(self):
+        for name in ("seed_count", "names_per_interview", "waves", "rng_seed"):
+            if not _is_int(getattr(self, name)):
+                raise PreconditionError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.seed_count < 1:
             raise PreconditionError("seed_count must be at least 1")
         if self.names_per_interview < 0:

@@ -18,6 +18,8 @@ import json
 import math
 import numbers
 import random
+import sys
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,6 +29,7 @@ from .errors import (
     GraphError,
     InfeasibleTargetError,
     PreconditionError,
+    _is_int,
 )
 from .graph import LabeledGraph, _check_label
 from .metrics import _clustering, _degree_centralization, _density, _leading_vector
@@ -47,14 +50,21 @@ _REPAIR_ATTEMPTS = 8
 _REPAIR_ITERATIONS = 50_000
 
 
-def _is_int(value) -> bool:
-    """Counts are Python ints: bool, float and str are rejected, never truncated."""
-    return isinstance(value, int) and not isinstance(value, bool)
+def _set_real(obj, name: str, rule: str, ok=lambda x: True) -> None:
+    """Store field `name` of frozen `obj` as a float. NaN, the infinities, bools,
+    non-numbers, ints too big for a float and values failing `ok` are rejected."""
+    value = getattr(obj, name)
+    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    if not (real and abs(value) <= sys.float_info.max and ok(value)):
+        raise PreconditionError(f"{name} must be {rule}, got {value!r}")
+    object.__setattr__(obj, name, float(value))
 
 
-def _is_finite(value) -> bool:
-    """Reals are finite numbers: NaN, the infinities and non-numbers are rejected."""
-    return isinstance(value, numbers.Real) and math.isfinite(value)
+def _entries(value, size: int, what: str) -> tuple:
+    """`value` as a tuple of exactly `size` entries; a string is not split into characters."""
+    if not isinstance(value, (tuple, list)) or len(value) != size:
+        raise PreconditionError(f"{what} must have exactly {size} entries, got {value!r}")
+    return tuple(value)
 
 
 @dataclass(frozen=True)
@@ -65,14 +75,14 @@ class AnnealingSchedule:
     rng_seed: int = 7
 
     def __post_init__(self):
-        if not (_is_finite(self.initial_temperature) and self.initial_temperature > 0.0):
-            raise PreconditionError("initial_temperature must be positive and finite")
-        if not 0.0 < self.cooling_factor <= 1.0:
-            raise PreconditionError("cooling_factor must be in (0, 1]")
+        _set_real(self, "initial_temperature", "a positive finite number", lambda x: x > 0.0)
+        _set_real(self, "cooling_factor", "a number in (0, 1]", lambda x: 0.0 < x <= 1.0)
         if not _is_int(self.iterations):
             raise PreconditionError("iterations must be an integer")
         if self.iterations < 0:
             raise PreconditionError("iterations must be non-negative")
+        if not _is_int(self.rng_seed):
+            raise PreconditionError(f"rng_seed must be an integer, got {self.rng_seed!r}")
 
 
 @dataclass(frozen=True)
@@ -92,10 +102,10 @@ class SoftTarget:
     def __post_init__(self):
         if self.metric not in SOFT_METRICS:
             raise PreconditionError(f"unknown soft metric {self.metric!r}")
-        if not _is_finite(self.value):
-            raise PreconditionError(f"soft target value must be finite, got {self.value!r}")
-        if not (_is_finite(self.weight) and self.weight >= 0.0):
-            raise PreconditionError("soft target weight must be non-negative and finite")
+        _set_real(self, "value", "a finite number")
+        _set_real(self, "weight", "a non-negative finite number", lambda x: x >= 0)
+        if isinstance(self.nodes, str):
+            raise PreconditionError(f"nodes must be a list of labels, got {self.nodes!r}")
         object.__setattr__(self, "nodes", tuple(self.nodes))
         if self.metric == "eigenvector_top3":
             if not 1 <= len(self.nodes) <= 3:
@@ -116,8 +126,14 @@ class HardConstraints:
     top_degree_margin: int = 2
 
     def __post_init__(self):
-        object.__setattr__(self, "degrees", tuple((v, d) for v, d in self.degrees))
-        object.__setattr__(self, "adjacent", tuple((u, v) for u, v in self.adjacent))
+        if not isinstance(self.connected, bool):
+            raise PreconditionError(f"connected must be a bool, got {self.connected!r}")
+        for name in ("degrees", "adjacent"):
+            pairs = tuple(_entries(p, 2, f"each of {name}") for p in getattr(self, name))
+            object.__setattr__(self, name, pairs)
+        for name, size in (("pair_coverage", 3), ("top_degree_pair", 2)):
+            if getattr(self, name) is not None:
+                object.__setattr__(self, name, _entries(getattr(self, name), size, name))
         for v, d in self.degrees:
             if not _is_int(d):
                 raise PreconditionError(f"pinned degree of {v!r} must be an integer, got {d!r}")
@@ -135,6 +151,9 @@ class HardConstraints:
 
 @dataclass(frozen=True)
 class SynthesisTarget:
+    """What to synthesize. Construction checks every field and raises
+    InfeasibleTargetError when the hard constraints provably cannot all hold."""
+
     nodes: tuple[str, ...]
     edge_count: int
     hard: HardConstraints = field(default_factory=HardConstraints)
@@ -150,43 +169,42 @@ class SynthesisTarget:
         if len(set(self.nodes)) != len(self.nodes):
             raise PreconditionError("target roster contains duplicate labels")
         n = len(self.nodes)
-        if not _is_int(self.edge_count):
-            raise PreconditionError(f"edge_count must be an integer, got {self.edge_count!r}")
-        if self.edge_count < 0 or self.edge_count > n * (n - 1) // 2:
-            raise InfeasibleTargetError(
-                f"edge count {self.edge_count} is impossible on {n} nodes"
-            )
+        m = self.edge_count
+        if not _is_int(m):
+            raise PreconditionError(f"edge_count must be an integer, got {m!r}")
+        if m < 0 or m > n * (n - 1) // 2:
+            raise InfeasibleTargetError(f"edge count {m} is impossible on {n} nodes")
         roster = set(self.nodes)
+        hc = self.hard
 
         def known(label: str) -> str:
             if label not in roster:
                 raise PreconditionError(f"constraint names unknown node {label!r}")
             return label
 
-        for v, d in self.hard.degrees:
+        for v, d in hc.degrees:
             known(v)
             if not 0 <= d <= n - 1:
                 raise InfeasibleTargetError(f"degree {d} pinned on {v!r} is impossible")
-        for u, v in self.hard.adjacent:
+        for u, v in hc.adjacent:
             known(u), known(v)
             if u == v:
                 raise PreconditionError("required adjacency cannot be a self-loop")
-        if self.hard.pair_coverage is not None:
-            u, v, count = self.hard.pair_coverage
+        if hc.pair_coverage is not None:
+            u, v, count = hc.pair_coverage
             known(u), known(v)
             if u == v:
                 raise PreconditionError("pair coverage needs two distinct nodes")
             if count < 0 or count > max(0, 2 * n - 3):
                 raise InfeasibleTargetError(f"pair coverage {count} is impossible")
-        if self.hard.top_degree_pair is not None:
-            u, v = map(known, self.hard.top_degree_pair)
+        if hc.top_degree_pair is not None:
+            u, v = map(known, hc.top_degree_pair)
             if u == v:
                 raise PreconditionError("top degree pair needs two distinct nodes")
         for t in self.soft:
             for v in t.nodes:
                 known(v)
-        if not (_is_finite(self.missing_metric_penalty) and self.missing_metric_penalty >= 0.0):
-            raise PreconditionError("missing_metric_penalty must be non-negative and finite")
+        _set_real(self, "missing_metric_penalty", "a non-negative finite number", lambda x: x >= 0)
         worst = 0.0  # the objective with every metric at its farthest value or missing
         for t in self.soft:
             top = max(n - 1, 0) if t.metric in ("average_degree", "diameter_lcc") else 1
@@ -195,82 +213,96 @@ class SynthesisTarget:
             if not math.isfinite(worst):
                 raise PreconditionError(f"soft target {t.metric!r} can overflow the objective")
 
+        # static infeasibility comes last, so a malformed target is reported as malformed
+        if hc.connected and n >= 2 and m < n - 1:
+            raise InfeasibleTargetError(f"{m} edges cannot connect {n} nodes")
+        if len({tuple(sorted(p)) for p in hc.adjacent}) > m:
+            raise InfeasibleTargetError("more adjacencies are required than edges exist")
+        if hc.connected and n >= 2 and any(d == 0 for _v, d in hc.degrees):
+            raise InfeasibleTargetError("a degree-0 pin contradicts connectedness")
+        if sum(d for _v, d in hc.degrees) > 2 * m:
+            raise InfeasibleTargetError("pinned degrees exceed twice the edge count")
+        pins = dict(hc.degrees)
+        for v, load in Counter(w for pair in hc.adjacent for w in pair).items():
+            if v in pins and pins[v] < load:
+                raise InfeasibleTargetError(
+                    f"{v!r} is pinned to degree {pins[v]} but {load} adjacencies are required"
+                )
+        if hc.pair_coverage is not None:
+            u, v, count = hc.pair_coverage
+            du, dv = pins.get(u), pins.get(v)
+            if du is not None and dv is not None and count not in (du + dv, du + dv - 1):
+                raise InfeasibleTargetError("pair coverage contradicts the pinned degrees")
+        if hc.top_degree_pair is not None:
+            cap = n - 1 - hc.top_degree_margin
+            for w, d in hc.degrees:
+                if w not in hc.top_degree_pair and d > cap:
+                    raise InfeasibleTargetError(
+                        f"{w!r} pinned to degree {d} cannot sit "
+                        f"{hc.top_degree_margin} below the top pair"
+                    )
+
     @property
     def node_count(self) -> int:
         return len(self.nodes)
 
 
-def _json_int(value, what: str) -> int:
-    """A JSON integer; 5.0, 5.5, "5" and true are rejected, not truncated."""
-    if not _is_int(value):
-        raise FileFormatError(f"target JSON: {what} must be an integer, got {value!r}")
+_TARGET_KEYS = {"hard", "soft", "schedule", "missing_metric_penalty"}
+_HARD_KEYS = {"nodes", "edges", "connected", "degrees", "adjacent", "pair_coverage",
+              "top_degree_pair"}
+
+
+def _object(value, what: str, keys=None) -> dict:
+    """`value` if it is a JSON object whose keys, when `keys` is given, all come from it."""
+    if not isinstance(value, dict):
+        raise TypeError(f"{what} must be an object, got {value!r}")
+    unknown = set(value) - keys if keys is not None else ()
+    if unknown:
+        raise ValueError(f"unknown {what} key {min(unknown)!r}")
     return value
 
 
 def load_synthesis_target(text: str) -> SynthesisTarget:
-    """Parse the JSON target format; see the README for the schema."""
+    """Parse the JSON target format; see the README for the schema.
+
+    Keys map onto constructor fields and values pass through unconverted,
+    so the constructors check every type and range. Every error is a
+    FileFormatError, except InfeasibleTargetError for an infeasible target."""
     try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise FileFormatError(f"target JSON: {exc}") from None
-    if not isinstance(doc, dict):
-        raise FileFormatError("target JSON must be an object")
-    try:
-        hard_doc = dict(doc.get("hard", {}))
-        nodes_spec = hard_doc.pop("nodes")
-        edge_count = _json_int(hard_doc.pop("edges"), "edges")
-        if isinstance(nodes_spec, list):
-            nodes = tuple(str(v) for v in nodes_spec)
-        else:
-            size = _json_int(nodes_spec, "nodes")
-            width = len(str(size))
-            nodes = tuple(f"n{i:0{width}d}" for i in range(1, size + 1))
-        pair_cov = hard_doc.pop("pair_coverage", None)
-        if pair_cov is not None:
-            count = _json_int(pair_cov["count"], "pair_coverage count")
-            pair_cov = (str(pair_cov["pair"][0]), str(pair_cov["pair"][1]), count)
-        top_pair = hard_doc.pop("top_degree_pair", None)
-        margin = 2
-        if top_pair is not None:
-            margin = _json_int(top_pair.get("margin", 2), "top_degree_pair margin")
-            top_pair = (str(top_pair["pair"][0]), str(top_pair["pair"][1]))
-        degrees = dict(hard_doc.pop("degrees", {}))
-        hard = HardConstraints(
-            connected=bool(hard_doc.pop("connected", True)),
-            degrees=tuple(sorted((v, _json_int(d, f"degree of {v}")) for v, d in degrees.items())),
-            adjacent=tuple((str(u), str(v)) for u, v in hard_doc.pop("adjacent", [])),
-            pair_coverage=pair_cov,
-            top_degree_pair=top_pair,
-            top_degree_margin=margin,
-        )
-        if hard_doc:
-            raise FileFormatError(f"unknown hard constraint {min(hard_doc)!r}")
-        soft = tuple(
-            SoftTarget(
-                metric=str(t["metric"]),
-                value=float(t["value"]),
-                weight=float(t.get("weight", 1.0)),
-                nodes=tuple(str(v) for v in t.get("nodes", ())),
-            )
-            for t in doc.get("soft", [])
-        )
-        schedule = AnnealingSchedule(**dict(doc.get("schedule", {})))
-        penalty = float(doc.get("missing_metric_penalty", 100.0))
-    except (InfeasibleTargetError, FileFormatError):
-        raise
-    except (KeyError, TypeError, ValueError, IndexError) as exc:
-        raise FileFormatError(f"target JSON: {exc}") from None
-    try:
+        doc = _object(json.loads(text), "target", _TARGET_KEYS)
+        hard = _object(doc.get("hard", {}), "hard", _HARD_KEYS)
+        nodes = hard["nodes"]
+        if _is_int(nodes) and nodes >= 0:
+            width = len(str(nodes))
+            nodes = [f"n{i:0{width}d}" for i in range(1, nodes + 1)]
+        elif not isinstance(nodes, list):
+            raise TypeError(f"nodes must be a count or a list of labels, got {nodes!r}")
+        cov = hard.get("pair_coverage")
+        if cov is not None:
+            cov = _object(cov, "pair_coverage", {"pair", "count"})
+            cov = [*_entries(cov["pair"], 2, "pair_coverage pair"), cov["count"]]
+        top, margin = hard.get("top_degree_pair"), 2
+        if top is not None:
+            top = _object(top, "top_degree_pair", {"pair", "margin"})
+            top, margin = _entries(top["pair"], 2, "top_degree_pair pair"), top.get("margin", 2)
         return SynthesisTarget(
             nodes=nodes,
-            edge_count=edge_count,
-            hard=hard,
-            soft=soft,
-            schedule=schedule,
-            missing_metric_penalty=penalty,
+            edge_count=hard["edges"],
+            hard=HardConstraints(
+                connected=hard.get("connected", True),
+                degrees=sorted(_object(hard.get("degrees", {}), "degrees").items()),
+                adjacent=hard.get("adjacent", []),
+                pair_coverage=cov,
+                top_degree_pair=top,
+                top_degree_margin=margin,
+            ),
+            soft=[SoftTarget(**t) for t in doc.get("soft", [])],
+            schedule=AnnealingSchedule(**doc.get("schedule", {})),
+            missing_metric_penalty=doc.get("missing_metric_penalty", 100.0),
         )
-    except PreconditionError as exc:
-        # a self-inconsistent file is a format problem for the caller
+    except InfeasibleTargetError:
+        raise
+    except (KeyError, TypeError, ValueError, RecursionError) as exc:  # deep nesting recurses
         raise FileFormatError(f"target JSON: {exc}") from None
 
 
@@ -501,45 +533,6 @@ def soft_report(g: LabeledGraph, target: SynthesisTarget) -> list[dict]:
     ]
 
 
-def _static_feasibility(target: SynthesisTarget) -> None:
-    n = target.node_count
-    m = target.edge_count
-    hc = target.hard
-    if hc.connected and n >= 2 and m < n - 1:
-        raise InfeasibleTargetError(f"{m} edges cannot connect {n} nodes")
-    distinct_required = {tuple(sorted(p)) for p in hc.adjacent}
-    if len(distinct_required) > m:
-        raise InfeasibleTargetError("more adjacencies are required than edges exist")
-    if hc.connected and n >= 2 and any(d == 0 for _v, d in hc.degrees):
-        raise InfeasibleTargetError("a degree-0 pin contradicts connectedness")
-    if sum(d for _v, d in hc.degrees) > 2 * m:
-        raise InfeasibleTargetError("pinned degrees exceed twice the edge count")
-    pins = dict(hc.degrees)
-    adjacency_load: dict[str, int] = {}
-    for u, v in hc.adjacent:
-        adjacency_load[u] = adjacency_load.get(u, 0) + 1
-        adjacency_load[v] = adjacency_load.get(v, 0) + 1
-    for v, load in adjacency_load.items():
-        if v in pins and pins[v] < load:
-            raise InfeasibleTargetError(
-                f"{v!r} is pinned to degree {pins[v]} but {load} adjacencies are required"
-            )
-    if hc.pair_coverage is not None:
-        u, v, count = hc.pair_coverage
-        du, dv = pins.get(u), pins.get(v)
-        if du is not None and dv is not None and count not in (du + dv, du + dv - 1):
-            raise InfeasibleTargetError("pair coverage contradicts the pinned degrees")
-    if hc.top_degree_pair is not None:
-        u, v = hc.top_degree_pair
-        margin = hc.top_degree_margin
-        cap = n - 1 - margin
-        for w, d in hc.degrees:
-            if w not in (u, v) and d > cap:
-                raise InfeasibleTargetError(
-                    f"{w!r} pinned to degree {d} cannot sit {margin} below the top pair"
-                )
-
-
 def _random_fill(
     rng: random.Random, n: int, m: int, required: frozenset[tuple[int, int]]
 ) -> list[tuple[int, int]]:
@@ -605,7 +598,6 @@ def synthesize_reference(
     provably unsatisfiable, or when repeated repair attempts cannot
     reach a feasible starting point.
     """
-    _static_feasibility(target)
     order = tuple(sorted(target.nodes))
     idx = {v: i for i, v in enumerate(order)}
     n = len(order)
@@ -633,7 +625,7 @@ def synthesize_reference(
         missing = [pair for pair in sorted(check.required) if not candidate.has(*pair)]
         for pair in missing:
             # force the required adjacency in by trading away an expendable
-            # edge; _static_feasibility leaves at least one per missing pair
+            # edge; a constructed target leaves at least one per missing pair
             expendable = [e for e in candidate.edges if e not in check.required]
             candidate.swap(expendable[rng.randrange(len(expendable))], pair)
         if check.violations(candidate) > 0.0:

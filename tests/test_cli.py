@@ -394,3 +394,102 @@ def test_every_subcommand_ends_in_an_exit_code_on_tiny_graphs(name, tmp_path, ca
     for argv in _sweep_commands(str(path), tmp_path):
         assert main(argv) in (0, 1, 2, 3), argv
         capsys.readouterr()
+
+
+def _target(hard=None, **top):
+    """A small feasible target document, with `hard` merged over its hard section."""
+    doc = {"hard": {"nodes": 6, "edges": 7}, "schedule": {"iterations": 50, "rng_seed": 3}}
+    doc["hard"].update(hard or {})
+    return json.dumps(doc | top)
+
+
+def _soft(**entry):
+    return [{"metric": "density", "value": 0.5} | entry]
+
+
+_NAMED = {"nodes": ["a", "b", "c", "d"], "edges": 4}
+
+# (target file text, exit code); every misread a value conversion used to
+# hide is exit 1, and each static infeasibility rule is exit 3
+SWEEP_TARGETS = {
+    # values of the wrong JSON type, or keys nothing reads
+    "connected-string": (_target({"connected": "false"}), 1),
+    "soft-key-typo": (_target(soft=_soft(wieght=9.0)), 1),
+    "top-level-key-typo": (_target(missing_penalty=5.0), 1),
+    "pair-of-three": (
+        _target(_NAMED | {"pair_coverage": {"pair": ["a", "b", "c"], "count": 3}}), 1
+    ),
+    "pair-string": (_target(_NAMED | {"pair_coverage": {"pair": "ab", "count": 3}}), 1),
+    "adjacent-string": (_target(_NAMED | {"adjacent": ["ab"]}), 1),
+    "top-pair-null": (_target({"top_degree_pair": {"pair": None, "margin": 1}}), 1),
+    "integer-labels": (_target({"nodes": [1, 2, 3, 4], "edges": 3}), 1),
+    "label-with-space": (_target({"nodes": ["a b", "c", "d"], "edges": 2}), 1),
+    "negative-nodes": (_target({"nodes": -3, "edges": 0}), 1),
+    "seed-true": (_target(schedule={"rng_seed": True}), 1),
+    "seed-string": (_target(schedule={"rng_seed": "abc"}), 1),
+    "value-string": (_target(soft=_soft(value="0.5")), 1),
+    "weight-true": (_target(soft=_soft(weight=True)), 1),
+    "soft-nodes-string": (
+        _target(_NAMED, soft=[{"metric": "eigenvector_top3", "value": 1.0, "nodes": "ab"}]), 1
+    ),
+    "cooling-true": (_target(schedule={"cooling_factor": True}), 1),
+    "penalty-string": (_target(missing_metric_penalty="5"), 1),
+    "value-huge-integer": (_target(soft=_soft(value=10**400)), 1),
+    # malformed documents
+    "not-json": ("not json at all", 1),
+    "not-an-object": ('["list", "not", "object"]', 1),
+    "deeply-nested": ("[" * 100_000, 1),
+    "edges-missing": (json.dumps({"hard": {"nodes": 4}}), 1),
+    "unknown-hard-key": (_target({"colour": "red"}), 1),
+    "soft-without-value": (_target(soft=[{"metric": "density"}]), 1),
+    "value-nan": (_target(soft=_soft(value=float("nan"))), 1),
+    "weight-inf": (_target(soft=_soft(weight=float("inf"))), 1),
+    "temperature-minus-inf": (_target(schedule={"initial_temperature": float("-inf")}), 1),
+    "nodes-fractional": (_target({"nodes": 4.5}), 1),
+    "edges-integral-float": (_target({"edges": 7.0}), 1),
+    "degree-fractional": (_target({"degrees": {"n1": 2.5}}), 1),
+    "margin-fractional": (_target({"top_degree_pair": {"pair": ["n1", "n2"], "margin": 1.5}}), 1),
+    "iterations-fractional": (_target(schedule={"iterations": 10.5}), 1),
+    "objective-overflow": (_target(soft=_soft(value=1e308, weight=1e308)), 1),
+    # statically infeasible
+    "edges-impossible": (_target({"nodes": 4, "edges": 99}), 3),
+    "too-few-edges-to-connect": (_target({"nodes": 8, "edges": 3}), 3),
+    "more-adjacencies-than-edges": (
+        _target(_NAMED | {"edges": 1, "connected": False, "adjacent": [["a", "b"], ["c", "d"]]}),
+        3,
+    ),
+    "degree-0-pin-connected": (_target({"degrees": {"n1": 0}}), 3),
+    "pins-above-2m": (_target({"edges": 5, "degrees": {"n1": 5, "n2": 5, "n3": 5}}), 3),
+    "pin-below-adjacencies": (
+        _target(_NAMED | {"degrees": {"a": 1}, "adjacent": [["a", "b"], ["a", "c"]]}), 3
+    ),
+    "pair-coverage-against-pins": (
+        _target(_NAMED | {"degrees": {"a": 2, "b": 2},
+                          "pair_coverage": {"pair": ["a", "b"], "count": 2}}),
+        3,
+    ),
+    "pin-above-top-pair-margin": (
+        _target({"degrees": {"n3": 5}, "top_degree_pair": {"pair": ["n1", "n2"], "margin": 1}}),
+        3,
+    ),
+    # tiny valid targets
+    "n0": (json.dumps({"hard": {"nodes": 0, "edges": 0}}), 0),
+    "n1": (json.dumps({"hard": {"nodes": 1, "edges": 0}}), 0),
+    "n2": (json.dumps({"hard": {"nodes": 2, "edges": 1}}), 0),
+    "n3-edgeless-disconnected": (
+        json.dumps({"hard": {"nodes": 3, "edges": 0, "connected": False}}), 0
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(SWEEP_TARGETS))
+def test_synthesize_ends_in_its_exit_code_on_every_target(name, tmp_path, capsys):
+    text, code = SWEEP_TARGETS[name]
+    target_path = tmp_path / "target.json"
+    target_path.write_text(text)
+    out_path = tmp_path / "made.edges"
+    assert main(["synthesize", "--target", str(target_path), "--output", str(out_path)]) == code
+    err = capsys.readouterr().err
+    prefix = {0: "", 1: "error: target JSON: ", 3: "error: infeasible target: "}[code]
+    assert err.startswith(prefix) and err.count("\n") == (code != 0)
+    assert out_path.exists() == (code == 0)

@@ -7,6 +7,7 @@ from covertnet import (
     PreconditionError,
     Role,
     SamplingConfig,
+    StrategySpec,
     snowball,
     snowball_run,
 )
@@ -27,6 +28,24 @@ def test_config_validation():
         config(names_per_interview=-1)
     with pytest.raises(PreconditionError):
         config(waves=-1)
+
+
+@pytest.mark.parametrize("bad", [1.5, True, "1"])
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda bad: config(seed_count=bad),
+        lambda bad: config(names_per_interview=bad),
+        lambda bad: config(waves=bad),
+        lambda bad: config(rng_seed=bad),
+        lambda bad: StrategySpec(kind="random", rng_seed=bad),
+    ],
+    ids=["seed_count", "names_per_interview", "waves", "rng_seed", "strategy_rng_seed"],
+)
+def test_specs_take_counts_and_seeds_as_integers(build, bad):
+    # 1.5 is not truncated, True is not read as 1 and "1" is not parsed
+    with pytest.raises(PreconditionError, match="must be an integer"):
+        build(bad)
 
 
 def test_seed_count_cannot_exceed_population():

@@ -124,6 +124,16 @@ def test_target_validation():
         small_target(hard=HardConstraints(top_degree_pair=(NAMES[0], NAMES[0])))
     with pytest.raises(PreconditionError):
         small_target(soft=(SoftTarget(metric="eigenvector_top3", value=1.0, nodes=("ghost",)),))
+    with pytest.raises(PreconditionError, match="connected must be a bool"):
+        HardConstraints(connected="false")
+    with pytest.raises(PreconditionError, match="exactly 3 entries"):
+        HardConstraints(pair_coverage=(NAMES[0], NAMES[1]))
+    with pytest.raises(PreconditionError, match="exactly 2 entries"):
+        HardConstraints(top_degree_pair=(NAMES[0], NAMES[1], NAMES[2]))
+    with pytest.raises(PreconditionError, match="exactly 2 entries"):
+        HardConstraints(adjacent=("ab",))  # a string is not split into two labels
+    with pytest.raises(PreconditionError, match="list of labels"):
+        SoftTarget(metric="eigenvector_top3", value=1.0, nodes="ab")
 
 
 @pytest.mark.parametrize("bad", [2.5, 2.0, True, "2"])
@@ -134,15 +144,21 @@ def test_target_validation():
         lambda bad: small_target(edge_count=bad),
         lambda bad: small_target(hard=HardConstraints(pair_coverage=(NAMES[0], NAMES[1], bad))),
         lambda bad: small_target(hard=HardConstraints(top_degree_margin=bad)),
+        lambda bad: AnnealingSchedule(rng_seed=bad),
     ],
-    ids=["pinned_degree", "edge_count", "pair_coverage_count", "top_degree_margin"],
+    ids=[
+        "pinned_degree", "edge_count", "pair_coverage_count", "top_degree_margin", "rng_seed"
+    ],
 )
 def test_constructors_reject_non_integral_counts(build, bad):
     with pytest.raises(PreconditionError, match="must be an integer"):
         build(bad)
 
 
-@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+# True is not 1.0, and an int too big for a float is not finite
+@pytest.mark.parametrize(
+    "bad", [math.nan, math.inf, -math.inf, True, pytest.param(10**400, id="huge_int")]
+)
 @pytest.mark.parametrize(
     "build",
     [
@@ -187,26 +203,23 @@ def test_worst_case_objective_just_inside_the_float_range_is_accepted():
 
 
 def test_static_infeasibility_is_detected_before_annealing():
+    # the constructor finds it, so an infeasible target cannot be built;
     # connected on 10 nodes needs at least 9 edges
     with pytest.raises(InfeasibleTargetError):
-        synthesize_reference(small_target(edge_count=5))
+        small_target(edge_count=5)
     # pinned degrees alone exceed the edge budget
     with pytest.raises(InfeasibleTargetError):
-        synthesize_reference(
-            small_target(
-                edge_count=9,
-                hard=HardConstraints(degrees=tuple((v, 9) for v in NAMES[:3])),
-            )
+        small_target(
+            edge_count=9,
+            hard=HardConstraints(degrees=tuple((v, 9) for v in NAMES[:3])),
         )
     # a required adjacency contradicts a degree-zero pin
     with pytest.raises(InfeasibleTargetError):
-        synthesize_reference(
-            small_target(
-                hard=HardConstraints(
-                    connected=False,
-                    degrees=((NAMES[0], 0),),
-                    adjacent=((NAMES[0], NAMES[1]),),
-                )
+        small_target(
+            hard=HardConstraints(
+                connected=False,
+                degrees=((NAMES[0], 0),),
+                adjacent=((NAMES[0], NAMES[1]),),
             )
         )
 
@@ -432,6 +445,38 @@ def test_load_target_rejects_bad_documents():
     # not a format error
     with pytest.raises(InfeasibleTargetError):
         load_synthesis_target('{"hard": {"nodes": 4, "edges": 99}}')
+
+
+def test_default_target_round_trips_through_json():
+    # written field by field, as the benchmark's anneal workload writes it
+    t = default_chiapas_target()
+    hard = t.hard
+    u, v, count = hard.pair_coverage
+    doc = {
+        "hard": {
+            "nodes": list(t.nodes),
+            "edges": t.edge_count,
+            "connected": hard.connected,
+            "degrees": dict(hard.degrees),
+            "adjacent": [list(p) for p in hard.adjacent],
+            "pair_coverage": {"pair": [u, v], "count": count},
+            "top_degree_pair": {"pair": list(hard.top_degree_pair),
+                                "margin": hard.top_degree_margin},
+        },
+        "soft": [
+            {"metric": s.metric, "value": s.value, "weight": s.weight}
+            | ({"nodes": list(s.nodes)} if s.nodes else {})
+            for s in t.soft
+        ],
+        "schedule": {
+            "initial_temperature": t.schedule.initial_temperature,
+            "cooling_factor": t.schedule.cooling_factor,
+            "iterations": t.schedule.iterations,
+            "rng_seed": t.schedule.rng_seed,
+        },
+        "missing_metric_penalty": t.missing_metric_penalty,
+    }
+    assert load_synthesis_target(json.dumps(doc)) == t
 
 
 def test_zero_iteration_schedule_still_satisfies_hard_constraints():
