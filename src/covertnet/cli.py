@@ -19,10 +19,9 @@ from . import metrics as metrics_mod
 from . import reference, sampling, synthesis
 from .dismantling import (
     DismantlingTrace,
-    Removals,
     StrategySpec,
     TRACE_CSV_HEADER,
-    random_removals,
+    removals,
     run_strategy,
     threshold_cost,
 )
@@ -103,21 +102,13 @@ def _spec_for(args) -> StrategySpec:
     )
 
 
-def _reached_cost(trace: DismantlingTrace | Removals, p: float) -> int | None:
-    """`threshold_cost`, or None for a threshold the trace did not reach."""
-    try:
-        return threshold_cost(trace, p)
-    except DismantlingError:
-        return None
-
-
 def _cell(value: float | None, fmt: str = "") -> str:
     return "not reached" if value is None else format(value, fmt)
 
 
 def _threshold_summary(trace: DismantlingTrace) -> list[str]:
     return [
-        f"cost to cut lcc by {int(p * 100)}%: {_cell(_reached_cost(trace, p))}"
+        f"cost to cut lcc by {int(p * 100)}%: {_cell(threshold_cost(trace, p))}"
         for p in THRESHOLDS
     ]
 
@@ -179,7 +170,7 @@ class ComparisonReport:
             "strategy": trace.strategy.to_dict(),
             "removals": len(trace.steps),
             "total_cost": trace.total_cost(),
-            "threshold_costs": {str(p): _reached_cost(trace, p) for p in THRESHOLDS},
+            "threshold_costs": {str(p): threshold_cost(trace, p) for p in THRESHOLDS},
         }
         doc.update(self._curves(trace))
         return doc
@@ -230,11 +221,11 @@ def build_comparison(
         for i in range(runs)
     ]
     random_trace = run_strategy(g, specs[0])
-    ensemble = [random_trace] + [random_removals(g, spec) for spec in specs[1:]]
+    ensemble = [random_trace] + [removals(g, spec) for spec in specs[1:]]
     mean: dict[float, float | None] = {}
     stddev: dict[float, float | None] = {}
     for p in THRESHOLDS:
-        costs = [_reached_cost(t, p) for t in ensemble]
+        costs = [threshold_cost(t, p) for t in ensemble]
         reached = None not in costs
         mean[p] = statistics.fmean(costs) if reached else None
         stddev[p] = statistics.pstdev(costs) if reached else None
@@ -259,7 +250,7 @@ def cmd_compare(args) -> int:
     if args.curves is not None:
         _write_text(args.curves, report.to_tidy_csv())
     rows = [
-        (name, [_cell(_reached_cost(trace, p)) for p in THRESHOLDS])
+        (name, [_cell(threshold_cost(trace, p)) for p in THRESHOLDS])
         for name, trace in (
             ("gnd", report.gnd),
             ("hub", report.hub),

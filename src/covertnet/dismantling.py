@@ -27,7 +27,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import metrics
-from .errors import DismantlingError, GraphError, PreconditionError, _is_int
+from .errors import DismantlingError, GraphError, PreconditionError, _is_int, _set_real
 from .graph import LabeledGraph, induced_subgraph, largest_connected_component, remove_nodes
 from .spectral import adjacency_matrix, crossing_subgraph, node_order, spectral_bisection
 
@@ -57,6 +57,7 @@ class StrategySpec:
     def __post_init__(self):
         if self.kind not in STRATEGY_KINDS:
             raise PreconditionError(f"unknown strategy kind {self.kind!r}")
+        _set_real(self, "target_lcc_fraction", "a finite number")
         if not 0.0 < self.target_lcc_fraction <= 1.0:
             raise PreconditionError("target_lcc_fraction must be in (0, 1]")
         if not (_is_int(self.rng_seed) if self.kind == "random" else self.rng_seed is None):
@@ -161,11 +162,11 @@ class Removals:
     steps: tuple[Removal, ...]
 
 
-def threshold_cost(trace: DismantlingTrace | Removals, p: float) -> int:
+def threshold_cost(trace: DismantlingTrace | Removals, p: float) -> int | None:
     """Cumulative cost of the first step that cut the LCC by fraction p.
 
-    Zero when the starting graph already satisfies the reduction; an
-    error when the trace never got there.
+    Zero when the starting graph already satisfies the reduction; None
+    when the trace never got there.
     """
     if not 0.0 < p <= 1.0:
         raise PreconditionError("reduction fraction must be in (0, 1]")
@@ -177,7 +178,7 @@ def threshold_cost(trace: DismantlingTrace | Removals, p: float) -> int:
     for s in trace.steps:
         if s.lcc_size_after <= bound:
             return s.cumulative_cost
-    raise DismantlingError(f"trace never reduced the LCC by fraction {p}")
+    return None
 
 
 def wvc(g_star: LabeledGraph, g: LabeledGraph) -> tuple[str, ...]:
@@ -220,11 +221,6 @@ def wvc(g_star: LabeledGraph, g: LabeledGraph) -> tuple[str, ...]:
         host_deg.pop(best)
 
 
-def _require_kind(spec: StrategySpec, kind: str) -> None:
-    if spec.kind != kind:
-        raise PreconditionError(f"spec kind {spec.kind!r} given to the {kind} strategy")
-
-
 def _random_order(g: LabeledGraph, spec: StrategySpec, bound: float) -> list[str]:
     # the draws do not depend on the graph, so they are made up front, as
     # far as the node count alone can still exceed the target
@@ -252,6 +248,14 @@ def _hub_order(g: LabeledGraph, spec: StrategySpec, bound: float) -> list[str]:
 
 
 def _gnd_order(g: LabeledGraph, spec: StrategySpec, bound: float) -> list[str]:
+    """Spectral dismantling: bisect the LCC, cover the crossing edges.
+
+    Each round works on the current largest component with fresh
+    degree costs, so earlier removals reshape later rounds. A round's
+    whole cover is removed before the stop condition is rechecked.
+    A single-node component has nothing to bisect, so when it is the
+    largest and still above the target it is removed directly.
+    """
     current = g
     order: list[str] = []
     while True:
@@ -279,8 +283,9 @@ def _find(parent: list[int], i: int) -> int:
     return i
 
 
-def _removals(g: LabeledGraph, spec: StrategySpec) -> Removals:
-    """The strategy's removal order with its costs and LCC sizes.
+def removals(g: LabeledGraph, spec: StrategySpec) -> Removals:
+    """The strategy's removal order with its costs and LCC sizes, without
+    the residual metrics that `run_strategy` logs.
 
     The LCC size after each prefix of the order comes from inserting the
     nodes back in reverse order with union-find (Newman & Ziff, PRL
@@ -342,10 +347,9 @@ def _logged(g: LabeledGraph, spec: StrategySpec, run: Removals) -> DismantlingTr
     removed. A residual graph below a metric's size precondition logs
     density 0.0, fragmentation 1.0 and mean betweenness 0.0.
     """
-    labels = node_order(g)
-    index = {v: i for i, v in enumerate(labels)}
-    a = adjacency_matrix(g, labels)
-    keep = np.ones(len(labels), dtype=bool)
+    index = {v: i for i, v in enumerate(node_order(g))}
+    a = adjacency_matrix(g)
+    keep = np.ones(g.node_count, dtype=bool)
     steps: list[RemovalStep] = []
     for s in run.steps:
         keep[index[s.node]] = False
@@ -369,39 +373,4 @@ def _logged(g: LabeledGraph, spec: StrategySpec, run: Removals) -> DismantlingTr
 
 def run_strategy(g: LabeledGraph, spec: StrategySpec) -> DismantlingTrace:
     """Run the strategy named by the spec and log its trace."""
-    return _logged(g, spec, _removals(g, spec))
-
-
-def random_removals(g: LabeledGraph, spec: StrategySpec) -> Removals:
-    """The random strategy's removals, costs and LCC sizes, without residual metrics.
-
-    Each step removes `remaining[rng.randrange(len(remaining))]` from the
-    sorted remaining labels.
-    """
-    _require_kind(spec, "random")
-    return _removals(g, spec)
-
-
-def random_strategy(g: LabeledGraph, spec: StrategySpec) -> DismantlingTrace:
-    """Remove uniformly chosen remaining nodes until the target holds."""
-    _require_kind(spec, "random")
-    return run_strategy(g, spec)
-
-
-def hub_strategy(g: LabeledGraph, spec: StrategySpec) -> DismantlingTrace:
-    """Adaptively remove the highest-degree node until the target holds."""
-    _require_kind(spec, "hub")
-    return run_strategy(g, spec)
-
-
-def gnd(g: LabeledGraph, spec: StrategySpec) -> DismantlingTrace:
-    """Spectral dismantling: bisect the LCC, cover the crossing edges.
-
-    Each round works on the current largest component with fresh
-    degree costs, so earlier removals reshape later rounds. A round's
-    whole cover is removed before the stop condition is rechecked.
-    A single-node component has nothing to bisect, so when it is the
-    largest and still above the target it is removed directly.
-    """
-    _require_kind(spec, "gnd")
-    return run_strategy(g, spec)
+    return _logged(g, spec, removals(g, spec))

@@ -122,9 +122,8 @@ def _leading_vector(a: np.ndarray, dist: np.ndarray) -> np.ndarray:
 
 def _matrices(g: LabeledGraph) -> tuple[tuple[str, ...], np.ndarray, np.ndarray, np.ndarray]:
     """Sorted label order, adjacency matrix, hop distances and shortest-path counts of g."""
-    order = node_order(g)
-    a = adjacency_matrix(g, order)
-    return order, a, *_paths(a)
+    a = adjacency_matrix(g)
+    return node_order(g), a, *_paths(a)
 
 
 def _require_edge(g: LabeledGraph) -> None:
@@ -152,8 +151,7 @@ def local_clustering(g: LabeledGraph, v: str) -> float:
     """Fraction of the node's neighbor pairs that are themselves linked."""
     if not g.has_node(v):
         raise GraphError(f"unknown node {v!r}")
-    order = node_order(g)
-    return float(_clustering(adjacency_matrix(g, order))[order.index(v)])
+    return float(_clustering(adjacency_matrix(g))[node_order(g).index(v)])
 
 
 def average_clustering(g: LabeledGraph) -> float:

@@ -30,6 +30,10 @@ class SamplingConfig:
         for name in ("seed_count", "names_per_interview", "waves", "rng_seed"):
             if not _is_int(getattr(self, name)):
                 raise PreconditionError(f"{name} must be an integer, got {getattr(self, name)!r}")
+        if not isinstance(self.mutual_confirmation, bool):
+            raise PreconditionError(
+                f"mutual_confirmation must be a bool, got {self.mutual_confirmation!r}"
+            )
         if self.seed_count < 1:
             raise PreconditionError("seed_count must be at least 1")
         if self.names_per_interview < 0:
@@ -55,7 +59,15 @@ class SnowballRun:
 
 
 def snowball_run(ground_truth: LabeledGraph, config: SamplingConfig) -> SnowballRun:
-    """Simulate one sampling campaign; see `snowball` for the contract."""
+    """Sampled subgraph and per-wave tallies of one interview campaign.
+
+    Wave 0 interviews the seeds; each of `waves` further waves
+    interviews the people first named in the wave before. People named
+    in the final wave are recorded as mentions but never join the
+    sample. The sampled graph is always a subgraph of the ground truth,
+    and turning mutual confirmation off can only add edges, never remove
+    any, for the same seed.
+    """
     if config.seed_count > ground_truth.node_count:
         raise PreconditionError(
             f"seed_count {config.seed_count} exceeds the population "
@@ -124,16 +136,3 @@ def snowball_run(ground_truth: LabeledGraph, config: SamplingConfig) -> Snowball
     ]
     roles = {v: r for v, r in ground_truth.roles.items() if v in discovered}
     return SnowballRun(graph=LabeledGraph(nodes, edges, roles), waves=tuple(stats))
-
-
-def snowball(ground_truth: LabeledGraph, config: SamplingConfig) -> LabeledGraph:
-    """Sampled subgraph visible after one interview campaign.
-
-    Wave 0 interviews the seeds; each of `waves` further waves
-    interviews the people first named in the wave before. People named
-    in the final wave are recorded as mentions but never join the
-    sample. The result is always a subgraph of the ground truth, and
-    turning mutual confirmation off can only add edges, never remove
-    any, for the same seed.
-    """
-    return snowball_run(ground_truth, config).graph

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
@@ -38,9 +38,9 @@ def node_order(g: LabeledGraph) -> tuple[str, ...]:
     return tuple(sorted(g.nodes))
 
 
-def adjacency_matrix(g: LabeledGraph, order: Sequence[str] | None = None) -> np.ndarray:
-    if order is None:
-        order = node_order(g)
+def adjacency_matrix(g: LabeledGraph) -> np.ndarray:
+    """0/1 adjacency matrix in `node_order`."""
+    order = node_order(g)
     idx = {v: i for i, v in enumerate(order)}
     a = np.zeros((len(order), len(order)))
     for u, v in g.edges():
@@ -71,19 +71,16 @@ def _check_costs(g: LabeledGraph, costs: Mapping[str, float]) -> None:
         raise GraphError("at least one cost must be positive")
 
 
-def cost_matrix(
-    g: LabeledGraph, costs: Mapping[str, float], order: Sequence[str] | None = None
-) -> np.ndarray:
-    """Weighted adjacency: entry (i, j) is A_ij * (w_i + w_j - 1).
+def cost_matrix(g: LabeledGraph, costs: Mapping[str, float]) -> np.ndarray:
+    """Weighted adjacency in `node_order`: entry (i, j) is A_ij * (w_i + w_j - 1).
 
     With unit costs this reduces to the plain adjacency matrix, so the
     unweighted problem is the w = 1 special case. An edge whose weight
     is not positive raises PreconditionError.
     """
     _check_costs(g, costs)
-    if order is None:
-        order = node_order(g)
-    a = adjacency_matrix(g, order)
+    order = node_order(g)
+    a = adjacency_matrix(g)
     w = np.array([float(costs[v]) for v in order])
     weights = w[:, None] + w[None, :] - 1.0
     bad = [tuple(sorted((order[i], order[j]))) for i, j in np.argwhere((a > 0) & (weights <= 0))]
@@ -216,7 +213,7 @@ def spectral_bisection(
     if costs is None:
         costs = degree_costs(g)
     order = node_order(g)
-    b = cost_matrix(g, costs, order)
+    b = cost_matrix(g, costs)
     l = weighted_laplacian(b)
     lam, vec = fiedler(l)
     return bisect(g, dict(zip(order, (float(c) for c in vec))), fiedler_value=lam)

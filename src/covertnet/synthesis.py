@@ -16,9 +16,7 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
 import random
-import sys
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -30,6 +28,7 @@ from .errors import (
     InfeasibleTargetError,
     PreconditionError,
     _is_int,
+    _set_real,
 )
 from .graph import LabeledGraph, _check_label
 from .metrics import _clustering, _degree_centralization, _density, _leading_vector
@@ -48,16 +47,6 @@ SOFT_METRICS = (
 
 _REPAIR_ATTEMPTS = 8
 _REPAIR_ITERATIONS = 50_000
-
-
-def _set_real(obj, name: str, rule: str, ok=lambda x: True) -> None:
-    """Store field `name` of frozen `obj` as a float. NaN, the infinities, bools,
-    non-numbers, ints too big for a float and values failing `ok` are rejected."""
-    value = getattr(obj, name)
-    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
-    if not (real and abs(value) <= sys.float_info.max and ok(value)):
-        raise PreconditionError(f"{name} must be {rule}, got {value!r}")
-    object.__setattr__(obj, name, float(value))
 
 
 def _entries(value, size: int, what: str) -> tuple:
@@ -162,6 +151,8 @@ class SynthesisTarget:
     missing_metric_penalty: float = 100.0
 
     def __post_init__(self):
+        if isinstance(self.nodes, str):
+            raise PreconditionError(f"nodes must be a list of labels, got {self.nodes!r}")
         object.__setattr__(self, "nodes", tuple(self.nodes))
         object.__setattr__(self, "soft", tuple(self.soft))
         for v in self.nodes:
@@ -589,9 +580,7 @@ def _anneal(
     return cur, best_edges
 
 
-def synthesize_reference(
-    target: SynthesisTarget, initial: LabeledGraph | None = None
-) -> LabeledGraph:
+def synthesize_reference(target: SynthesisTarget) -> LabeledGraph:
     """Anneal a graph toward the target; deterministic per rng_seed.
 
     Raises InfeasibleTargetError when the hard constraints are
@@ -599,28 +588,16 @@ def synthesize_reference(
     reach a feasible starting point.
     """
     order = tuple(sorted(target.nodes))
-    idx = {v: i for i, v in enumerate(order)}
     n = len(order)
     check = _HardCheck(target, order)
     evaluator = _Evaluator(target, order)
     sched = target.schedule
     rng = random.Random(sched.rng_seed)
 
-    if initial is not None:
-        if set(initial.nodes) != set(order):
-            raise GraphError("initial graph and target roster disagree")
-        if initial.edge_count != target.edge_count:
-            raise GraphError(
-                f"initial graph has {initial.edge_count} edges, target wants {target.edge_count}"
-            )
-
     state = None
     last_violations = None
-    for attempt in range(_REPAIR_ATTEMPTS):
-        if attempt == 0 and initial is not None:
-            pairs = _index_pairs(idx, initial.edges())
-        else:
-            pairs = _random_fill(rng, n, target.edge_count, check.required)
+    for _ in range(_REPAIR_ATTEMPTS):
+        pairs = _random_fill(rng, n, target.edge_count, check.required)
         candidate = _State(n, pairs)
         missing = [pair for pair in sorted(check.required) if not candidate.has(*pair)]
         for pair in missing:

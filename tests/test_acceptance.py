@@ -32,9 +32,9 @@ from covertnet import (
     dump_edge_list,
     fiedler,
     fragmentation,
-    gnd,
     remove_nodes,
-    snowball,
+    run_strategy,
+    snowball_run,
     threshold_cost,
     weighted_laplacian,
     wvc,
@@ -175,7 +175,7 @@ def test_criterion_07_strategy_cost_ordering(synthesized_reference, capsys):
 def test_criterion_08_gnd_attacks_mid_degree_first(synthesized_reference, capsys):
     g, _ = synthesized_reference
     with criterion(8, 10.0, capsys):
-        trace = gnd(g, StrategySpec(kind="gnd", target_lcc_fraction=0.2))
+        trace = run_strategy(g, StrategySpec(kind="gnd", target_lcc_fraction=0.2))
         first = trace.steps[0].node
         assert abs(g.degree(first) - average_degree(g)) <= 2.0
         top2 = sorted(g.nodes, key=lambda v: (-g.degree(v), v))[:2]
@@ -194,7 +194,7 @@ def test_criterion_09_snowball_soundness(capsys):
                 rng_seed=trial,
                 mutual_confirmation=rng.random() < 0.5,
             )
-            got = snowball(truth, cfg)
+            got = snowball_run(truth, cfg).graph
             assert set(got.nodes) <= set(truth.nodes)
             assert set(got.edges()) <= set(truth.edges())
         for trial in range(300):
@@ -207,7 +207,7 @@ def test_criterion_09_snowball_soundness(capsys):
                 rng_seed=trial,
                 mutual_confirmation=rng.random() < 0.5,
             )
-            assert snowball(truth, cfg) == truth
+            assert snowball_run(truth, cfg).graph == truth
 
 
 def test_criterion_10_cli_determinism(tmp_path, capsys):

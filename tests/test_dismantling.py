@@ -1,12 +1,12 @@
 import csv
 import io
 import json
+import math
 import random
 
 import pytest
 
 from covertnet import (
-    DismantlingError,
     GraphError,
     LabeledGraph,
     PreconditionError,
@@ -15,19 +15,15 @@ from covertnet import (
     crossing_subgraph,
     density,
     fragmentation,
-    gnd,
-    hub_strategy,
     induced_subgraph,
     largest_connected_component,
     mean_betweenness,
-    random_strategy,
     reference_network,
+    removals,
     run_strategy,
     threshold_cost,
     wvc,
 )
-
-from covertnet.dismantling import random_removals
 from oracles import greedy_cover_order, lazy_trace
 from util import (
     barbell_graph,
@@ -52,6 +48,10 @@ def test_strategy_spec_validation():
         StrategySpec(kind="random")  # and random requires one
     with pytest.raises(PreconditionError):
         StrategySpec(kind="hub", cost_model="free")
+    for bad in (True, "0.5", None, math.nan):  # True is not read as 1.0, "0.5" is not parsed
+        with pytest.raises(PreconditionError, match="target_lcc_fraction"):
+            StrategySpec(kind="hub", target_lcc_fraction=bad)
+    assert repr(StrategySpec(kind="hub", target_lcc_fraction=1).target_lcc_fraction) == "1.0"
 
 
 def test_wvc_single_edge_prefers_lower_label():
@@ -127,7 +127,7 @@ def test_wvc_output_is_a_cover():
 
 def test_hub_strategy_takes_highest_degree_first():
     g = star_graph(6)
-    trace = hub_strategy(g, StrategySpec(kind="hub", target_lcc_fraction=0.2))
+    trace = run_strategy(g, StrategySpec(kind="hub", target_lcc_fraction=0.2))
     assert trace.steps[0].node == "hub"
     assert trace.steps[0].cost == 6
     # after the hub, the LCC is a single leaf: 1/7 < 0.2, so done
@@ -137,17 +137,17 @@ def test_hub_strategy_takes_highest_degree_first():
 
 def test_hub_strategy_tie_breaks_on_label():
     g = complete_graph(3)
-    trace = hub_strategy(g, StrategySpec(kind="hub", target_lcc_fraction=0.3))
+    trace = run_strategy(g, StrategySpec(kind="hub", target_lcc_fraction=0.3))
     assert trace.removal_order()[0] == "v0"
 
 
 def test_random_strategy_is_seed_deterministic():
     g = gnp_graph(random.Random(8), 15, 0.3)
     spec = StrategySpec(kind="random", rng_seed=42)
-    a = random_strategy(g, spec)
-    b = random_strategy(g, spec)
+    a = run_strategy(g, spec)
+    b = run_strategy(g, spec)
     assert a == b
-    c = random_strategy(g, StrategySpec(kind="random", rng_seed=43))
+    c = run_strategy(g, StrategySpec(kind="random", rng_seed=43))
     assert c.removal_order() != a.removal_order()
 
 
@@ -173,8 +173,8 @@ def _random_attack_graphs():
 
 def test_random_removals_match_the_lazy_replay():
     # every strategy's trace must equal the one-removal-at-a-time replay
-    # field for field, floats exactly; random_removals must equal the
-    # random replay's removals
+    # field for field, floats exactly, and its unlogged removals must
+    # equal the replay's removals
     rng = random.Random(405)
     graphs = _random_attack_graphs()
     assert len(graphs) >= 200
@@ -191,12 +191,13 @@ def test_random_removals_match_the_lazy_replay():
                 )
                 expected = lazy_trace(g, spec)
                 assert run_strategy(g, spec) == expected
-            core = random_removals(g, spec)
-            assert core.steps == tuple(
-                (s.node, s.cost, s.cumulative_cost, s.lcc_size_after) for s in expected.steps
-            )
-            assert core.initial_node_count == g.node_count
-            assert core.initial_lcc_size == expected.initial_lcc_size
+                core = removals(g, spec)
+                assert core.steps == tuple(
+                    (s.node, s.cost, s.cumulative_cost, s.lcc_size_after)
+                    for s in expected.steps
+                )
+                assert core.initial_node_count == g.node_count
+                assert core.initial_lcc_size == expected.initial_lcc_size
             untouched += not expected.steps and expected.initial_lcc_size > 0
     # every graph at target 1.0, plus edgeless ones, starts within its target
     assert untouched >= 2 * (len(graphs) - 3)
@@ -204,7 +205,7 @@ def test_random_removals_match_the_lazy_replay():
 
 def test_gnd_on_barbell_cuts_the_bridge():
     g = barbell_graph(4)
-    trace = gnd(g, StrategySpec(kind="gnd", target_lcc_fraction=0.5))
+    trace = run_strategy(g, StrategySpec(kind="gnd", target_lcc_fraction=0.5))
     # the spectral split separates the cliques; the only crossing edge
     # is the bridge, and a0 covers it (tie with b0 broken by label)
     assert trace.steps[0].node == "a0"
@@ -235,7 +236,7 @@ def test_strategies_reach_their_target():
 def test_trace_costs_and_metrics_are_consistent():
     rng = random.Random(61)
     g = random_connected_graph(rng, 18, 25)
-    trace = hub_strategy(g, StrategySpec(kind="hub", target_lcc_fraction=0.2))
+    trace = run_strategy(g, StrategySpec(kind="hub", target_lcc_fraction=0.2))
     running = 0
     remaining = g
     for step in trace.steps:
@@ -252,8 +253,8 @@ def test_trace_costs_and_metrics_are_consistent():
 
 def test_initial_cost_model_charges_original_degree():
     g = star_graph(5)
-    residual = hub_strategy(g, StrategySpec(kind="hub", target_lcc_fraction=0.9))
-    initial = hub_strategy(
+    residual = run_strategy(g, StrategySpec(kind="hub", target_lcc_fraction=0.9))
+    initial = run_strategy(
         g, StrategySpec(kind="hub", target_lcc_fraction=0.9, cost_model="initial")
     )
     assert residual.removal_order() == initial.removal_order()
@@ -266,32 +267,31 @@ def test_initial_cost_model_charges_original_degree():
 
 def test_threshold_cost_star():
     g = star_graph(4)
-    trace = hub_strategy(g, StrategySpec(kind="hub", target_lcc_fraction=0.2))
+    trace = run_strategy(g, StrategySpec(kind="hub", target_lcc_fraction=0.2))
     assert threshold_cost(trace, 0.8) == 4
 
 
 def test_threshold_cost_zero_when_already_met():
     g = LabeledGraph(["a", "b", "c", "d", "e"], [("a", "b")])
-    trace = hub_strategy(g, StrategySpec(kind="hub", target_lcc_fraction=0.5))
+    trace = run_strategy(g, StrategySpec(kind="hub", target_lcc_fraction=0.5))
     assert threshold_cost(trace, 0.5) == 0
 
 
 def test_threshold_cost_errors():
     g = star_graph(4)
-    trace = hub_strategy(g, StrategySpec(kind="hub", target_lcc_fraction=0.9))
+    trace = run_strategy(g, StrategySpec(kind="hub", target_lcc_fraction=0.9))
     with pytest.raises(PreconditionError):
         threshold_cost(trace, 0.0)
     with pytest.raises(PreconditionError):
         threshold_cost(trace, 1.5)
-    with pytest.raises(DismantlingError):
-        threshold_cost(trace, 0.95)  # one hub removal only got the LCC to 1/5
+    assert threshold_cost(trace, 0.95) is None  # one hub removal only got the LCC to 1/5
 
 
 def test_threshold_cost_survives_float_products():
     # (1 - 0.8) * 5 lands a hair under 1.0 in floats; a 5-node trace
     # that reaches an LCC of exactly 1 must still count as done
     g = star_graph(4)
-    trace = hub_strategy(g, StrategySpec(kind="hub", target_lcc_fraction=0.2))
+    trace = run_strategy(g, StrategySpec(kind="hub", target_lcc_fraction=0.2))
     assert trace.steps[-1].lcc_size_after == 1
     assert threshold_cost(trace, 0.8) == trace.total_cost()
 
@@ -299,7 +299,8 @@ def test_threshold_cost_survives_float_products():
 def test_run_strategy_dispatch():
     g = star_graph(5)
     hub = run_strategy(g, StrategySpec(kind="hub", target_lcc_fraction=0.2))
-    assert hub == hub_strategy(g, StrategySpec(kind="hub", target_lcc_fraction=0.2))
+    assert hub.strategy.kind == "hub"
+    assert hub.removal_order() == ("hub",)
     rnd = run_strategy(g, StrategySpec(kind="random", target_lcc_fraction=0.2, rng_seed=3))
     assert rnd.strategy.kind == "random"
     gnd_trace = run_strategy(g, StrategySpec(kind="gnd", target_lcc_fraction=0.2))
@@ -308,7 +309,7 @@ def test_run_strategy_dispatch():
 
 def test_trace_csv_shape():
     g = star_graph(6)
-    trace = hub_strategy(g, StrategySpec(kind="hub", target_lcc_fraction=0.2))
+    trace = run_strategy(g, StrategySpec(kind="hub", target_lcc_fraction=0.2))
     rows = list(csv.DictReader(io.StringIO(trace.to_csv())))
     assert len(rows) == len(trace.steps)
     assert rows[0]["removed_node"] == "hub"
@@ -318,7 +319,7 @@ def test_trace_csv_shape():
 
 def test_trace_json_round_trip():
     g = barbell_graph(3)
-    trace = gnd(g, StrategySpec(kind="gnd", target_lcc_fraction=0.5))
+    trace = run_strategy(g, StrategySpec(kind="gnd", target_lcc_fraction=0.5))
     doc = json.loads(trace.to_json())
     assert doc["strategy"]["kind"] == "gnd"
     assert doc["initial_node_count"] == 6
@@ -328,7 +329,7 @@ def test_trace_json_round_trip():
 
 def test_initial_metrics_missing_on_tiny_graphs():
     g = LabeledGraph(["a", "b"], [("a", "b")])
-    trace = hub_strategy(g, StrategySpec(kind="hub", target_lcc_fraction=0.5))
+    trace = run_strategy(g, StrategySpec(kind="hub", target_lcc_fraction=0.5))
     assert trace.initial_metrics is None  # too small for a full report
     assert json.loads(trace.to_json())["initial_metrics"] is None
 
@@ -342,7 +343,7 @@ def test_gnd_first_pick_is_not_simply_the_biggest_hub():
     edges += [(a, b) for i, a in enumerate(right) for b in right[i + 1 :]]
     edges += [("a0", "mid"), ("mid", "b0")]
     g = LabeledGraph(left + right + ["mid"], edges)
-    trace = gnd(g, StrategySpec(kind="gnd", target_lcc_fraction=0.5))
+    trace = run_strategy(g, StrategySpec(kind="gnd", target_lcc_fraction=0.5))
     assert trace.steps[0].node == "mid"
     assert trace.steps[0].cost == 2
 
@@ -352,7 +353,7 @@ def test_gnd_removes_a_singleton_lcc_directly(cost_model, costs):
     # target 0.2 of 3 nodes leaves no room even for an isolated node; the
     # last survivor is a one-node LCC that is removed without a bisection
     spec = StrategySpec(kind="gnd", target_lcc_fraction=0.2, cost_model=cost_model)
-    trace = gnd(path_graph(3), spec)
+    trace = run_strategy(path_graph(3), spec)
     assert trace.removal_order() == ("v2", "v0", "v1")
     assert [s.cost for s in trace.steps] == costs
     assert trace.steps[-1].lcc_size_after == 0
@@ -367,7 +368,8 @@ GND_REFERENCE_ORDER = (
 @pytest.mark.parametrize("cost_model, total", [("residual", 210), ("initial", 326)])
 def test_gnd_on_bundled_network_is_pinned(cost_model, total):
     g = reference_network()
-    trace = gnd(g, StrategySpec(kind="gnd", target_lcc_fraction=0.2, cost_model=cost_model))
+    spec = StrategySpec(kind="gnd", target_lcc_fraction=0.2, cost_model=cost_model)
+    trace = run_strategy(g, spec)
     assert trace.removal_order() == GND_REFERENCE_ORDER
     assert trace.total_cost() == total
     assert threshold_cost(trace, 0.8) == total

@@ -219,7 +219,7 @@ def test_eigenvector_centrality_matches_dense_solver():
                                [*k25.edges(), ("v00", tail[0]), *zip(tail, tail[1:])]))
     for g in graphs:
         order = node_order(g)
-        a = adjacency_matrix(g, order)
+        a = adjacency_matrix(g)
         vals, vecs = np.linalg.eigh(a)
         lead = np.abs(vecs[:, -1])
         lead /= lead.max()
@@ -357,7 +357,7 @@ def _bfs_paths(g, order):
 
 def _kernel_input(g):
     order = node_order(g)
-    return order, adjacency_matrix(g, order)
+    return order, adjacency_matrix(g)
 
 
 def test_paths_match_a_per_source_bfs():

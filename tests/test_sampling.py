@@ -8,7 +8,6 @@ from covertnet import (
     Role,
     SamplingConfig,
     StrategySpec,
-    snowball,
     snowball_run,
 )
 
@@ -28,6 +27,9 @@ def test_config_validation():
         config(names_per_interview=-1)
     with pytest.raises(PreconditionError):
         config(waves=-1)
+    for bad in ("no", 1, None):  # "no" is truthy, so it would sample with confirmation on
+        with pytest.raises(PreconditionError, match="mutual_confirmation must be a bool"):
+            config(mutual_confirmation=bad)
 
 
 @pytest.mark.parametrize("bad", [1.5, True, "1"])
@@ -50,13 +52,13 @@ def test_specs_take_counts_and_seeds_as_integers(build, bad):
 
 def test_seed_count_cannot_exceed_population():
     with pytest.raises(PreconditionError):
-        snowball(path_graph(3), config(seed_count=4))
+        snowball_run(path_graph(3), config(seed_count=4))
 
 
 def test_complete_graph_is_fully_recovered():
     for n in (2, 3, 5, 8):
         g = complete_graph(n)
-        got = snowball(g, config(names_per_interview=n - 1, waves=1, rng_seed=n))
+        got = snowball_run(g, config(names_per_interview=n - 1, waves=1, rng_seed=n)).graph
         assert got == g
 
 
@@ -71,7 +73,7 @@ def test_sample_is_a_subgraph_of_the_truth():
             rng_seed=trial,
             mutual_confirmation=rng.random() < 0.5,
         )
-        got = snowball(g, cfg)
+        got = snowball_run(g, cfg).graph
         assert set(got.nodes) <= set(g.nodes)
         assert set(got.edges()) <= set(g.edges())
 
@@ -79,18 +81,19 @@ def test_sample_is_a_subgraph_of_the_truth():
 def test_same_seed_same_sample():
     g = gnp_graph(random.Random(9), 15, 0.4)
     cfg = config(seed_count=2, waves=2, rng_seed=123)
-    assert snowball(g, cfg) == snowball(g, cfg)
+    assert snowball_run(g, cfg).graph == snowball_run(g, cfg).graph
 
 
 def test_different_seeds_usually_differ():
     g = gnp_graph(random.Random(9), 15, 0.4)
-    runs = {snowball(g, config(seed_count=1, waves=1, rng_seed=s)) for s in range(8)}
+    runs = {snowball_run(g, config(seed_count=1, waves=1, rng_seed=s)).graph for s in range(8)}
     assert len(runs) > 1
 
 
 def test_zero_names_yields_isolated_seeds():
     g = complete_graph(6)
-    got = snowball(g, config(seed_count=3, names_per_interview=0, waves=2, rng_seed=4))
+    cfg = config(seed_count=3, names_per_interview=0, waves=2, rng_seed=4)
+    got = snowball_run(g, cfg).graph
     assert got.node_count == 3
     assert got.edge_count == 0
 
@@ -127,8 +130,8 @@ def test_mutual_confirmation_only_narrows_the_edge_set():
             rng_seed=trial,
             mutual_confirmation=False,
         )
-        a = snowball(g, strict)
-        b = snowball(g, loose)
+        a = snowball_run(g, strict).graph
+        b = snowball_run(g, loose).graph
         # the RNG draw sequence is identical, confirmation only filters
         assert set(a.nodes) == set(b.nodes)
         assert set(a.edges()) <= set(b.edges())
@@ -136,7 +139,8 @@ def test_mutual_confirmation_only_narrows_the_edge_set():
 
 def test_roles_survive_sampling():
     g = complete_graph(3).with_roles({"v0": Role.EXPLOITER, "v1": Role.GUIDE})
-    got = snowball(g, config(seed_count=3, names_per_interview=2, waves=1, rng_seed=1))
+    cfg = config(seed_count=3, names_per_interview=2, waves=1, rng_seed=1)
+    got = snowball_run(g, cfg).graph
     assert got.role("v0") is Role.EXPLOITER
     assert got.role("v1") is Role.GUIDE
     assert got.role("v2") is None
@@ -159,8 +163,3 @@ def test_wave_stats_account_for_everything():
         for w in run.waves:
             assert w.interviews >= 0 and w.new_nodes >= 0 and w.edges_observed >= 0
 
-
-def test_run_and_plain_snowball_agree():
-    g = gnp_graph(random.Random(30), 12, 0.4)
-    cfg = config(seed_count=2, waves=2, rng_seed=9)
-    assert snowball_run(g, cfg).graph == snowball(g, cfg)

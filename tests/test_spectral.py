@@ -40,8 +40,6 @@ def unit_laplacian(g):
 def test_adjacency_matrix_follows_order():
     g = LabeledGraph(["b", "a"], [("b", "a")])
     assert np.array_equal(adjacency_matrix(g), np.array([[0.0, 1.0], [1.0, 0.0]]))
-    flipped = adjacency_matrix(g, order=("b", "a"))
-    assert np.array_equal(flipped, np.array([[0.0, 1.0], [1.0, 0.0]]))
 
 
 def test_degree_costs():

@@ -134,6 +134,8 @@ def test_target_validation():
         HardConstraints(adjacent=("ab",))  # a string is not split into two labels
     with pytest.raises(PreconditionError, match="list of labels"):
         SoftTarget(metric="eigenvector_top3", value=1.0, nodes="ab")
+    with pytest.raises(PreconditionError, match="list of labels"):
+        SynthesisTarget(nodes="abc", edge_count=2)  # not the roster ('a', 'b', 'c')
 
 
 @pytest.mark.parametrize("bad", [2.5, 2.0, True, "2"])
@@ -267,24 +269,6 @@ def test_synthesize_moves_toward_soft_targets():
         small_target(edge_count=20, soft=soft, schedule=quick_schedule(iterations=8000))
     )
     assert objective(tuned, base) <= objective(start, base)
-
-
-def test_synthesize_accepts_matching_initial_graph():
-    target = small_target(schedule=quick_schedule(iterations=0))
-    g = synthesize_reference(target)
-    again = synthesize_reference(target, initial=g)
-    assert again.edge_count == target.edge_count
-    assert sorted(again.nodes) == sorted(target.nodes)
-
-
-def test_synthesize_rejects_bad_initial_graph():
-    target = small_target()
-    wrong_nodes = LabeledGraph(["x", "y"], [("x", "y")])
-    with pytest.raises(GraphError):
-        synthesize_reference(target, initial=wrong_nodes)
-    wrong_edges = LabeledGraph(NAMES, [(NAMES[0], NAMES[1])])
-    with pytest.raises(GraphError):
-        synthesize_reference(target, initial=wrong_edges)
 
 
 def test_objective_rejects_roster_mismatch():
