@@ -52,9 +52,10 @@ def _write_text(path: str | None, text: str) -> None:
 
 def _load_graph(args) -> LabeledGraph:
     if args.input is None:
-        return reference.reference_network()
-    g = load_edge_list(_read_text(args.input))
-    if args.roles:
+        g = reference.reference_network()
+    else:
+        g = load_edge_list(_read_text(args.input))
+    if args.roles:  # merged over the bundled roster when there is no --input
         g = load_roles(_read_text(args.roles), g)
     return g
 

@@ -2,11 +2,13 @@
 
 Models field interviews: seed actors are interviewed first, each
 interviewee names up to k of their true contacts, and newly named
-people are interviewed in the next wave. An edge enters the sample
-only once the interviews support it; with mutual confirmation on,
-both endpoints must independently vouch for the tie (by naming it or
-by confirming a prior mention when interviewed), which mirrors how
-field studies validate relationships before recording them.
+people are interviewed in the next wave. Every sampled actor is
+interviewed exactly once, in a fixed order, and a tie enters the sample
+only when both of its endpoints are interviewed. With mutual
+confirmation on, it is recorded exactly when the endpoint interviewed
+first names it, and the later endpoint then confirms it, which mirrors
+how field studies validate relationships before recording them; with
+it off, a tie is recorded when either endpoint names it.
 """
 
 from __future__ import annotations
@@ -44,7 +46,13 @@ class SamplingConfig:
 
 @dataclass(frozen=True)
 class WaveStats:
-    """Per-wave tallies for reporting a sampling run."""
+    """Per-wave tallies for reporting a sampling run.
+
+    `edges_observed` counts the sampled ties first named in this wave:
+    with mutual confirmation, the wave of the endpoint interviewed first;
+    without it, the wave of whichever endpoint named the tie first. The
+    tallies of a run add up to the sample's edge count.
+    """
 
     wave: int
     interviews: int
@@ -74,65 +82,34 @@ def snowball_run(ground_truth: LabeledGraph, config: SamplingConfig) -> Snowball
             f"of {ground_truth.node_count}"
         )
     rng = random.Random(config.rng_seed)
-    population = sorted(ground_truth.nodes)
-    seeds = rng.sample(population, config.seed_count)
-
-    discovered = set(seeds)
-    frontier = sorted(seeds)
-    named: dict[str, set[str]] = {}
-    confirmed: dict[str, set[str]] = {}
-    pending_mentions: dict[str, set[str]] = {}
-    first_named_wave: dict[frozenset[str], int] = {}
-    stats: list[WaveStats] = []
+    frontier = sorted(rng.sample(sorted(ground_truth.nodes), config.seed_count))
+    interviewed: set[str] = set()
+    tie_wave: dict[tuple[str, str], int] = {}
+    tallies: list[tuple[int, int, int]] = []
 
     for wave in range(config.waves + 1):
         fresh: set[str] = set()
         for person in frontier:
-            # a mention made before this interview gets confirmed now;
-            # mentions always come from true contacts, so the answer
-            # is honest by construction
-            confirmed[person] = set(pending_mentions.get(person, ()))
+            interviewed.add(person)
             contacts = sorted(ground_truth.neighbors(person))
-            quota = min(config.names_per_interview, len(contacts))
-            chosen = rng.sample(contacts, quota) if quota else []
-            named[person] = set(chosen)
-            for other in chosen:
-                pending_mentions.setdefault(other, set()).add(person)
-                first_named_wave.setdefault(frozenset((person, other)), wave)
+            for other in rng.sample(contacts, min(config.names_per_interview, len(contacts))):
                 fresh.add(other)
-        joining = sorted(fresh - discovered) if wave < config.waves else []
-        stats.append(
-            WaveStats(wave=wave, interviews=len(frontier), new_nodes=len(joining), edges_observed=0)
-        )
-        if wave == config.waves:
-            break
-        discovered.update(joining)
+                # under mutual confirmation a tie is recorded only by its first interviewee
+                if not (config.mutual_confirmation and other in interviewed):
+                    tie_wave.setdefault((min(person, other), max(person, other)), wave)
+        joining = sorted(fresh - interviewed) if wave < config.waves else []
+        tallies.append((wave, len(frontier), len(joining)))
         frontier = joining
         if not frontier:
             break
 
-    nodes = sorted(discovered)
-    edges = []
-    edge_waves: dict[int, int] = {}
-    for i, u in enumerate(nodes):
-        for v in nodes[i + 1 :]:
-            if not ground_truth.has_edge(u, v):
-                continue
-            named_uv = v in named.get(u, ())
-            named_vu = u in named.get(v, ())
-            if config.mutual_confirmation:
-                vouched_u = named_uv or v in confirmed.get(u, ())
-                vouched_v = named_vu or u in confirmed.get(v, ())
-                keep = vouched_u and vouched_v
-            else:
-                keep = named_uv or named_vu
-            if keep:
-                edges.append((u, v))
-                w = first_named_wave[frozenset((u, v))]
-                edge_waves[w] = edge_waves.get(w, 0) + 1
-
-    stats = [
-        WaveStats(s.wave, s.interviews, s.new_nodes, edge_waves.get(s.wave, 0)) for s in stats
-    ]
-    roles = {v: r for v, r in ground_truth.roles.items() if v in discovered}
-    return SnowballRun(graph=LabeledGraph(nodes, edges, roles), waves=tuple(stats))
+    adj: dict[str, set[str]] = {v: set() for v in sorted(interviewed)}
+    observed = [0] * len(tallies)
+    for (u, v), wave in tie_wave.items():
+        if u in adj and v in adj:
+            adj[u].add(v)
+            adj[v].add(u)
+            observed[wave] += 1
+    roles = {v: r for v, r in ground_truth.roles.items() if v in adj}
+    stats = tuple(WaveStats(w, n, new, observed[w]) for w, n, new in tallies)
+    return SnowballRun(graph=LabeledGraph._of(adj, roles), waves=stats)

@@ -9,7 +9,9 @@ edge lists instead of maintaining incremental state, and the dismantling
 oracle replays removals one at a time on a rebuilt graph, with a fresh
 largest component and fresh metrics after each, instead of taking a
 removal order up front, inserting the nodes back with union-find and
-masking one adjacency matrix.
+masking one adjacency matrix. The snowball oracle keeps every mention
+and confirmation and scans every pair of discovered actors, instead of
+recording a tie when its first-interviewed endpoint names it.
 """
 
 from __future__ import annotations
@@ -21,7 +23,16 @@ from fractions import Fraction
 
 import numpy as np
 
-from covertnet import DismantlingTrace, LabeledGraph, MetricsReport, StrategySpec
+from covertnet import (
+    DismantlingTrace,
+    LabeledGraph,
+    MetricsReport,
+    PreconditionError,
+    SamplingConfig,
+    SnowballRun,
+    StrategySpec,
+    WaveStats,
+)
 
 
 def enumerate_betweenness(g: LabeledGraph) -> dict[str, Fraction]:
@@ -175,7 +186,7 @@ def _residual_metrics(h: LabeledGraph) -> tuple[float, float, float]:
 
 @functools.lru_cache(maxsize=16)
 def _initial_metrics(g: LabeledGraph) -> MetricsReport | None:
-    from covertnet import PreconditionError, report
+    from covertnet import report
 
     try:
         return report(g)
@@ -238,3 +249,84 @@ def lazy_trace(g: LabeledGraph, spec: StrategySpec) -> DismantlingTrace:
             for v in picks:
                 remove(v)
     return DismantlingTrace(spec, g.node_count, lcc(g), _initial_metrics(g), tuple(steps))
+
+
+def mention_snowball_run(ground_truth: LabeledGraph, config: SamplingConfig) -> SnowballRun:
+    """Snowball sample by tracking every mention and confirmation.
+
+    Keeps, per interviewee, whom they named and which earlier mentions of
+    them they confirmed, then scans every pair of discovered actors and
+    keeps a true tie when both ends vouched for it (by naming it, or by
+    confirming a prior mention) under mutual confirmation, or when either
+    end named it otherwise. A kept tie counts toward the wave that first
+    named it. The RNG draws are the package's: the seeds from the sorted
+    population, then each interviewee's names from their sorted contacts.
+    """
+    if config.seed_count > ground_truth.node_count:
+        raise PreconditionError(
+            f"seed_count {config.seed_count} exceeds the population "
+            f"of {ground_truth.node_count}"
+        )
+    rng = random.Random(config.rng_seed)
+    population = sorted(ground_truth.nodes)
+    seeds = rng.sample(population, config.seed_count)
+
+    discovered = set(seeds)
+    frontier = sorted(seeds)
+    named: dict[str, set[str]] = {}
+    confirmed: dict[str, set[str]] = {}
+    pending_mentions: dict[str, set[str]] = {}
+    first_named_wave: dict[frozenset[str], int] = {}
+    stats: list[WaveStats] = []
+
+    for wave in range(config.waves + 1):
+        fresh: set[str] = set()
+        for person in frontier:
+            # a mention made before this interview gets confirmed now;
+            # mentions always come from true contacts, so the answer
+            # is honest by construction
+            confirmed[person] = set(pending_mentions.get(person, ()))
+            contacts = sorted(ground_truth.neighbors(person))
+            quota = min(config.names_per_interview, len(contacts))
+            chosen = rng.sample(contacts, quota) if quota else []
+            named[person] = set(chosen)
+            for other in chosen:
+                pending_mentions.setdefault(other, set()).add(person)
+                first_named_wave.setdefault(frozenset((person, other)), wave)
+                fresh.add(other)
+        joining = sorted(fresh - discovered) if wave < config.waves else []
+        stats.append(
+            WaveStats(wave=wave, interviews=len(frontier), new_nodes=len(joining), edges_observed=0)
+        )
+        if wave == config.waves:
+            break
+        discovered.update(joining)
+        frontier = joining
+        if not frontier:
+            break
+
+    nodes = sorted(discovered)
+    edges = []
+    edge_waves: dict[int, int] = {}
+    for i, u in enumerate(nodes):
+        for v in nodes[i + 1 :]:
+            if not ground_truth.has_edge(u, v):
+                continue
+            named_uv = v in named.get(u, ())
+            named_vu = u in named.get(v, ())
+            if config.mutual_confirmation:
+                vouched_u = named_uv or v in confirmed.get(u, ())
+                vouched_v = named_vu or u in confirmed.get(v, ())
+                keep = vouched_u and vouched_v
+            else:
+                keep = named_uv or named_vu
+            if keep:
+                edges.append((u, v))
+                w = first_named_wave[frozenset((u, v))]
+                edge_waves[w] = edge_waves.get(w, 0) + 1
+
+    stats = [
+        WaveStats(s.wave, s.interviews, s.new_nodes, edge_waves.get(s.wave, 0)) for s in stats
+    ]
+    roles = {v: r for v, r in ground_truth.roles.items() if v in discovered}
+    return SnowballRun(graph=LabeledGraph(nodes, edges, roles), waves=tuple(stats))

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -304,6 +305,48 @@ def test_bad_roles_file_is_exit_1(barbell_file, tmp_path, capsys):
     roles.write_text("a0,NotARole\n")
     assert main(["metrics", "--input", barbell_file, "--roles", str(roles)]) == 1
     assert "line 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("lines", [None, "Ex1,Guide\nnobody,Guide\n"], ids=["missing", "unknown"])
+def test_roles_without_input_are_read_and_checked(lines, tmp_path, capsys):
+    # --roles attaches to the bundled network too, so a bad file is not ignored
+    roles = tmp_path / "roles.csv"
+    if lines is not None:
+        roles.write_text(lines)
+    assert main(["metrics", "--roles", str(roles)]) == 1
+    assert "error:" in capsys.readouterr().err
+
+
+# the README's sample command on the bundled network, pinned byte for byte
+@pytest.mark.parametrize(
+    "flags, digest, observed, summary",
+    [
+        (
+            [],
+            "5447d905078f04de2430231d2541e00a898fc38e43aac16de0c2cb38297f5d52",
+            (14, 40, 19),
+            "sampled 30/34 nodes and 73/225 edges",
+        ),
+        (
+            ["--no-mutual-confirmation"],
+            "5aae1d5de66266287fbacab832ac0b908a23b032dec3110f40434f14756643f1",
+            (14, 49, 53),
+            "sampled 30/34 nodes and 116/225 edges",
+        ),
+    ],
+    ids=["mutual", "loose"],
+)
+def test_readme_sample_command_is_pinned(flags, digest, observed, summary, tmp_path, capsys):
+    out_path = tmp_path / "s.edges"
+    argv = ["sample", "--seeds", "3", "--k", "5", "--waves", "2", "--rng-seed", "11"]
+    assert main(argv + flags + ["--output", str(out_path)]) == 0
+    assert hashlib.sha256(out_path.read_bytes()).hexdigest() == digest
+    interviews, new_nodes = (3, 12, 15), (12, 15, 0)
+    assert capsys.readouterr().out.splitlines() == [
+        f"wave {w}: interviews={interviews[w]} new_nodes={new_nodes[w]} "
+        f"edges_observed={observed[w]}"
+        for w in range(3)
+    ] + [summary]
 
 
 def test_unknown_command_exits_via_argparse(capsys):

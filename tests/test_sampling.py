@@ -8,9 +8,11 @@ from covertnet import (
     Role,
     SamplingConfig,
     StrategySpec,
+    reference_network,
     snowball_run,
 )
 
+from oracles import mention_snowball_run
 from util import complete_graph, gnp_graph, path_graph
 
 
@@ -163,3 +165,64 @@ def test_wave_stats_account_for_everything():
         for w in run.waves:
             assert w.interviews >= 0 and w.new_nodes >= 0 and w.edges_observed >= 0
 
+
+
+def assert_same_run(g, cfg):
+    got, want = snowball_run(g, cfg), mention_snowball_run(g, cfg)
+    assert got.graph == want.graph
+    assert got.graph.nodes == want.graph.nodes
+    assert dict(got.graph.roles) == dict(want.graph.roles)
+    assert got.waves == want.waves
+    return got
+
+
+def test_recording_rule_matches_the_mention_bookkeeping():
+    rng = random.Random(2024)
+    roles = list(Role)
+    covered = set()
+    for trial in range(600):
+        n = rng.randrange(1, 60)
+        # unpadded labels on a shuffled roster: sorted, numeric and insertion order all differ
+        names = [f"{rng.choice('aZm')}{i}" for i in range(n)]
+        rng.shuffle(names)
+        p = rng.choice((0.0, 0.05, 0.15, 0.4, 1.0))
+        edges = [
+            (names[i], names[j]) for i in range(n) for j in range(i + 1, n) if rng.random() < p
+        ]
+        g = LabeledGraph(names, edges, {v: rng.choice(roles) for v in names if rng.random() < 0.3})
+        cfg = SamplingConfig(
+            seed_count=rng.choice((1, rng.randrange(1, n + 1), n)),
+            names_per_interview=rng.randrange(0, 12),
+            waves=rng.randrange(0, 7),
+            rng_seed=trial,
+            mutual_confirmation=rng.random() < 0.5,
+        )
+        sample = assert_same_run(g, cfg).graph
+        covered.update(
+            flag
+            for flag, hit in (
+                ("k=0", cfg.names_per_interview == 0),
+                ("waves=0", cfg.waves == 0),
+                ("all seeds", cfg.seed_count == n),
+                ("isolated", any(not g.neighbors(v) for v in sample.nodes)),
+                ("mutual", cfg.mutual_confirmation),
+                ("loose", not cfg.mutual_confirmation),
+            )
+            if hit
+        )
+    assert covered == {"k=0", "waves=0", "all seeds", "isolated", "mutual", "loose"}
+
+
+def test_recording_rule_matches_the_mention_bookkeeping_on_the_bundled_network():
+    g = reference_network()
+    for rng_seed in range(6):
+        for mutual in (True, False):
+            for k, waves in ((0, 2), (1, 4), (3, 0), (5, 2), (33, 3)):
+                seeds = (1, 3, 34)[rng_seed % 3]
+                assert_same_run(g, SamplingConfig(seeds, k, waves, rng_seed, mutual))
+    messages = set()
+    for run in (snowball_run, mention_snowball_run):
+        with pytest.raises(PreconditionError) as err:
+            run(g, SamplingConfig(35, 5, 2, 0))
+        messages.add(str(err.value))
+    assert messages == {"seed_count 35 exceeds the population of 34"}
