@@ -20,8 +20,7 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass
-from io import StringIO
+from dataclasses import asdict, dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -34,10 +33,18 @@ from .spectral import adjacency_matrix, crossing_subgraph, node_order, spectral_
 STRATEGY_KINDS = ("gnd", "hub", "random")
 COST_MODELS = ("residual", "initial")
 
-TRACE_CSV_HEADER = (
-    "step,removed_node,node_cost,cumulative_cost,lcc_size,"
-    "lcc_fraction,density,fragmentation,mean_betweenness"
+TRACE_COLUMNS = (
+    "step",
+    "removed_node",
+    "node_cost",
+    "cumulative_cost",
+    "lcc_size",
+    "lcc_fraction",
+    "density",
+    "fragmentation",
+    "mean_betweenness",
 )
+TRACE_CSV_HEADER = ",".join(TRACE_COLUMNS)
 
 
 @dataclass(frozen=True)
@@ -66,12 +73,16 @@ class StrategySpec:
             raise PreconditionError(f"unknown cost model {self.cost_model!r}")
 
     def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "target_lcc_fraction": self.target_lcc_fraction,
-            "rng_seed": self.rng_seed,
-            "cost_model": self.cost_model,
-        }
+        return asdict(self)
+
+
+class Removal(NamedTuple):
+    """One removal without the residual metrics: what a threshold cost needs."""
+
+    node: str
+    cost: int
+    cumulative_cost: int
+    lcc_size_after: int
 
 
 @dataclass(frozen=True)
@@ -88,14 +99,12 @@ class RemovalStep:
 
 
 @dataclass(frozen=True)
-class DismantlingTrace:
-    """Full record of one strategy run."""
+class Removals:
+    """Removal order, costs and LCC sizes of one run, with no residual metrics."""
 
-    strategy: StrategySpec
     initial_node_count: int
     initial_lcc_size: int
-    initial_metrics: metrics.MetricsReport | None
-    steps: tuple[RemovalStep, ...]
+    steps: tuple[Removal, ...]
 
     def removal_order(self) -> tuple[str, ...]:
         return tuple(s.node for s in self.steps)
@@ -108,17 +117,34 @@ class DismantlingTrace:
         n0 = self.initial_node_count
         return lcc_size / n0 if n0 else 0.0
 
-    def to_csv(self) -> str:
-        out = StringIO()
-        out.write(TRACE_CSV_HEADER + "\n")
+
+@dataclass(frozen=True)
+class DismantlingTrace(Removals):
+    """Full record of one strategy run: its removals with the residual metrics."""
+
+    steps: tuple[RemovalStep, ...]
+    strategy: StrategySpec
+    initial_metrics: metrics.MetricsReport | None
+
+    def _rows(self):
+        """Each step's values in `TRACE_COLUMNS` order."""
         for i, s in enumerate(self.steps, start=1):
-            frac = self.lcc_fraction(s.lcc_size_after)
-            out.write(
-                f"{i},{s.node},{s.cost},{s.cumulative_cost},{s.lcc_size_after},"
-                f"{frac!r},{s.density_after!r},{s.fragmentation_after!r},"
-                f"{s.mean_betweenness_after!r}\n"
+            yield (
+                i,
+                s.node,
+                s.cost,
+                s.cumulative_cost,
+                s.lcc_size_after,
+                self.lcc_fraction(s.lcc_size_after),
+                s.density_after,
+                s.fragmentation_after,
+                s.mean_betweenness_after,
             )
-        return out.getvalue()
+
+    def to_csv(self) -> str:
+        # str of a Python float or int is its repr, so no digit is lost
+        lines = [TRACE_CSV_HEADER] + [",".join(map(str, row)) for row in self._rows()]
+        return "\n".join(lines) + "\n"
 
     def to_json(self) -> str:
         doc = {
@@ -126,43 +152,12 @@ class DismantlingTrace:
             "initial_node_count": self.initial_node_count,
             "initial_lcc_size": self.initial_lcc_size,
             "initial_metrics": self.initial_metrics.to_dict() if self.initial_metrics else None,
-            "steps": [
-                {
-                    "step": i,
-                    "removed_node": s.node,
-                    "node_cost": s.cost,
-                    "cumulative_cost": s.cumulative_cost,
-                    "lcc_size": s.lcc_size_after,
-                    "lcc_fraction": self.lcc_fraction(s.lcc_size_after),
-                    "density": s.density_after,
-                    "fragmentation": s.fragmentation_after,
-                    "mean_betweenness": s.mean_betweenness_after,
-                }
-                for i, s in enumerate(self.steps, start=1)
-            ],
+            "steps": [dict(zip(TRACE_COLUMNS, row)) for row in self._rows()],
         }
         return json.dumps(doc, indent=2) + "\n"
 
 
-class Removal(NamedTuple):
-    """One removal without the residual metrics: what a threshold cost needs."""
-
-    node: str
-    cost: int
-    cumulative_cost: int
-    lcc_size_after: int
-
-
-@dataclass(frozen=True)
-class Removals:
-    """Removal order, costs and LCC sizes of one run, with no residual metrics."""
-
-    initial_node_count: int
-    initial_lcc_size: int
-    steps: tuple[Removal, ...]
-
-
-def threshold_cost(trace: DismantlingTrace | Removals, p: float) -> int | None:
+def threshold_cost(trace: Removals, p: float) -> int | None:
     """Cumulative cost of the first step that cut the LCC by fraction p.
 
     Zero when the starting graph already satisfies the reduction; None

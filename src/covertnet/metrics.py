@@ -18,7 +18,7 @@ and nodes outside that component score 0.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -234,20 +234,9 @@ class MetricsReport:
     eigenvector_centrality: dict[str, float]
 
     def to_dict(self) -> dict:
-        return {
-            "node_count": self.node_count,
-            "edge_count": self.edge_count,
-            "density": self.density,
-            "fragmentation": self.fragmentation,
-            "average_degree": self.average_degree,
-            "diameter_lcc": self.diameter_lcc,
-            "average_clustering": self.average_clustering,
-            "mean_betweenness": self.mean_betweenness,
-            "degree_centralization": self.degree_centralization,
-            "eigenvector_centrality": {
-                v: self.eigenvector_centrality[v] for v in sorted(self.eigenvector_centrality)
-            },
-        }
+        doc = asdict(self)
+        doc["eigenvector_centrality"] = dict(sorted(self.eigenvector_centrality.items()))
+        return doc
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2) + "\n"

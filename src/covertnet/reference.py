@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from importlib import resources
 
-from .graph import LabeledGraph, Role, load_edge_list, load_roles
+from .graph import LabeledGraph, Role, load_edge_list
 from .synthesis import (
     AnnealingSchedule,
     HardConstraints,
@@ -113,22 +113,20 @@ def build_reference_network() -> LabeledGraph:
 
 
 def reference_network() -> LabeledGraph:
-    """The bundled pre-synthesized reference network, roles attached."""
-    data = resources.files("covertnet").joinpath("data")
-    graph = load_edge_list(data.joinpath("chiapas_reference.edges").read_text())
-    return load_roles(data.joinpath("chiapas_roster.csv").read_text(), graph)
+    """The bundled pre-synthesized reference network, with `chiapas_roster()` attached."""
+    edges = resources.files("covertnet").joinpath("data", "chiapas_reference.edges")
+    return load_edge_list(edges.read_text()).with_roles(chiapas_roster())
 
 
 def _write_data_files() -> None:
     from pathlib import Path
 
-    from .graph import dump_edge_list, dump_roles
+    from .graph import dump_edge_list
 
     graph = build_reference_network()
     out = Path(__file__).resolve().parent / "data"
     out.mkdir(exist_ok=True)
     (out / "chiapas_reference.edges").write_text(dump_edge_list(graph))
-    (out / "chiapas_roster.csv").write_text(dump_roles(graph))
     print(f"wrote {graph.node_count} nodes / {graph.edge_count} edges to {out}")
 
 

@@ -1,16 +1,11 @@
-"""Cost-weighted spectral bisection.
+"""Degree-cost spectral bisection (gnd; Ren et al., PNAS 116:6554, 2019).
 
-Pipeline: per-node removal costs become a weighted adjacency matrix
-B with entries A_ij * (w_i + w_j - 1), B yields the Laplacian
+Pipeline: a node costs its degree, so the weighted adjacency matrix B
+has entries A_ij * (d_i + d_j - 1), B yields the Laplacian
 L = diag(B 1) - B, and the Laplacian's second-smallest eigenpair
 (the Fiedler pair) splits the nodes by vector sign. Edges crossing
-the split are the candidates a dismantler should attack.
-
-Every edge weight w_i + w_j - 1 must be positive. A zero weight would
-drop the edge from the Laplacian and a negative one would make L
-indefinite, so `cost_matrix` raises PreconditionError naming the first
-such edge in sorted label order. Costs above 0.5 always pass, and the
-default degree costs give every edge a weight of at least 1.
+the split are the candidates a dismantler should attack. Both ends of
+an edge have degree at least 1, so every edge weight is at least 1.
 
 L is dense, so the Fiedler pair comes from one dense symmetric
 eigensolve. Where the maths
@@ -23,7 +18,6 @@ entries within 1e-9 of zero relative to the largest become exactly
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -49,48 +43,11 @@ def adjacency_matrix(g: LabeledGraph) -> np.ndarray:
     return a
 
 
-def degree_costs(g: LabeledGraph) -> dict[str, float]:
-    """The default removal-cost model: a node costs its degree."""
-    return {v: float(g.degree(v)) for v in sorted(g.nodes)}
-
-
-def _check_costs(g: LabeledGraph, costs: Mapping[str, float]) -> None:
-    node_set = set(g.nodes)
-    missing = node_set - set(costs)
-    if missing:
-        raise GraphError(f"cost missing for node {min(missing)!r}")
-    extra = set(costs) - node_set
-    if extra:
-        raise GraphError(f"cost given for unknown node {min(extra)!r}")
-    for v in sorted(costs):
-        if not math.isfinite(costs[v]):
-            raise GraphError(f"cost of {v!r} must be finite, got {costs[v]!r}")
-    if any(costs[v] < 0 for v in costs):
-        raise GraphError("costs must be non-negative")
-    if g.node_count and not any(costs[v] > 0 for v in costs):
-        raise GraphError("at least one cost must be positive")
-
-
-def cost_matrix(g: LabeledGraph, costs: Mapping[str, float]) -> np.ndarray:
-    """Weighted adjacency in `node_order`: entry (i, j) is A_ij * (w_i + w_j - 1).
-
-    With unit costs this reduces to the plain adjacency matrix, so the
-    unweighted problem is the w = 1 special case. An edge whose weight
-    is not positive raises PreconditionError.
-    """
-    _check_costs(g, costs)
-    order = node_order(g)
+def cost_matrix(g: LabeledGraph) -> np.ndarray:
+    """Weighted adjacency in `node_order`: entry (i, j) is A_ij * (d_i + d_j - 1)."""
     a = adjacency_matrix(g)
-    w = np.array([float(costs[v]) for v in order])
-    weights = w[:, None] + w[None, :] - 1.0
-    bad = [tuple(sorted((order[i], order[j]))) for i, j in np.argwhere((a > 0) & (weights <= 0))]
-    if bad:
-        u, v = min(bad)
-        raise PreconditionError(
-            f"edge ({u!r}, {v!r}) has weight {costs[u]!r} + {costs[v]!r} - 1 <= 0;"
-            " the costs of an edge's endpoints must sum to more than 1"
-        )
-    return a * weights
+    d = a.sum(axis=1)
+    return a * (d[:, None] + d[None, :] - 1.0)
 
 
 def weighted_laplacian(b: np.ndarray) -> np.ndarray:
@@ -129,13 +86,13 @@ def fiedler(l: np.ndarray) -> tuple[float, np.ndarray]:
     l = np.asarray(l, dtype=float)
     if l.ndim != 2 or l.shape[0] != l.shape[1]:
         raise GraphError("laplacian must be square")
+    if l.shape[0] < 2:
+        raise PreconditionError("fiedler pair needs at least 2 nodes")
     if not np.allclose(l, l.T, atol=1e-9):
         raise GraphError("laplacian must be symmetric")
     scale = max(1.0, float(np.abs(l).max()))
     if np.abs(l.sum(axis=1)).max() > 1e-8 * scale:
         raise GraphError("laplacian rows must sum to zero")
-    if l.shape[0] < 2:
-        raise PreconditionError("fiedler pair needs at least 2 nodes")
     if float(l.diagonal().max()) <= 0.0:
         raise PreconditionError("graph has no edges, so it is disconnected")
     vals, vecs = np.linalg.eigh(l)
@@ -169,8 +126,10 @@ def bisect(
 ) -> SpectralBisection:
     """Split nodes by vector sign: v_i >= 0 goes to part_m.
 
-    The stored vector is rescaled to unit length. A vector that puts
-    every node on one side cannot drive a bisection and is rejected.
+    The stored vector is rescaled to unit length, dividing by its
+    largest |entry| first so that tiny or huge entries neither underflow
+    nor overflow. Every entry must be finite. A vector that puts every
+    node on one side cannot drive a bisection and is rejected.
     """
     order = node_order(g)
     missing = set(order) - set(vector)
@@ -180,10 +139,15 @@ def bisect(
     if extra:
         raise GraphError(f"vector entry for unknown node {min(extra)!r}")
     arr = np.array([float(vector[v]) for v in order])
+    bad = np.flatnonzero(~np.isfinite(arr))
+    if bad.size:
+        i = bad[0]
+        raise GraphError(f"vector entry for {order[i]!r} must be finite, got {float(arr[i])!r}")
     part_m = frozenset(v for v, comp in zip(order, arr) if comp >= 0.0)
     part_m_bar = frozenset(order) - part_m
     if not part_m or not part_m_bar:
         raise PreconditionError("degenerate bisection: every node fell on one side")
+    arr = arr / np.abs(arr).max()
     arr = arr / np.linalg.norm(arr)
     return SpectralBisection(
         part_m=part_m,
@@ -206,14 +170,7 @@ def crossing_subgraph(g: LabeledGraph, bisection: SpectralBisection) -> LabeledG
     return LabeledGraph._of(adj)
 
 
-def spectral_bisection(
-    g: LabeledGraph, costs: Mapping[str, float] | None = None
-) -> SpectralBisection:
-    """Full pipeline: costs -> B -> L -> Fiedler pair -> sign split."""
-    if costs is None:
-        costs = degree_costs(g)
-    order = node_order(g)
-    b = cost_matrix(g, costs)
-    l = weighted_laplacian(b)
-    lam, vec = fiedler(l)
-    return bisect(g, dict(zip(order, (float(c) for c in vec))), fiedler_value=lam)
+def spectral_bisection(g: LabeledGraph) -> SpectralBisection:
+    """Full pipeline: degree costs -> B -> L -> Fiedler pair -> sign split."""
+    lam, vec = fiedler(weighted_laplacian(cost_matrix(g)))
+    return bisect(g, dict(zip(node_order(g), vec.tolist())), fiedler_value=lam)

@@ -11,15 +11,20 @@ largest component and fresh metrics after each, instead of taking a
 removal order up front, inserting the nodes back with union-find and
 masking one adjacency matrix. The snowball oracle keeps every mention
 and confirmation and scans every pair of discovered actors, instead of
-recording a tie when its first-interviewed endpoint names it.
+recording a tie when its first-interviewed endpoint names it. The
+serialisation oracles write a trace, a strategy spec and a metrics
+report field by field, instead of from one row generator and
+`dataclasses.asdict`.
 """
 
 from __future__ import annotations
 
 import functools
+import json
 import random
 from collections import deque
 from fractions import Fraction
+from io import StringIO
 
 import numpy as np
 
@@ -248,7 +253,83 @@ def lazy_trace(g: LabeledGraph, spec: StrategySpec) -> DismantlingTrace:
             assert picks, "a connected core of two or more nodes has crossing edges"
             for v in picks:
                 remove(v)
-    return DismantlingTrace(spec, g.node_count, lcc(g), _initial_metrics(g), tuple(steps))
+    return DismantlingTrace(
+        strategy=spec,
+        initial_node_count=g.node_count,
+        initial_lcc_size=lcc(g),
+        initial_metrics=_initial_metrics(g),
+        steps=tuple(steps),
+    )
+
+
+def spec_dict(spec: StrategySpec) -> dict:
+    """A strategy spec's JSON object, field by field."""
+    return {
+        "kind": spec.kind,
+        "target_lcc_fraction": spec.target_lcc_fraction,
+        "rng_seed": spec.rng_seed,
+        "cost_model": spec.cost_model,
+    }
+
+
+def report_dict(rep: MetricsReport) -> dict:
+    """A metrics report's JSON object, field by field, eigenvector scores by label."""
+    return {
+        "node_count": rep.node_count,
+        "edge_count": rep.edge_count,
+        "density": rep.density,
+        "fragmentation": rep.fragmentation,
+        "average_degree": rep.average_degree,
+        "diameter_lcc": rep.diameter_lcc,
+        "average_clustering": rep.average_clustering,
+        "mean_betweenness": rep.mean_betweenness,
+        "degree_centralization": rep.degree_centralization,
+        "eigenvector_centrality": {
+            v: rep.eigenvector_centrality[v] for v in sorted(rep.eigenvector_centrality)
+        },
+    }
+
+
+def trace_csv(trace: DismantlingTrace) -> str:
+    """A trace's CSV, one f-string per step with every float as its repr."""
+    out = StringIO()
+    out.write(
+        "step,removed_node,node_cost,cumulative_cost,lcc_size,"
+        "lcc_fraction,density,fragmentation,mean_betweenness\n"
+    )
+    for i, s in enumerate(trace.steps, start=1):
+        frac = trace.lcc_fraction(s.lcc_size_after)
+        out.write(
+            f"{i},{s.node},{s.cost},{s.cumulative_cost},{s.lcc_size_after},"
+            f"{frac!r},{s.density_after!r},{s.fragmentation_after!r},"
+            f"{s.mean_betweenness_after!r}\n"
+        )
+    return out.getvalue()
+
+
+def trace_json(trace: DismantlingTrace) -> str:
+    """A trace's JSON, each step's object spelled out key by key."""
+    doc = {
+        "strategy": spec_dict(trace.strategy),
+        "initial_node_count": trace.initial_node_count,
+        "initial_lcc_size": trace.initial_lcc_size,
+        "initial_metrics": report_dict(trace.initial_metrics) if trace.initial_metrics else None,
+        "steps": [
+            {
+                "step": i,
+                "removed_node": s.node,
+                "node_cost": s.cost,
+                "cumulative_cost": s.cumulative_cost,
+                "lcc_size": s.lcc_size_after,
+                "lcc_fraction": trace.lcc_fraction(s.lcc_size_after),
+                "density": s.density_after,
+                "fragmentation": s.fragmentation_after,
+                "mean_betweenness": s.mean_betweenness_after,
+            }
+            for i, s in enumerate(trace.steps, start=1)
+        ],
+    }
+    return json.dumps(doc, indent=2) + "\n"
 
 
 def mention_snowball_run(ground_truth: LabeledGraph, config: SamplingConfig) -> SnowballRun:

@@ -19,12 +19,12 @@ from covertnet import (
     PreconditionError,
     SamplingConfig,
     StrategySpec,
+    adjacency_matrix,
     average_clustering,
     average_degree,
     betweenness,
     bisect,
     connected_components,
-    cost_matrix,
     crossing_subgraph,
     degree_centralization,
     density,
@@ -97,11 +97,10 @@ def test_criterion_03_oracle_equivalence(capsys):
             oracle = enumerate_betweenness(g)
             for v in g.nodes:
                 assert abs(mine[v] - float(oracle[v])) <= 1e-12
-        # Fiedler pairs against a dense symmetric eigensolve under
-        # unit costs, connected graphs up to 6 nodes
+        # Fiedler pairs against a dense symmetric eigensolve on the
+        # unweighted Laplacian, connected graphs up to 6 nodes
         for g in connected_atlas(2, 6):
-            ones = {v: 1.0 for v in g.nodes}
-            l = weighted_laplacian(cost_matrix(g, ones))
+            l = weighted_laplacian(adjacency_matrix(g))
             lam, vec = fiedler(l)
             lam_star, basis = dense_fiedler(l)
             assert abs(lam - lam_star) <= 1e-6

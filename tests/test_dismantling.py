@@ -3,6 +3,7 @@ import io
 import json
 import math
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -24,7 +25,8 @@ from covertnet import (
     threshold_cost,
     wvc,
 )
-from oracles import greedy_cover_order, lazy_trace
+from covertnet.dismantling import COST_MODELS, STRATEGY_KINDS, Removals
+from oracles import greedy_cover_order, lazy_trace, report_dict, spec_dict, trace_csv, trace_json
 from util import (
     barbell_graph,
     complete_graph,
@@ -332,6 +334,51 @@ def test_initial_metrics_missing_on_tiny_graphs():
     trace = run_strategy(g, StrategySpec(kind="hub", target_lcc_fraction=0.5))
     assert trace.initial_metrics is None  # too small for a full report
     assert json.loads(trace.to_json())["initial_metrics"] is None
+
+
+def test_serialisers_match_the_field_by_field_writers():
+    # the row generator and dataclasses.asdict write the same text as
+    # spelling every field out, and a trace's removals answer the same
+    # order and cost questions as the unlogged run's
+    rng = random.Random(12)
+    graphs = [
+        reference_network(),
+        LabeledGraph(),
+        LabeledGraph(["a"]),
+        LabeledGraph(["a", "b"], [("a", "b")]),
+        LabeledGraph(["x", "y", "z"]),
+        path_graph(3),
+        star_graph(4),
+    ]
+    for _ in range(20):
+        graphs.append(random_connected_graph(rng, rng.randrange(3, 25), rng.randrange(0, 30)))
+    graphs += [gnp_graph(rng, rng.randrange(3, 15), 0.15) for _ in range(6)]
+    for g in graphs:
+        for kind in STRATEGY_KINDS:
+            for model in COST_MODELS:
+                spec = StrategySpec(
+                    kind=kind,
+                    target_lcc_fraction=rng.choice((0.2, 0.5, 1.0)),
+                    rng_seed=rng.randrange(100) if kind == "random" else None,
+                    cost_model=model,
+                )
+                trace = run_strategy(g, spec)
+                assert trace.to_csv() == trace_csv(trace)
+                assert trace.to_json() == trace_json(trace)
+                assert list(spec.to_dict().items()) == list(spec_dict(spec).items())
+                core = removals(g, spec)
+                assert isinstance(trace, Removals)
+                assert core.removal_order() == trace.removal_order()
+                assert core.total_cost() == trace.total_cost()
+                assert core.lcc_fraction(core.initial_lcc_size) == trace.lcc_fraction(
+                    trace.initial_lcc_size
+                )
+        if trace.initial_metrics is not None:
+            rep = trace.initial_metrics
+            # scores are written by label even when stored out of order
+            shuffled = dict(reversed(rep.eigenvector_centrality.items()))
+            for r in (rep, replace(rep, eigenvector_centrality=shuffled)):
+                assert r.to_json() == json.dumps(report_dict(r), indent=2) + "\n"
 
 
 def test_gnd_first_pick_is_not_simply_the_biggest_hub():

@@ -13,7 +13,6 @@ from covertnet import (
     bisect,
     cost_matrix,
     crossing_subgraph,
-    degree_costs,
     fiedler,
     node_order,
     spectral_bisection,
@@ -25,7 +24,6 @@ from util import (
     barbell_graph,
     complete_graph,
     cycle_graph,
-    gnp_graph,
     path_graph,
     random_connected_graph,
     star_graph,
@@ -42,67 +40,12 @@ def test_adjacency_matrix_follows_order():
     assert np.array_equal(adjacency_matrix(g), np.array([[0.0, 1.0], [1.0, 0.0]]))
 
 
-def test_degree_costs():
-    g = path_graph(3)
-    assert degree_costs(g) == {"v0": 1.0, "v1": 2.0, "v2": 1.0}
-
-
 def test_cost_matrix_hand_value():
     g = path_graph(3)
-    b = cost_matrix(g, degree_costs(g))
+    b = cost_matrix(g)
     # edge (v0, v1): 1 + 2 - 1 = 2, and symmetrically for (v1, v2)
     expect = np.array([[0, 2, 0], [2, 0, 2], [0, 2, 0]], dtype=float)
     assert np.array_equal(b, expect)
-
-
-def test_unit_costs_reduce_to_adjacency():
-    rng = random.Random(2)
-    for _ in range(10):
-        g = gnp_graph(rng, 8, 0.4)
-        ones = {v: 1.0 for v in g.nodes}
-        assert np.array_equal(cost_matrix(g, ones), adjacency_matrix(g))
-
-
-def test_cost_validation():
-    g = path_graph(3)
-    with pytest.raises(GraphError):
-        cost_matrix(g, {"v0": 1.0, "v1": 1.0})
-    with pytest.raises(GraphError):
-        cost_matrix(g, {**degree_costs(g), "ghost": 1.0})
-    with pytest.raises(GraphError):
-        cost_matrix(g, {"v0": -1.0, "v1": 1.0, "v2": 1.0})
-    with pytest.raises(GraphError):
-        cost_matrix(g, {"v0": 0.0, "v1": 0.0, "v2": 0.0})
-
-
-@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-def test_non_finite_costs_name_the_first_bad_node(bad):
-    g = LabeledGraph(["a", "b", "c", "d"], [("a", "b"), ("b", "c"), ("c", "d")])
-    costs = {"a": bad, "b": 2.0, "c": 2.0, "d": 1.0}
-    with pytest.raises(GraphError, match=re.escape(f"cost of 'a' must be finite, got {bad!r}")):
-        spectral_bisection(g, costs)
-    # the first in sorted label order is named, whatever the dict order
-    costs = {"d": bad, "c": 2.0, "b": bad, "a": 1.0}
-    with pytest.raises(GraphError, match="cost of 'b' must be finite"):
-        cost_matrix(g, costs)
-
-
-@pytest.mark.parametrize(
-    "costs, edge",
-    [
-        ({"a": 0.0, "b": 0.0, "c": 1.0, "d": 1.0}, "('a', 'b')"),
-        ({"a": 0.2, "b": 0.2, "c": 0.2, "d": 0.2}, "('a', 'b')"),
-        ({"a": 1.0, "b": 0.5, "c": 0.5, "d": 0.0}, "('b', 'c')"),
-    ],
-)
-def test_edge_weights_must_be_positive(costs, edge):
-    # w_u + w_v - 1 <= 0 used to surface as "graph is disconnected" or
-    # "graph has no edges" from the Fiedler solve
-    g = LabeledGraph(["a", "b", "c", "d"], [("a", "b"), ("b", "c"), ("c", "d")])
-    with pytest.raises(PreconditionError, match=re.escape(f"edge {edge}")):
-        cost_matrix(g, costs)
-    with pytest.raises(PreconditionError, match=re.escape(f"edge {edge}")):
-        spectral_bisection(g, costs)
 
 
 def test_weighted_laplacian_hand_value():
@@ -154,7 +97,7 @@ def test_fiedler_matches_dense_solver_weighted():
     rng = random.Random(32)
     for _ in range(20):
         g = random_connected_graph(rng, rng.randrange(3, 12), rng.randrange(0, 12))
-        l = weighted_laplacian(cost_matrix(g, degree_costs(g)))
+        l = weighted_laplacian(cost_matrix(g))
         lam, vec = fiedler(l)
         lam_star, basis = dense_fiedler(l)
         assert abs(lam - lam_star) <= 1e-6
@@ -170,6 +113,8 @@ def test_fiedler_rejects_disconnected():
 def test_fiedler_rejects_edgeless():
     with pytest.raises(PreconditionError):
         fiedler(np.zeros((3, 3)))
+    with pytest.raises(PreconditionError):
+        spectral_bisection(LabeledGraph(["a", "b", "c"]))
 
 
 def test_fiedler_input_validation():
@@ -179,8 +124,12 @@ def test_fiedler_input_validation():
         fiedler(np.array([[1.0, -1.0], [0.0, 1.0]]))
     with pytest.raises(GraphError):
         fiedler(np.array([[1.0, 1.0], [1.0, 1.0]]))
-    with pytest.raises(PreconditionError):
-        fiedler(np.zeros((1, 1)))
+    # too small: the 0-node case used to escape as numpy's zero-size ValueError
+    for n in (0, 1):
+        with pytest.raises(PreconditionError):
+            fiedler(np.zeros((n, n)))
+        with pytest.raises(PreconditionError):
+            spectral_bisection(LabeledGraph(["a"][:n]))
 
 
 def test_fiedler_sign_convention_is_stable():
@@ -214,7 +163,7 @@ def test_fiedler_degenerate_eigenspace_returns_first_basis_projection(g):
 
 def test_fiedler_zero_entry_goes_to_part_m():
     g = path_graph(3)
-    split = spectral_bisection(g, costs={v: 1.0 for v in g.nodes})
+    split = spectral_bisection(g)
     assert split.fiedler_vector["v1"] == 0.0
     assert split.part_m == frozenset({"v0", "v1"})
     assert split.part_m_bar == frozenset({"v2"})
@@ -236,6 +185,11 @@ def test_bisect_by_sign():
     assert split.fiedler_value == 1.0
     norm = math.sqrt(sum(c * c for c in split.fiedler_vector.values()))
     assert norm == pytest.approx(1.0)
+    # a subnormal vector's norm underflows to 0 and a huge one's overflows
+    half = 1.0 / math.sqrt(2.0)
+    for scale in (1e-320, 1e-310, 1e300):
+        split = bisect(g, {"v0": scale, "v1": 0.0, "v2": -scale})
+        assert split.fiedler_vector == pytest.approx({"v0": half, "v1": 0.0, "v2": -half})
 
 
 def test_bisect_validation():
@@ -246,6 +200,12 @@ def test_bisect_validation():
         bisect(g, {"v0": 1.0, "v1": -1.0, "v2": 0.0, "ghost": 1.0})
     with pytest.raises(PreconditionError):
         bisect(g, {"v0": 1.0, "v1": 1.0, "v2": 2.0})
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(GraphError, match=re.escape(f"'v1' must be finite, got {bad!r}")):
+            bisect(g, {"v0": 1.0, "v1": bad, "v2": -1.0})
+        # the first in sorted label order is named, whatever the dict order
+        with pytest.raises(GraphError, match="'v0' must be finite"):
+            bisect(g, {"v2": bad, "v1": -1.0, "v0": math.nan})
 
 
 def test_crossing_subgraph():
@@ -272,14 +232,6 @@ def test_spectral_bisection_separates_barbell_cliques():
     assert {split.part_m, split.part_m_bar} == {left, right}
     crossing = crossing_subgraph(g, split)
     assert crossing.edges() == [("a0", "b0")]
-
-
-def test_spectral_bisection_unit_costs_equals_plain_laplacian():
-    g = barbell_graph(3)
-    ones = {v: 1.0 for v in g.nodes}
-    split = spectral_bisection(g, costs=ones)
-    lam_star, _ = dense_fiedler(unit_laplacian(g))
-    assert split.fiedler_value == pytest.approx(lam_star, abs=1e-8)
 
 
 def test_spectral_bisection_deterministic():

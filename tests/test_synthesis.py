@@ -19,6 +19,7 @@ from covertnet import (
     SynthesisTarget,
     average_clustering,
     average_degree,
+    chiapas_roster,
     connected_components,
     default_chiapas_target,
     degree_centralization,
@@ -478,6 +479,13 @@ def test_session_build_matches_bundled_edge_list(synthesized_reference_bytes):
     built, _ = synthesized_reference_bytes
     bundled = resources.files("covertnet").joinpath("data", "chiapas_reference.edges")
     assert built == bundled.read_bytes()
+
+
+def test_bundled_roles_come_from_the_roster():
+    # the edge list is the only bundled data file; the roles are not stored twice
+    data = resources.files("covertnet").joinpath("data")
+    assert sorted(p.name for p in data.iterdir()) == ["chiapas_reference.edges"]
+    assert dict(reference_network().roles) == chiapas_roster()
 
 
 def hard_rule_distances(g, hard):
