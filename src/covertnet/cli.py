@@ -92,13 +92,12 @@ def cmd_metrics(args) -> int:
 
 
 def _spec_for(args) -> StrategySpec:
-    seed = args.seed if args.strategy == "random" else None
-    if args.strategy == "random" and seed is None:
-        raise PreconditionError("the random strategy needs --seed")
+    if (args.seed is None) == (args.strategy == "random"):
+        raise PreconditionError("--seed is required by the random strategy and taken by no other")
     return StrategySpec(
         kind=args.strategy,
         target_lcc_fraction=args.target_lcc,
-        rng_seed=seed,
+        rng_seed=args.seed,
         cost_model=args.cost_model,
     )
 

@@ -51,10 +51,12 @@ def cost_matrix(g: LabeledGraph) -> np.ndarray:
 
 
 def weighted_laplacian(b: np.ndarray) -> np.ndarray:
-    """L = diag(row sums) - b for a symmetric zero-diagonal matrix."""
+    """L = diag(row sums) - b for a finite, symmetric, zero-diagonal matrix."""
     b = np.asarray(b, dtype=float)
     if b.ndim != 2 or b.shape[0] != b.shape[1]:
         raise GraphError("cost matrix must be square")
+    if not np.isfinite(b).all():
+        raise GraphError("cost matrix entries must be finite")
     if not np.array_equal(b, b.T):
         raise GraphError("cost matrix must be symmetric")
     if np.any(b.diagonal() != 0.0):
@@ -88,6 +90,8 @@ def fiedler(l: np.ndarray) -> tuple[float, np.ndarray]:
         raise GraphError("laplacian must be square")
     if l.shape[0] < 2:
         raise PreconditionError("fiedler pair needs at least 2 nodes")
+    if not np.isfinite(l).all():
+        raise GraphError("laplacian entries must be finite")
     if not np.allclose(l, l.T, atol=1e-9):
         raise GraphError("laplacian must be symmetric")
     scale = max(1.0, float(np.abs(l).max()))

@@ -3,10 +3,11 @@
 A synthesis target fixes the node roster and edge count, a set of
 hard structural constraints (connectivity, pinned degrees, required
 adjacencies, pair coverage, a protected top-degree pair), and a set
-of soft metric targets scored as weighted squared deviations. The
-annealer first repairs a random graph until every hard constraint
-holds, then walks the feasible space with single edge swaps, keeping
-the best-scoring graph it visits.
+of soft metric targets, each entry scored on its own as a weighted
+squared deviation. The annealer starts from a random fill that already
+holds every required adjacency, repairs it until the other hard
+constraints hold too, then walks the feasible space with single edge
+swaps, keeping the best-scoring graph it visits.
 
 Every run is driven by one seeded RNG, so a target synthesizes to the
 same graph on every machine.
@@ -233,10 +234,6 @@ class SynthesisTarget:
                         f"{hc.top_degree_margin} below the top pair"
                     )
 
-    @property
-    def node_count(self) -> int:
-        return len(self.nodes)
-
 
 _TARGET_KEYS = {"hard", "soft", "schedule", "missing_metric_penalty"}
 _HARD_KEYS = {"nodes", "edges", "connected", "degrees", "adjacent", "pair_coverage",
@@ -440,44 +437,36 @@ class _Evaluator:
         wanted = {t.metric for t in target.soft}
         self.need_dist = bool(wanted & {"diameter_lcc", "mean_betweenness", "eigenvector_top3"})
 
-    def values(self, state: _State) -> dict[str, float | None]:
-        """Every requested metric's value, None where not computable."""
+    def contributions(self, state: _State):
+        """(metric, achieved, contribution) for each soft target, in target
+        order; each entry is scored on its own, achieved None where the
+        metric is not computable."""
         n = state.n
         m = len(state.edges)
         a = state.a
-        out: dict[str, float | None] = {}
         dist, sigma = _paths(a) if self.need_dist else (None, None)
-        for metric, _value, _weight, nodes in self.terms:
-            if metric in out:
-                continue
+        for metric, value, weight, nodes in self.terms:
             if metric == "density":
-                out[metric] = _density(n, m) if n >= 2 else None
+                got = _density(n, m) if n >= 2 else None
             elif metric == "fragmentation":
-                out[metric] = 1.0 - _density(n, m) if n >= 2 else None
+                got = 1.0 - _density(n, m) if n >= 2 else None
             elif metric == "average_degree":
-                out[metric] = (2.0 * m) / n if n >= 1 else None
+                got = (2.0 * m) / n if n >= 1 else None
             elif metric == "diameter_lcc":
                 # a disconnected candidate has no diameter
-                out[metric] = float(dist.max()) if m and (dist >= 0).all() else None
+                got = float(dist.max()) if m and (dist >= 0).all() else None
             elif metric == "average_clustering":
-                out[metric] = float(_clustering(a).mean()) if n >= 1 else None
+                got = float(_clustering(a).mean()) if n >= 1 else None
             elif metric == "mean_betweenness":
-                out[metric] = _mean_betweenness(a, dist, sigma) if n >= 3 else None
+                got = _mean_betweenness(a, dist, sigma) if n >= 3 else None
             elif metric == "degree_centralization":
-                out[metric] = _degree_centralization(state.deg) if n >= 3 else None
-            elif metric == "eigenvector_top3":
-                # fraction of `nodes` (on the roster, so n >= 1) in the
-                # top-3 eigenvector ranking
+                got = _degree_centralization(state.deg) if n >= 3 else None
+            else:
+                # eigenvector_top3: the fraction of `nodes` (on the roster,
+                # so n >= 1) in the top-3 eigenvector ranking
                 scores = _leading_vector(a, dist)
                 top = np.argsort(-scores, kind="stable")[:3].tolist()
-                out[metric] = len(set(top).intersection(nodes)) / len(nodes)
-        return out
-
-    def contributions(self, state: _State):
-        """(metric, achieved, contribution) for each soft target, in target order."""
-        vals = self.values(state)
-        for metric, value, weight, _nodes in self.terms:
-            got = vals[metric]
+                got = len(set(top).intersection(nodes)) / len(nodes)
             if got is None:
                 yield metric, None, weight * self.penalty
             else:
@@ -527,12 +516,9 @@ def soft_report(g: LabeledGraph, target: SynthesisTarget) -> list[dict]:
 def _random_fill(
     rng: random.Random, n: int, m: int, required: frozenset[tuple[int, int]]
 ) -> list[tuple[int, int]]:
-    chosen = sorted(required)
-    rest = [
-        (i, j) for i in range(n) for j in range(i + 1, n) if (i, j) not in required
-    ]
-    extra = rng.sample(rest, m - len(chosen))
-    return chosen + extra
+    """Every required pair, then m - len(required) random others."""
+    rest = [(i, j) for i in range(n) for j in range(i + 1, n) if (i, j) not in required]
+    return sorted(required) + rng.sample(rest, m - len(required))
 
 
 def _anneal(
@@ -594,38 +580,24 @@ def synthesize_reference(target: SynthesisTarget) -> LabeledGraph:
     sched = target.schedule
     rng = random.Random(sched.rng_seed)
 
-    state = None
-    last_violations = None
     for _ in range(_REPAIR_ATTEMPTS):
-        pairs = _random_fill(rng, n, target.edge_count, check.required)
-        candidate = _State(n, pairs)
-        missing = [pair for pair in sorted(check.required) if not candidate.has(*pair)]
-        for pair in missing:
-            # force the required adjacency in by trading away an expendable
-            # edge; a constructed target leaves at least one per missing pair
-            expendable = [e for e in candidate.edges if e not in check.required]
-            candidate.swap(expendable[rng.randrange(len(expendable))], pair)
-        if check.violations(candidate) > 0.0:
-            cur, _edges = _anneal(
-                candidate,
-                rng,
-                iterations=_REPAIR_ITERATIONS,
-                t0=sched.initial_temperature,
-                cooling=sched.cooling_factor,
-                score=check.violations,
-                guard=None,
-                protected=check.required,
-            )
-            last_violations = cur
-            if cur > 0.0:
-                continue
-        state = candidate
-        break
-    if state is None:
+        state = _State(n, _random_fill(rng, n, target.edge_count, check.required))
+        violations, _edges = _anneal(
+            state,
+            rng,
+            iterations=_REPAIR_ITERATIONS,
+            t0=sched.initial_temperature,
+            cooling=sched.cooling_factor,
+            score=check.violations,
+            guard=None,
+            protected=check.required,
+        )
+        if violations == 0.0:
+            break
+    else:
         raise InfeasibleTargetError(
             "hard constraints not satisfied after "
-            f"{_REPAIR_ATTEMPTS} repair attempts (remaining violation score "
-            f"{last_violations})"
+            f"{_REPAIR_ATTEMPTS} repair attempts (remaining violation score {violations})"
         )
 
     _final, best_edges = _anneal(

@@ -14,7 +14,11 @@ and confirmation and scans every pair of discovered actors, instead of
 recording a tie when its first-interviewed endpoint names it. The
 serialisation oracles write a trace, a strategy spec and a metrics
 report field by field, instead of from one row generator and
-`dataclasses.asdict`.
+`dataclasses.asdict`. The soft-score oracle computes each requested
+metric once into a dict keyed by metric name and then scores the
+targets from that dict, instead of scoring each target in one pass; so
+it scores every `eigenvector_top3` entry with the first entry's node
+list.
 """
 
 from __future__ import annotations
@@ -36,8 +40,11 @@ from covertnet import (
     SamplingConfig,
     SnowballRun,
     StrategySpec,
+    SynthesisTarget,
     WaveStats,
 )
+from covertnet.metrics import _clustering, _degree_centralization, _density, _leading_vector
+from covertnet.metrics import _mean_betweenness, _paths
 
 
 def enumerate_betweenness(g: LabeledGraph) -> dict[str, Fraction]:
@@ -411,3 +418,57 @@ def mention_snowball_run(ground_truth: LabeledGraph, config: SamplingConfig) -> 
     ]
     roles = {v: r for v, r in ground_truth.roles.items() if v in discovered}
     return SnowballRun(graph=LabeledGraph(nodes, edges, roles), waves=tuple(stats))
+
+
+class MetricDictEvaluator:
+    """Soft-target scoring through a dict of metric values keyed by name."""
+
+    def __init__(self, target: SynthesisTarget, order: tuple[str, ...]):
+        idx = {v: i for i, v in enumerate(order)}
+        self.penalty = target.missing_metric_penalty
+        self.terms = [
+            (t.metric, t.value, t.weight, tuple(idx[v] for v in t.nodes)) for t in target.soft
+        ]
+        wanted = {t.metric for t in target.soft}
+        self.need_dist = bool(wanted & {"diameter_lcc", "mean_betweenness", "eigenvector_top3"})
+
+    def values(self, state) -> dict[str, float | None]:
+        """Every requested metric's value, None where not computable."""
+        n = state.n
+        m = len(state.edges)
+        a = state.a
+        out: dict[str, float | None] = {}
+        dist, sigma = _paths(a) if self.need_dist else (None, None)
+        for metric, _value, _weight, nodes in self.terms:
+            if metric in out:
+                continue
+            if metric == "density":
+                out[metric] = _density(n, m) if n >= 2 else None
+            elif metric == "fragmentation":
+                out[metric] = 1.0 - _density(n, m) if n >= 2 else None
+            elif metric == "average_degree":
+                out[metric] = (2.0 * m) / n if n >= 1 else None
+            elif metric == "diameter_lcc":
+                out[metric] = float(dist.max()) if m and (dist >= 0).all() else None
+            elif metric == "average_clustering":
+                out[metric] = float(_clustering(a).mean()) if n >= 1 else None
+            elif metric == "mean_betweenness":
+                out[metric] = _mean_betweenness(a, dist, sigma) if n >= 3 else None
+            elif metric == "degree_centralization":
+                out[metric] = _degree_centralization(state.deg) if n >= 3 else None
+            elif metric == "eigenvector_top3":
+                scores = _leading_vector(a, dist)
+                top = np.argsort(-scores, kind="stable")[:3].tolist()
+                out[metric] = len(set(top).intersection(nodes)) / len(nodes)
+        return out
+
+    def contributions(self, state):
+        """(metric, achieved, contribution) for each soft target, in target order."""
+        vals = self.values(state)
+        for metric, value, weight, _nodes in self.terms:
+            got = vals[metric]
+            if got is None:
+                yield metric, None, weight * self.penalty
+            else:
+                diff = got - value
+                yield metric, got, weight * diff * diff

@@ -114,6 +114,17 @@ def test_dismantle_random_needs_seed(barbell_file, capsys):
     )
 
 
+def test_seed_for_a_seedless_strategy_and_an_empty_ensemble_are_exit_2(barbell_file, capsys):
+    for strategy in ("gnd", "hub"):
+        argv = ["dismantle", "--input", barbell_file, "--strategy", strategy, "--seed", "5"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and "--seed" in captured.err
+    assert main(["compare", "--input", barbell_file, "--runs", "0"]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_compare_prints_cost_table(barbell_file, tmp_path, capsys):
     out_path = tmp_path / "comparison.json"
     curves_path = tmp_path / "curves.csv"
@@ -261,6 +272,22 @@ def test_infeasible_target_is_exit_3(tmp_path, capsys):
     code = main(["synthesize", "--target", str(target_path), "--output", str(out_path)])
     assert code == 3
     assert "infeasible" in capsys.readouterr().err
+
+
+def test_target_no_repair_can_satisfy_is_exit_3(tmp_path, capsys):
+    # every static check passes, but a and b of degree 3 on four nodes
+    # need 5 distinct edges, so each repair attempt stops short
+    doc = {"hard": {"nodes": ["a", "b", "c", "d"], "edges": 3, "degrees": {"a": 3, "b": 3}}}
+    target_path = tmp_path / "target.json"
+    target_path.write_text(json.dumps(doc))
+    out_path = tmp_path / "never.edges"
+    code = main(["synthesize", "--target", str(target_path), "--output", str(out_path)])
+    assert code == 3
+    assert capsys.readouterr().err == (
+        "error: infeasible target: hard constraints not satisfied after 8 repair "
+        "attempts (remaining violation score 2.0)\n"
+    )
+    assert not out_path.exists()
 
 
 def test_non_integral_target_field_is_exit_1(tmp_path, capsys):

@@ -64,6 +64,13 @@ def test_weighted_laplacian_validation():
         weighted_laplacian(np.array([[1.0, 0.0], [0.0, 0.0]]))
 
 
+@pytest.mark.parametrize("bad", [math.inf, math.nan])
+def test_weighted_laplacian_rejects_non_finite_entries(bad):
+    # a NaN is unequal to itself, so without this check it read as asymmetric
+    with pytest.raises(GraphError, match="entries must be finite"):
+        weighted_laplacian(np.array([[0.0, bad], [bad, 0.0]]))
+
+
 def test_fiedler_path3():
     lam, vec = fiedler(unit_laplacian(path_graph(3)))
     assert lam == pytest.approx(1.0, abs=1e-9)
@@ -130,6 +137,13 @@ def test_fiedler_input_validation():
             fiedler(np.zeros((n, n)))
         with pytest.raises(PreconditionError):
             spectral_bisection(LabeledGraph(["a"][:n]))
+
+
+@pytest.mark.parametrize("bad", [math.inf, math.nan])
+def test_fiedler_rejects_non_finite_entries(bad):
+    # inf - inf rows used to reach the eigensolver and come back as NaNs
+    with pytest.raises(GraphError, match="entries must be finite"):
+        fiedler(np.array([[bad, -bad], [-bad, bad]]))
 
 
 def test_fiedler_sign_convention_is_stable():

@@ -34,9 +34,10 @@ from covertnet import (
     soft_report,
     synthesize_reference,
 )
-from covertnet.synthesis import _HardCheck, _index_pairs, _State
+from covertnet.synthesis import SOFT_METRICS, _candidate, _HardCheck, _index_pairs, _State
 
-from util import labels, random_connected_graph
+from oracles import MetricDictEvaluator
+from util import gnm_graph, labels, random_connected_graph
 
 ALL_PLAIN_METRICS = (
     "density",
@@ -325,6 +326,56 @@ def test_objective_matches_soft_report_contributions():
     for row in rows:
         total += row["contribution"]
     assert objective(g, target) == total
+
+
+def random_soft_target(rng, g):
+    """Up to a dozen soft entries, repeats allowed, every eigenvector_top3 naming the same nodes."""
+    roster = sorted(g.nodes)
+    top3 = tuple(rng.sample(roster, rng.randrange(1, min(3, len(roster)) + 1)))
+    soft = []
+    for _ in range(rng.randrange(1, 13)):
+        metric = rng.choice(SOFT_METRICS)
+        soft.append(SoftTarget(
+            metric=metric,
+            value=rng.uniform(-1.0, 3.0),
+            weight=rng.uniform(0.0, 4.0),
+            nodes=top3 if metric == "eigenvector_top3" else (),
+        ))
+    return SynthesisTarget(
+        nodes=tuple(g.nodes),
+        edge_count=g.edge_count,
+        hard=HardConstraints(connected=False),
+        soft=tuple(soft),
+        missing_metric_penalty=rng.uniform(0.0, 50.0),
+    )
+
+
+def test_evaluator_matches_the_metric_dict_oracle():
+    rng = random.Random(93)
+    repeats = 0
+    for _ in range(150):
+        n = rng.randrange(1, 13)
+        g = gnm_graph(rng, n, rng.randrange(n * (n - 1) // 2 + 1))
+        target = random_soft_target(rng, g)
+        state, evaluator = _candidate(g, target)
+        oracle = MetricDictEvaluator(target, tuple(sorted(target.nodes)))
+        want = list(oracle.contributions(state))
+        assert list(evaluator.contributions(state)) == want
+        total = 0.0
+        for _metric, _got, contribution in want:
+            total += contribution
+        assert evaluator.objective(state) == total
+        repeats += len({t.metric for t in target.soft}) < len(target.soft)
+    assert repeats >= 50  # targets that list one metric twice are exercised
+
+
+def test_each_eigenvector_top3_entry_is_scored_with_its_own_nodes():
+    # P1 ranks in the bundled network's eigenvector top 3 and Ps2 does not
+    g = reference_network()
+    soft = tuple(SoftTarget(metric="eigenvector_top3", value=1.0, nodes=(v,)) for v in ("P1", "Ps2"))
+    target = SynthesisTarget(nodes=tuple(g.nodes), edge_count=g.edge_count, soft=soft)
+    assert [row["achieved"] for row in soft_report(g, target)] == [1.0, 0.0]
+    assert objective(g, target) == 1.0
 
 
 def test_missing_metric_draws_the_penalty():
