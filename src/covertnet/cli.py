@@ -2,7 +2,7 @@
 
 Subcommands: metrics, dismantle, compare, sample, synthesize. Exit
 codes: 0 success, 1 unreadable or malformed input, 2 violated
-precondition or failed computation, 3 infeasible synthesis target.
+precondition or graph invariant, 3 infeasible synthesis target.
 All output is deterministic for fixed flags, so reruns are
 byte-identical.
 """
@@ -26,7 +26,6 @@ from .dismantling import (
     threshold_cost,
 )
 from .errors import (
-    DismantlingError,
     FileFormatError,
     GraphError,
     InfeasibleTargetError,
@@ -388,7 +387,7 @@ def main(argv=None) -> int:
     except InfeasibleTargetError as exc:
         print(f"error: infeasible target: {exc}", file=sys.stderr)
         return 3
-    except (GraphError, PreconditionError, DismantlingError) as exc:
+    except (GraphError, PreconditionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -26,7 +26,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import metrics
-from .errors import DismantlingError, GraphError, PreconditionError, _is_int, _set_real
+from .errors import GraphError, PreconditionError, _is_int, _set_real
 from .graph import LabeledGraph, induced_subgraph, largest_connected_component, remove_nodes
 from .spectral import adjacency_matrix, crossing_subgraph, node_order, spectral_bisection
 
@@ -191,7 +191,6 @@ def wvc(g_star: LabeledGraph, g: LabeledGraph) -> tuple[str, ...]:
         if not g.has_edge(u, v):
             raise GraphError(f"edge {u!r} -- {v!r} is not in the host graph")
     star_adj = {v: set(g_star.neighbors(v)) for v in g_star.nodes}
-    host_deg = {v: g.degree(v) for v in g.nodes}
     host_adj = {v: set(g.neighbors(v)) for v in g.nodes}
     picks: list[str] = []
     while True:
@@ -200,9 +199,7 @@ def wvc(g_star: LabeledGraph, g: LabeledGraph) -> tuple[str, ...]:
             k = len(star_adj[v])
             if k == 0:
                 continue
-            h = host_deg[v]
-            if h == 0:
-                raise GraphError(f"node {v!r} has uncovered edges but zero cost")
+            h = len(host_adj[v])
             if k * best_h > best_k * h:
                 best, best_k, best_h = v, k, h
         if best is None:
@@ -212,8 +209,6 @@ def wvc(g_star: LabeledGraph, g: LabeledGraph) -> tuple[str, ...]:
             star_adj[w].discard(best)
         for w in host_adj.pop(best):
             host_adj[w].discard(best)
-            host_deg[w] -= 1
-        host_deg.pop(best)
 
 
 def _random_order(g: LabeledGraph, spec: StrategySpec, bound: float) -> list[str]:
@@ -262,8 +257,6 @@ def _gnd_order(g: LabeledGraph, spec: StrategySpec, bound: float) -> list[str]:
         else:
             core = induced_subgraph(current, lcc)
             picks = wvc(crossing_subgraph(core, spectral_bisection(core)), core)
-            if not picks:
-                raise DismantlingError("bisection produced no crossing edges to cover")
         order.extend(picks)
         current = remove_nodes(current, picks)
 

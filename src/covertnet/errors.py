@@ -1,7 +1,7 @@
 """Exception types shared across the package, and the integer and real-number rules.
 
 The CLI maps these onto exit codes: file/format problems exit 1,
-violated preconditions and failed computations exit 2, and
+violated preconditions and graph invariants exit 2, and
 unsatisfiable synthesis targets exit 3.
 """
 
@@ -34,10 +34,6 @@ class FileFormatError(ValueError):
 
 class PreconditionError(ValueError):
     """An operation's precondition is not met by the given arguments."""
-
-
-class DismantlingError(RuntimeError):
-    """A dismantling run cannot make progress or never met its target."""
 
 
 class InfeasibleTargetError(ValueError):

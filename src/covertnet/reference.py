@@ -22,33 +22,19 @@ from .synthesis import (
     synthesize_reference,
 )
 
-ROLE_PREFIXES = {
-    "C": Role.CARETAKER,
-    "Co": Role.COMPANY,
-    "B": Role.BODY_GUARD,
-    "Es": Role.ESTAFETA,
-    "Ex": Role.EXPLOITER,
-    "Ps": Role.PUBLIC_SERVANT,
-    "G": Role.GUIDE,
-    "P": Role.PARTICIPANT,
-    "Ra": Role.RAITERO,
-    "Re": Role.RECRUITER,
-    "Rv": Role.RECRUITER_VICTIM,
-}
-
-# counts per role prefix; they sum to the 34 documented actors
-_ROSTER_SHAPE = (
-    ("C", 2),
-    ("Co", 2),
-    ("B", 2),
-    ("Es", 3),
-    ("Ex", 3),
-    ("Ps", 3),
-    ("G", 3),
-    ("P", 4),
-    ("Ra", 4),
-    ("Re", 4),
-    ("Rv", 4),
+# (label prefix, role, actor count); the counts sum to the 34 documented actors
+_ROSTER = (
+    ("C", Role.CARETAKER, 2),
+    ("Co", Role.COMPANY, 2),
+    ("B", Role.BODY_GUARD, 2),
+    ("Es", Role.ESTAFETA, 3),
+    ("Ex", Role.EXPLOITER, 3),
+    ("Ps", Role.PUBLIC_SERVANT, 3),
+    ("G", Role.GUIDE, 3),
+    ("P", Role.PARTICIPANT, 4),
+    ("Ra", Role.RAITERO, 4),
+    ("Re", Role.RECRUITER, 4),
+    ("Rv", Role.RECRUITER_VICTIM, 4),
 )
 
 
@@ -58,11 +44,9 @@ def chiapas_roster() -> dict[str, Role]:
     Labels are role prefixes plus a 1-based index (P1 is sometimes
     written Pa1 elsewhere; P1 is the canonical key here).
     """
-    roster: dict[str, Role] = {}
-    for prefix, count in _ROSTER_SHAPE:
-        for i in range(1, count + 1):
-            roster[f"{prefix}{i}"] = ROLE_PREFIXES[prefix]
-    return roster
+    return {
+        f"{prefix}{i}": role for prefix, role, count in _ROSTER for i in range(1, count + 1)
+    }
 
 
 def default_chiapas_target() -> SynthesisTarget:

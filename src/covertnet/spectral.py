@@ -13,13 +13,12 @@ leaves the vector open, `fiedler` fixes it by rule: a degenerate
 eigenspace yields the normalised projection of the first standard
 basis vector (in sorted label order) with a non-negligible one, and
 entries within 1e-9 of zero relative to the largest become exactly
-0.0, which `bisect` puts in part_m.
+0.0. `spectral_bisection` puts every v_i >= 0 in part_m.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
 
 import numpy as np
 
@@ -81,8 +80,7 @@ def fiedler(l: np.ndarray) -> tuple[float, np.ndarray]:
       above 1e-6, normalised. The squared norms of these projections
       sum to the eigenspace's dimension, so one always qualifies. On a
       one-dimensional eigenspace this is the eigenvector itself;
-    * entries with |v_i| <= 1e-9 * max_j |v_j| are set to exactly 0.0,
-      which `bisect` puts in part_m;
+    * entries with |v_i| <= 1e-9 * max_j |v_j| are set to exactly 0.0;
     * the sign is chosen so that the first non-zero entry is positive.
     """
     l = np.asarray(l, dtype=float)
@@ -125,42 +123,6 @@ class SpectralBisection:
     fiedler_vector: dict[str, float]
 
 
-def bisect(
-    g: LabeledGraph, vector: Mapping[str, float], fiedler_value: float = 0.0
-) -> SpectralBisection:
-    """Split nodes by vector sign: v_i >= 0 goes to part_m.
-
-    The stored vector is rescaled to unit length, dividing by its
-    largest |entry| first so that tiny or huge entries neither underflow
-    nor overflow. Every entry must be finite. A vector that puts every
-    node on one side cannot drive a bisection and is rejected.
-    """
-    order = node_order(g)
-    missing = set(order) - set(vector)
-    if missing:
-        raise GraphError(f"vector entry missing for node {min(missing)!r}")
-    extra = set(vector) - set(order)
-    if extra:
-        raise GraphError(f"vector entry for unknown node {min(extra)!r}")
-    arr = np.array([float(vector[v]) for v in order])
-    bad = np.flatnonzero(~np.isfinite(arr))
-    if bad.size:
-        i = bad[0]
-        raise GraphError(f"vector entry for {order[i]!r} must be finite, got {float(arr[i])!r}")
-    part_m = frozenset(v for v, comp in zip(order, arr) if comp >= 0.0)
-    part_m_bar = frozenset(order) - part_m
-    if not part_m or not part_m_bar:
-        raise PreconditionError("degenerate bisection: every node fell on one side")
-    arr = arr / np.abs(arr).max()
-    arr = arr / np.linalg.norm(arr)
-    return SpectralBisection(
-        part_m=part_m,
-        part_m_bar=part_m_bar,
-        fiedler_value=fiedler_value,
-        fiedler_vector={v: float(comp) for v, comp in zip(order, arr)},
-    )
-
-
 def crossing_subgraph(g: LabeledGraph, bisection: SpectralBisection) -> LabeledGraph:
     """Subgraph of the edges whose endpoints straddle the bisection."""
     union = bisection.part_m | bisection.part_m_bar
@@ -175,6 +137,12 @@ def crossing_subgraph(g: LabeledGraph, bisection: SpectralBisection) -> LabeledG
 
 
 def spectral_bisection(g: LabeledGraph) -> SpectralBisection:
-    """Full pipeline: degree costs -> B -> L -> Fiedler pair -> sign split."""
+    """Full pipeline: degree costs -> B -> L -> Fiedler pair -> sign split.
+
+    v_i >= 0 goes to part_m. The vector is orthogonal to the all-ones
+    vector, so both parts are non-empty.
+    """
     lam, vec = fiedler(weighted_laplacian(cost_matrix(g)))
-    return bisect(g, dict(zip(node_order(g), vec.tolist())), fiedler_value=lam)
+    vector = dict(zip(node_order(g), vec.tolist()))
+    part_m = frozenset(v for v, comp in vector.items() if comp >= 0.0)
+    return SpectralBisection(part_m, frozenset(vector) - part_m, lam, vector)

@@ -16,14 +16,12 @@ from contextlib import contextmanager
 import pytest
 
 from covertnet import (
-    PreconditionError,
     SamplingConfig,
     StrategySpec,
     adjacency_matrix,
     average_clustering,
     average_degree,
     betweenness,
-    bisect,
     connected_components,
     crossing_subgraph,
     degree_centralization,
@@ -48,7 +46,7 @@ from oracles import (
     enumerate_betweenness,
     greedy_cover_order,
 )
-from util import complete_graph, gnm_graph, gnp_graph, labels, random_connected_graph
+from util import complete_graph, gnm_graph, gnp_graph, labels, random_connected_graph, sign_split
 
 
 @contextmanager
@@ -116,9 +114,8 @@ def test_criterion_04_wvc_certificate(capsys):
             n = rng.randrange(3, 8) if small else rng.randrange(8, 31)
             g = random_connected_graph(rng, n, rng.randrange(0, 2 * n))
             vector = {v: rng.uniform(-1.0, 1.0) for v in g.nodes}
-            try:
-                split = bisect(g, vector)
-            except PreconditionError:
+            split = sign_split(g, vector)
+            if split is None:
                 continue
             produced += 1
             star = crossing_subgraph(g, split)

@@ -1,9 +1,17 @@
 import hashlib
 import json
+from dataclasses import replace
 
 import pytest
 
-from covertnet import dump_edge_list, load_edge_list, reference_network, threshold_cost
+from covertnet import (
+    dump_edge_list,
+    dump_roles,
+    load_edge_list,
+    reference,
+    reference_network,
+    threshold_cost,
+)
 from covertnet.cli import build_comparison, main
 
 from util import barbell_graph, path_graph, star_graph
@@ -230,6 +238,19 @@ def test_synthesize_custom_target(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "objective:" in out
     assert "average_clustering" in out
+
+
+def test_synthesize_default_target_writes_the_roster(tmp_path, capsys, monkeypatch):
+    # the bundled Chiapas target, cut to 200 proposals
+    full = reference.default_chiapas_target()
+    short = replace(full, schedule=replace(full.schedule, iterations=200))
+    monkeypatch.setattr(reference, "default_chiapas_target", lambda: short)
+    out_path = tmp_path / "chiapas.edges"
+    assert main(["synthesize", "--output", str(out_path)]) == 0
+    roles_path = f"{out_path}.roles.csv"
+    assert read(roles_path) == dump_roles(reference_network())
+    assert load_edge_list(read(out_path)).edge_count == 225
+    assert capsys.readouterr().out.splitlines()[0] == f"wrote {out_path}, {roles_path}"
 
 
 def test_synthesize_reruns_are_byte_identical(tmp_path, capsys):

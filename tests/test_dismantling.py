@@ -12,7 +12,6 @@ from covertnet import (
     LabeledGraph,
     PreconditionError,
     StrategySpec,
-    bisect,
     crossing_subgraph,
     density,
     fragmentation,
@@ -33,6 +32,7 @@ from util import (
     gnp_graph,
     path_graph,
     random_connected_graph,
+    sign_split,
     star_graph,
 )
 
@@ -105,9 +105,8 @@ def test_wvc_matches_greedy_simulation():
         else:
             g = random_connected_graph(rng, rng.randrange(20, 41), rng.randrange(10, 80))
         vector = {v: rng.uniform(-1.0, 1.0) for v in g.nodes}
-        try:
-            split = bisect(g, vector)
-        except PreconditionError:
+        split = sign_split(g, vector)
+        if split is None:
             continue
         star = crossing_subgraph(g, split)
         assert wvc(star, g) == tuple(greedy_cover_order(star.edges(), g.edges()))
@@ -118,9 +117,8 @@ def test_wvc_output_is_a_cover():
     for _ in range(150):
         g = random_connected_graph(rng, rng.randrange(3, 20), rng.randrange(0, 20))
         vector = {v: rng.uniform(-1.0, 1.0) for v in g.nodes}
-        try:
-            split = bisect(g, vector)
-        except PreconditionError:
+        split = sign_split(g, vector)
+        if split is None:
             continue
         star = crossing_subgraph(g, split)
         picks = set(wvc(star, g))

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from covertnet import (
+    GraphError,
     LabeledGraph,
     MetricsReport,
     PreconditionError,
@@ -121,6 +122,8 @@ def test_clustering_hand_values():
     g = LabeledGraph(["a", "b", "c", "d"], [("a", "b"), ("b", "c"), ("a", "c"), ("c", "d")])
     assert local_clustering(g, "c") == pytest.approx(1 / 3)
     assert average_clustering(g) == pytest.approx((1 + 1 + 1 / 3 + 0) / 4)
+    with pytest.raises(GraphError, match="unknown node 'ghost'"):
+        local_clustering(g, "ghost")
 
 
 def test_betweenness_hand_values():

@@ -1,6 +1,5 @@
 import math
 import random
-import re
 
 import numpy as np
 import pytest
@@ -10,7 +9,6 @@ from covertnet import (
     LabeledGraph,
     PreconditionError,
     adjacency_matrix,
-    bisect,
     cost_matrix,
     crossing_subgraph,
     fiedler,
@@ -19,13 +17,14 @@ from covertnet import (
     weighted_laplacian,
 )
 
-from oracles import dense_fiedler, eigenspace_cosine
+from oracles import connected_atlas, dense_fiedler, eigenspace_cosine
 from util import (
     barbell_graph,
     complete_graph,
     cycle_graph,
     path_graph,
     random_connected_graph,
+    sign_split,
     star_graph,
 )
 
@@ -156,6 +155,19 @@ def test_fiedler_sign_convention_is_stable():
     assert first > 0
 
 
+def test_fiedler_flips_a_negative_projection():
+    # entry 0 is about 3.5e-8: below the 1e-6 basis threshold, so e_1 is
+    # projected, but above the 1e-9 zeroing threshold, so it sets the sign
+    b = np.array([[0.0, 1.0, 1.0 + 1e-7], [1.0, 0.0, 0.0], [1.0 + 1e-7, 0.0, 0.0]])
+    l = weighted_laplacian(b)
+    # the projection v * v[1] of e_1 does not depend on the solver's sign
+    v = np.linalg.eigh(l)[1][:, 1]
+    assert (v * v[1])[0] < 0.0
+    _, vec = fiedler(l)
+    assert vec == pytest.approx([3.5355e-8, -0.70711, 0.70711], rel=1e-4)
+    assert vec[np.flatnonzero(vec)[0]] > 0.0
+
+
 @pytest.mark.parametrize(
     "g",
     [cycle_graph(8), complete_graph(5), star_graph(3)],
@@ -183,6 +195,24 @@ def test_fiedler_zero_entry_goes_to_part_m():
     assert split.part_m_bar == frozenset({"v2"})
 
 
+def test_spectral_bisection_splits_the_fiedler_vector_by_sign():
+    rng = random.Random(33)
+    graphs = connected_atlas(2, 7)
+    graphs += [
+        random_connected_graph(rng, rng.randrange(2, 60), rng.randrange(0, 60))
+        for _ in range(200)
+    ]
+    for g in graphs:
+        lam, vec = fiedler(weighted_laplacian(cost_matrix(g)))
+        split = spectral_bisection(g)
+        order = node_order(g)
+        assert split.part_m == frozenset(v for v, c in zip(order, vec) if c >= 0.0)
+        assert split.part_m and split.part_m_bar
+        assert split.part_m | split.part_m_bar == frozenset(order)
+        assert split.fiedler_value == lam
+        assert split.fiedler_vector == dict(zip(order, vec.tolist()))
+
+
 def test_spectral_bisection_large_cycle_finishes():
     g = cycle_graph(400)
     split = spectral_bisection(g)
@@ -190,41 +220,9 @@ def test_spectral_bisection_large_cycle_finishes():
     assert len(crossing_subgraph(g, split).edges()) == 2
 
 
-def test_bisect_by_sign():
-    g = path_graph(3)
-    split = bisect(g, {"v0": 0.7, "v1": 0.0, "v2": -0.7}, fiedler_value=1.0)
-    # zero components land on the non-negative side
-    assert split.part_m == frozenset({"v0", "v1"})
-    assert split.part_m_bar == frozenset({"v2"})
-    assert split.fiedler_value == 1.0
-    norm = math.sqrt(sum(c * c for c in split.fiedler_vector.values()))
-    assert norm == pytest.approx(1.0)
-    # a subnormal vector's norm underflows to 0 and a huge one's overflows
-    half = 1.0 / math.sqrt(2.0)
-    for scale in (1e-320, 1e-310, 1e300):
-        split = bisect(g, {"v0": scale, "v1": 0.0, "v2": -scale})
-        assert split.fiedler_vector == pytest.approx({"v0": half, "v1": 0.0, "v2": -half})
-
-
-def test_bisect_validation():
-    g = path_graph(3)
-    with pytest.raises(GraphError):
-        bisect(g, {"v0": 1.0, "v1": -1.0})
-    with pytest.raises(GraphError):
-        bisect(g, {"v0": 1.0, "v1": -1.0, "v2": 0.0, "ghost": 1.0})
-    with pytest.raises(PreconditionError):
-        bisect(g, {"v0": 1.0, "v1": 1.0, "v2": 2.0})
-    for bad in (math.nan, math.inf, -math.inf):
-        with pytest.raises(GraphError, match=re.escape(f"'v1' must be finite, got {bad!r}")):
-            bisect(g, {"v0": 1.0, "v1": bad, "v2": -1.0})
-        # the first in sorted label order is named, whatever the dict order
-        with pytest.raises(GraphError, match="'v0' must be finite"):
-            bisect(g, {"v2": bad, "v1": -1.0, "v0": math.nan})
-
-
 def test_crossing_subgraph():
     g = LabeledGraph(["a", "b", "c", "d"], [("a", "b"), ("b", "c"), ("c", "d"), ("a", "d")])
-    split = bisect(g, {"a": 1.0, "b": 1.0, "c": -1.0, "d": -1.0})
+    split = sign_split(g, {"a": 1.0, "b": 1.0, "c": -1.0, "d": -1.0})
     crossing = crossing_subgraph(g, split)
     assert crossing.edges() == [("a", "d"), ("b", "c")]
     assert set(crossing.nodes) == {"a", "b", "c", "d"}
@@ -233,7 +231,7 @@ def test_crossing_subgraph():
 def test_crossing_subgraph_rejects_foreign_partition():
     g = path_graph(3)
     other = path_graph(4)
-    split = bisect(other, {"v0": 1.0, "v1": 1.0, "v2": -1.0, "v3": -1.0})
+    split = sign_split(other, {"v0": 1.0, "v1": 1.0, "v2": -1.0, "v3": -1.0})
     with pytest.raises(GraphError):
         crossing_subgraph(g, split)
 

@@ -128,6 +128,8 @@ def test_target_validation():
         small_target(soft=(SoftTarget(metric="eigenvector_top3", value=1.0, nodes=("ghost",)),))
     with pytest.raises(PreconditionError, match="connected must be a bool"):
         HardConstraints(connected="false")
+    with pytest.raises(PreconditionError, match="top_degree_margin must be non-negative"):
+        HardConstraints(top_degree_margin=-1)
     with pytest.raises(PreconditionError, match="exactly 3 entries"):
         HardConstraints(pair_coverage=(NAMES[0], NAMES[1]))
     with pytest.raises(PreconditionError, match="exactly 2 entries"):
@@ -537,6 +539,24 @@ def test_bundled_roles_come_from_the_roster():
     data = resources.files("covertnet").joinpath("data")
     assert sorted(p.name for p in data.iterdir()) == ["chiapas_reference.edges"]
     assert dict(reference_network().roles) == chiapas_roster()
+
+
+def test_chiapas_roster_labels_roles_and_order():
+    # the test above compares the roster only with itself, so labels, roles and order are pinned here
+    assert [(label, role.value) for label, role in chiapas_roster().items()] == [
+        ("C1", "Caretaker"), ("C2", "Caretaker"),
+        ("Co1", "Company"), ("Co2", "Company"),
+        ("B1", "BodyGuard"), ("B2", "BodyGuard"),
+        ("Es1", "Estafeta"), ("Es2", "Estafeta"), ("Es3", "Estafeta"),
+        ("Ex1", "Exploiter"), ("Ex2", "Exploiter"), ("Ex3", "Exploiter"),
+        ("Ps1", "PublicServant"), ("Ps2", "PublicServant"), ("Ps3", "PublicServant"),
+        ("G1", "Guide"), ("G2", "Guide"), ("G3", "Guide"),
+        ("P1", "Participant"), ("P2", "Participant"), ("P3", "Participant"), ("P4", "Participant"),
+        ("Ra1", "Raitero"), ("Ra2", "Raitero"), ("Ra3", "Raitero"), ("Ra4", "Raitero"),
+        ("Re1", "Recruiter"), ("Re2", "Recruiter"), ("Re3", "Recruiter"), ("Re4", "Recruiter"),
+        ("Rv1", "RecruiterVictim"), ("Rv2", "RecruiterVictim"),
+        ("Rv3", "RecruiterVictim"), ("Rv4", "RecruiterVictim"),
+    ]
 
 
 def hard_rule_distances(g, hard):

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import random
 
-from covertnet import LabeledGraph
+from covertnet import LabeledGraph, SpectralBisection
 
 
 def labels(n: int) -> list[str]:
@@ -43,6 +43,13 @@ def barbell_graph(k: int = 4) -> LabeledGraph:
         edges.extend((grp[i], grp[j]) for i in range(k) for j in range(i + 1, k))
     edges.append((left[0], right[0]))
     return LabeledGraph(left + right, edges)
+
+
+def sign_split(g: LabeledGraph, vector: dict[str, float]) -> SpectralBisection | None:
+    """Split g's nodes by the sign of `vector` (v >= 0 to part_m); None if a side is empty."""
+    part_m = frozenset(v for v in g.nodes if vector[v] >= 0.0)
+    if part_m and len(part_m) < g.node_count:
+        return SpectralBisection(part_m, frozenset(g.nodes) - part_m, 0.0, dict(vector))
 
 
 def gnm_graph(rng: random.Random, n: int, m: int) -> LabeledGraph:
