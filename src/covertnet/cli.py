@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Subcommands: metrics, dismantle, compare, sample, synthesize. Exit
-codes: 0 success, 1 unreadable or malformed input, 2 violated
+codes: 0 success, 1 unreadable or malformed input or an output path
+whose directory does not exist (checked before any work), 2 violated
 precondition or graph invariant, 3 infeasible synthesis target.
 All output is deterministic for fixed flags, so reruns are
 byte-identical.
@@ -10,7 +11,9 @@ byte-identical.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
+import os
 import statistics
 import sys
 from dataclasses import dataclass
@@ -39,6 +42,20 @@ THRESHOLDS = (0.2, 0.5, 0.8)
 def _read_text(path: str) -> str:
     with open(path, "r", encoding="utf-8") as handle:
         return handle.read()
+
+
+def _check_writable(path: str | None) -> None:
+    """Raise now the error that opening `path` for writing would raise
+    after the work: its directory is missing or is not a directory."""
+    parent = os.path.dirname(path or "") or "."
+    if os.path.isdir(parent):
+        return
+    try:
+        os.stat(parent)
+        code = errno.ENOTDIR  # the directory part names a file
+    except OSError as exc:
+        code = exc.errno
+    raise OSError(code, os.strerror(code), path)
 
 
 def _write_text(path: str | None, text: str) -> None:
@@ -380,6 +397,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        for path in (args.output, vars(args).get("curves")):
+            _check_writable(path)
         return args.func(args)
     except (FileFormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

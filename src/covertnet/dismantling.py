@@ -10,8 +10,10 @@ target fraction of the starting node count:
 * random attack: remove uniformly chosen nodes under a fixed seed.
 
 A strategy only chooses its removal order. One pass over the order
-gives every removal's cost and the LCC size after it (`Removals`), and
-one masked adjacency matrix gives the density, fragmentation and mean
+gives every removal's cost and the LCC size after it (`Removals`).
+Logging a run puts the removed nodes back in reverse order, carrying
+the residual graph's hop distances and edge count from one step to the
+one before it; these give the density, fragmentation and mean
 betweenness of each residual graph, so that strategies can be compared
 step for step in a `DismantlingTrace`.
 """
@@ -330,22 +332,38 @@ def removals(g: LabeledGraph, spec: StrategySpec) -> Removals:
 def _logged(g: LabeledGraph, spec: StrategySpec, run: Removals) -> DismantlingTrace:
     """The trace of `run`, with the metrics of each step's residual graph.
 
-    One adjacency matrix in sorted label order serves every step; a
-    step's residual graph is its rows and columns of the nodes not yet
-    removed. A residual graph below a metric's size precondition logs
-    density 0.0, fragmentation 1.0 and mean betweenness 0.0.
+    One `_paths` sweep gives the hop distances of the last residual
+    graph, unreachable pairs as inf. The steps are then walked backwards,
+    putting each removed node back as `removals` does: its distance row
+    is 1 + the minimum over its present neighbours' rows, and one
+    relaxation through it updates every other pair. Density comes from a
+    running edge count and mean betweenness from the distances alone. A
+    residual graph below a metric's size precondition logs density 0.0,
+    fragmentation 1.0 and mean betweenness 0.0.
     """
     index = {v: i for i, v in enumerate(node_order(g))}
+    removed = [index[s.node] for s in run.steps]
     a = adjacency_matrix(g)
-    keep = np.ones(g.node_count, dtype=bool)
+    present = np.ones(g.node_count, dtype=bool)
+    present[removed] = False
+    keep = np.flatnonzero(present)
+    sub = a[np.ix_(keep, keep)]
+    n, m = keep.size, int(sub.sum()) // 2
+    dist = np.full(a.shape, np.inf)
+    reached = metrics._paths(sub)[0]
+    dist[np.ix_(keep, keep)] = np.where(reached < 0, np.inf, reached)
     steps: list[RemovalStep] = []
-    for s in run.steps:
-        keep[index[s.node]] = False
-        sub = a[np.ix_(keep, keep)]
-        n = sub.shape[0]
-        density = metrics._density(n, int(sub.sum()) // 2) if n >= 2 else 0.0
-        betweenness = metrics._mean_betweenness(sub, *metrics._paths(sub)) if n >= 3 else 0.0
+    for s, i in zip(reversed(run.steps), reversed(removed)):
+        density = metrics._density(n, m) if n >= 2 else 0.0
+        betweenness = metrics._mean_betweenness(dist, n) if n >= 3 else 0.0
         steps.append(RemovalStep(*s, density, 1.0 - density, betweenness))
+        linked = np.flatnonzero(a[i] * present)  # i's neighbours already back
+        row = np.min(dist[linked], axis=0, initial=np.inf) + 1.0
+        row[i] = 0.0
+        dist[i] = dist[:, i] = row
+        np.minimum(dist, row[:, None] + row[None, :], out=dist)
+        present[i] = True
+        n, m = n + 1, m + linked.size
     try:
         initial_metrics = metrics.report(g)
     except PreconditionError:
@@ -355,7 +373,7 @@ def _logged(g: LabeledGraph, spec: StrategySpec, run: Removals) -> DismantlingTr
         initial_node_count=run.initial_node_count,
         initial_lcc_size=run.initial_lcc_size,
         initial_metrics=initial_metrics,
-        steps=tuple(steps),
+        steps=tuple(steps[::-1]),
     )
 
 

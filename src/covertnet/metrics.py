@@ -8,11 +8,14 @@ Each metric has one implementation: a dense numpy kernel over the
 adjacency matrix in sorted label order, shared with the annealer in
 `synthesis` (O(n^2) memory). One BFS sweep from every source gives the
 hop distances and shortest-path counts that diameter and betweenness
-share. Eigenvector centrality is the leading eigenvector of one dense
-`eigh` on the largest connected component, a size tie going to the
-component holding the smallest label as in
-`graph.largest_connected_component`; it is scaled so the maximum is 1,
-and nodes outside that component score 0.
+share. Mean betweenness is read from the distances alone, so unlike
+per-node betweenness it never needs a path count past the largest
+float; the annealer alone still sums the per-node kernel, so that the
+bundled network rebuilds bit for bit. Eigenvector centrality is the
+leading eigenvector of one dense `eigh` on the largest connected
+component, a size tie going to the component holding the smallest label
+as in `graph.largest_connected_component`; it is scaled so the maximum
+is 1, and nodes outside that component score 0.
 """
 
 from __future__ import annotations
@@ -174,15 +177,23 @@ def betweenness(g: LabeledGraph) -> dict[str, float]:
     return {v: float(raw * scale) for v, raw in zip(order, _raw_betweenness(a, dist, sigma))}
 
 
-def _mean_betweenness(a: np.ndarray, dist: np.ndarray, sigma: np.ndarray) -> float:
-    n = a.shape[0]
-    return float(_raw_betweenness(a, dist, sigma).sum()) / (n * (n - 1) * (n - 2))
+def _mean_betweenness(dist: np.ndarray, n: int) -> float:
+    """Mean betweenness of an n-node graph (n >= 3) from its hop distances alone.
+
+    Summed over all nodes, betweenness counts each ordered connected pair
+    (s, t) d(s, t) - 1 times (Barthelemy, EPJ B 38:163, 2004), so no path
+    count is needed. The sum over the positive finite entries of `dist`
+    (an unreachable pair may be -1 or inf) is an exact integer in float,
+    so the value is rounded once, in the division.
+    """
+    reach = (dist > 0) & (dist < np.inf)
+    return float(dist[reach].sum() - np.count_nonzero(reach)) / (n * (n - 1) * (n - 2))
 
 
 def mean_betweenness(g: LabeledGraph) -> float:
+    """Mean normalized betweenness, from hop distances alone (no path counts)."""
     _require_three(g)
-    _order, a, dist, sigma = _matrices(g)
-    return _mean_betweenness(a, dist, sigma)
+    return _mean_betweenness(_matrices(g)[2], g.node_count)
 
 
 def _eigenvector_scores(
@@ -251,7 +262,7 @@ def report(g: LabeledGraph) -> MetricsReport:
     dens, frag, avg_deg = density(g), fragmentation(g), average_degree(g)
     _require_edge(g)
     _require_three(g)
-    order, a, dist, sigma = _matrices(g)
+    order, a, dist, _sigma = _matrices(g)
     return MetricsReport(
         node_count=g.node_count,
         edge_count=g.edge_count,
@@ -260,7 +271,7 @@ def report(g: LabeledGraph) -> MetricsReport:
         average_degree=avg_deg,
         diameter_lcc=_diameter(dist),
         average_clustering=float(_clustering(a).mean()),
-        mean_betweenness=_mean_betweenness(a, dist, sigma),
+        mean_betweenness=_mean_betweenness(dist, g.node_count),
         degree_centralization=degree_centralization(g),
         eigenvector_centrality=_eigenvector_scores(order, a, dist),
     )

@@ -33,7 +33,7 @@ from .errors import (
 )
 from .graph import LabeledGraph, _check_label
 from .metrics import _clustering, _degree_centralization, _density, _leading_vector
-from .metrics import _mean_betweenness, _paths
+from .metrics import _paths, _raw_betweenness
 
 SOFT_METRICS = (
     "density",
@@ -458,7 +458,13 @@ class _Evaluator:
             elif metric == "average_clustering":
                 got = float(_clustering(a).mean()) if n >= 1 else None
             elif metric == "mean_betweenness":
-                got = _mean_betweenness(a, dist, sigma) if n >= 3 else None
+                # the Brandes kernel's sum, not `metrics.mean_betweenness`'s
+                # distance identity: the annealer's path depends on every bit
+                got = (
+                    float(_raw_betweenness(a, dist, sigma).sum()) / (n * (n - 1) * (n - 2))
+                    if n >= 3
+                    else None
+                )
             elif metric == "degree_centralization":
                 got = _degree_centralization(state.deg) if n >= 3 else None
             else:

@@ -44,7 +44,7 @@ from covertnet import (
     WaveStats,
 )
 from covertnet.metrics import _clustering, _degree_centralization, _density, _leading_vector
-from covertnet.metrics import _mean_betweenness, _paths
+from covertnet.metrics import _paths, _raw_betweenness
 
 
 def enumerate_betweenness(g: LabeledGraph) -> dict[str, Fraction]:
@@ -453,7 +453,11 @@ class MetricDictEvaluator:
             elif metric == "average_clustering":
                 out[metric] = float(_clustering(a).mean()) if n >= 1 else None
             elif metric == "mean_betweenness":
-                out[metric] = _mean_betweenness(a, dist, sigma) if n >= 3 else None
+                out[metric] = (
+                    float(_raw_betweenness(a, dist, sigma).sum()) / (n * (n - 1) * (n - 2))
+                    if n >= 3
+                    else None
+                )
             elif metric == "degree_centralization":
                 out[metric] = _degree_centralization(state.deg) if n >= 3 else None
             elif metric == "eigenvector_top3":

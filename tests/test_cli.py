@@ -271,6 +271,32 @@ def test_missing_input_file_is_exit_1(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def _never(*args, **kwargs):
+    pytest.fail("the output path was checked only after the work")
+
+
+@pytest.mark.parametrize("parent", ["missing", "plain.txt"], ids=["missing", "file"])
+def test_unwritable_output_fails_before_any_work(parent, tmp_path, capsys, monkeypatch):
+    # a missing directory, or a file where one should be, is the error
+    # the late open would give, and nothing is annealed first
+    (tmp_path / "plain.txt").write_text("")
+    monkeypatch.setattr("covertnet.synthesis.synthesize_reference", _never)
+    out_path = tmp_path / parent / "x.edges"
+    assert main(["synthesize", "--output", str(out_path)]) == 1
+    err = capsys.readouterr().err
+    with pytest.raises(OSError) as late:
+        open(out_path, "w", encoding="utf-8")
+    assert err == f"error: {late.value}\n"
+
+
+def test_compare_with_unwritable_curves_writes_nothing(tmp_path, capsys):
+    ok = tmp_path / "ok.json"
+    curves = tmp_path / "missing" / "c.csv"
+    assert main(["compare", "--runs", "2", "--output", str(ok), "--curves", str(curves)]) == 1
+    assert f"No such file or directory: '{curves}'" in capsys.readouterr().err
+    assert not ok.exists()
+
+
 def test_malformed_edge_list_is_exit_1(tmp_path, capsys):
     bad = tmp_path / "bad.edges"
     bad.write_text("a b c d\n")

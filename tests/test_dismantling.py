@@ -203,6 +203,28 @@ def test_random_removals_match_the_lazy_replay():
     assert untouched >= 2 * (len(graphs) - 3)
 
 
+@pytest.mark.parametrize("kind", STRATEGY_KINDS)
+def test_logged_trace_down_to_an_empty_graph_matches_the_lazy_replay(kind):
+    # every node goes, so logging starts from an empty residual graph and
+    # puts nodes back through disconnected residual graphs on the way
+    rng = random.Random(406)
+    graphs = [barbell_graph(4), reference_network(), gnp_graph(rng, 20, 0.12)]
+    split = []  # mean betweenness of each disconnected residual graph
+    for g in graphs:
+        spec = StrategySpec(
+            kind=kind, target_lcc_fraction=0.01, rng_seed=5 if kind == "random" else None
+        )
+        trace = run_strategy(g, spec)
+        assert len(trace.steps) == g.node_count
+        assert trace == lazy_trace(g, spec)
+        split += [
+            s.mean_betweenness_after
+            for k, s in enumerate(trace.steps, 1)
+            if s.lcc_size_after < g.node_count - k
+        ]
+    assert max(split) > 0.0
+
+
 def test_gnd_on_barbell_cuts_the_bridge():
     g = barbell_graph(4)
     trace = run_strategy(g, StrategySpec(kind="gnd", target_lcc_fraction=0.5))

@@ -424,13 +424,37 @@ def test_paths_distances_survive_overflowing_counts():
 
 def test_betweenness_rejects_saturated_counts():
     # a saturated count is no longer exact, so dividing by it would give
-    # a wrong betweenness; the distances stay usable (test above)
+    # a wrong per-node betweenness; the mean reads only the distances
+    # (test above), so it keeps its value
     g = _layered_graph(10, extra=["lone"])
     _order, a = _kernel_input(g)
     with np.errstate(over="ignore"):
         dist, sigma = _paths(a * 1e100)
     with pytest.raises(PreconditionError, match="overflows a float"):
         _raw_betweenness(a * 1e100, dist, sigma)
-    with pytest.raises(PreconditionError, match="overflows a float"):
-        _mean_betweenness(a * 1e100, dist, sigma)
-    assert _mean_betweenness(a, *_paths(a)) == mean_betweenness(g)
+    assert _mean_betweenness(dist, 31) == _mean_betweenness(_paths(a)[0], 31)
+    assert _mean_betweenness(dist, 31) == mean_betweenness(g)
+
+
+def _oracle_mean(g):
+    return float(sum(enumerate_betweenness(g).values()) / g.node_count)
+
+
+def test_mean_betweenness_equals_the_path_enumeration_mean_exactly():
+    # the distance identity sums exact integers and divides once, so it
+    # lands on the correctly rounded value of the exact Fraction mean
+    rng = random.Random(43)
+    graphs = [reference_network(), _layered_graph(4, extra=["lone"])]
+    graphs += [random_connected_graph(rng, rng.randrange(3, 14), rng.randrange(0, 20))
+               for _ in range(25)]
+    graphs += [gnp_graph(rng, rng.randrange(3, 14), rng.uniform(0.05, 0.4)) for _ in range(25)]
+    disconnected = 0
+    for g in graphs:
+        want = _oracle_mean(g)
+        assert mean_betweenness(g) == want
+        if g.edge_count:
+            assert report(g).mean_betweenness == want
+        disconnected += len(largest_connected_component(g)) < g.node_count
+    assert disconnected >= 10
+    assert mean_betweenness(reference_network()) == 0.01999777183600713
+
