@@ -2,10 +2,10 @@
 
 Subcommands: metrics, dismantle, compare, sample, synthesize. Exit
 codes: 0 success, 1 unreadable or malformed input or an output path
-whose directory does not exist (checked before any work), 2 violated
-precondition or graph invariant, 3 infeasible synthesis target.
-All output is deterministic for fixed flags, so reruns are
-byte-identical.
+that is a directory or whose directory does not exist (checked before
+any work), 2 violated precondition or graph invariant, 3 infeasible
+synthesis target. All output is deterministic for fixed flags, so
+reruns are byte-identical.
 """
 
 from __future__ import annotations
@@ -46,15 +46,21 @@ def _read_text(path: str) -> str:
 
 def _check_writable(path: str | None) -> None:
     """Raise now the error that opening `path` for writing would raise
-    after the work: its directory is missing or is not a directory."""
-    parent = os.path.dirname(path or "") or "."
-    if os.path.isdir(parent):
+    after the work: it is a directory, or its directory is missing or is
+    not a directory."""
+    if path is None:
         return
-    try:
-        os.stat(parent)
-        code = errno.ENOTDIR  # the directory part names a file
-    except OSError as exc:
-        code = exc.errno
+    parent = os.path.dirname(path) or "."
+    if os.path.isdir(path):
+        code = errno.EISDIR
+    elif os.path.isdir(parent):
+        return
+    else:
+        try:
+            os.stat(parent)
+            code = errno.ENOTDIR  # the directory part names a file
+        except OSError as exc:
+            code = exc.errno
     raise OSError(code, os.strerror(code), path)
 
 
@@ -314,16 +320,16 @@ def cmd_sample(args) -> int:
 def cmd_synthesize(args) -> int:
     if args.target is not None:
         target = synthesis.load_synthesis_target(_read_text(args.target))
-        roles = None
+        roles_path = None
     else:
         target = reference.default_chiapas_target()
-        roles = reference.chiapas_roster()
+        roles_path = args.output + ".roles.csv"
+        _check_writable(roles_path)
     graph = synthesis.synthesize_reference(target)
     _write_text(args.output, dump_edge_list(graph))
     written = [args.output]
-    if roles is not None:
-        roles_path = args.output + ".roles.csv"
-        _write_text(roles_path, dump_roles(graph.with_roles(roles)))
+    if roles_path is not None:
+        _write_text(roles_path, dump_roles(graph.with_roles(reference.chiapas_roster())))
         written.append(roles_path)
     print(f"wrote {', '.join(written)}")
     print(f"objective: {synthesis.objective(graph, target)!r}")

@@ -15,7 +15,9 @@ Logging a run puts the removed nodes back in reverse order, carrying
 the residual graph's hop distances and edge count from one step to the
 one before it; these give the density, fragmentation and mean
 betweenness of each residual graph, so that strategies can be compared
-step for step in a `DismantlingTrace`.
+step for step in a `DismantlingTrace`. Once every node is back those
+distances are the whole graph's, and the trace's initial metrics report
+is built from them rather than from a second sweep.
 """
 
 from __future__ import annotations
@@ -332,40 +334,48 @@ def removals(g: LabeledGraph, spec: StrategySpec) -> Removals:
 def _logged(g: LabeledGraph, spec: StrategySpec, run: Removals) -> DismantlingTrace:
     """The trace of `run`, with the metrics of each step's residual graph.
 
-    One `_paths` sweep gives the hop distances of the last residual
-    graph, unreachable pairs as inf. The steps are then walked backwards,
-    putting each removed node back as `removals` does: its distance row
-    is 1 + the minimum over its present neighbours' rows, and one
-    relaxation through it updates every other pair. Density comes from a
-    running edge count and mean betweenness from the distances alone. A
-    residual graph below a metric's size precondition logs density 0.0,
-    fragmentation 1.0 and mean betweenness 0.0.
+    The adjacency matrix is permuted once into insertion order: the nodes
+    never removed, then the removals reversed, so the residual graph of
+    every step is the leading p x p block. One `_paths` sweep gives the
+    hop distances of the last residual graph, unreachable pairs as inf.
+    The steps are then walked backwards, putting each removed node back
+    as `removals` does: its distance row is 1 + the minimum over its
+    present neighbours' rows, and one relaxation through it updates the
+    block. Density comes from a running edge count and mean betweenness
+    from the distances alone. A residual graph below a metric's size
+    precondition logs density 0.0, fragmentation 1.0 and mean betweenness
+    0.0. Once every node is back the block holds the whole graph's
+    distances, which, un-permuted, give the initial metrics report.
     """
-    index = {v: i for i, v in enumerate(node_order(g))}
+    order = node_order(g)
+    index = {v: i for i, v in enumerate(order)}
     removed = [index[s.node] for s in run.steps]
+    out = set(removed)
+    perm = [i for i in range(len(order)) if i not in out] + removed[::-1]
     a = adjacency_matrix(g)
-    present = np.ones(g.node_count, dtype=bool)
-    present[removed] = False
-    keep = np.flatnonzero(present)
-    sub = a[np.ix_(keep, keep)]
-    n, m = keep.size, int(sub.sum()) // 2
+    b = a[np.ix_(perm, perm)]
+    p = len(order) - len(removed)
+    m = int(b[:p, :p].sum()) // 2
     dist = np.full(a.shape, np.inf)
-    reached = metrics._paths(sub)[0]
-    dist[np.ix_(keep, keep)] = np.where(reached < 0, np.inf, reached)
+    reached = metrics._paths(b[:p, :p])[0]
+    dist[:p, :p] = np.where(reached < 0, np.inf, reached)
     steps: list[RemovalStep] = []
-    for s, i in zip(reversed(run.steps), reversed(removed)):
-        density = metrics._density(n, m) if n >= 2 else 0.0
-        betweenness = metrics._mean_betweenness(dist, n) if n >= 3 else 0.0
+    for s in reversed(run.steps):
+        density = metrics._density(p, m) if p >= 2 else 0.0
+        betweenness = metrics._mean_betweenness(dist[:p, :p], p) if p >= 3 else 0.0
         steps.append(RemovalStep(*s, density, 1.0 - density, betweenness))
-        linked = np.flatnonzero(a[i] * present)  # i's neighbours already back
-        row = np.min(dist[linked], axis=0, initial=np.inf) + 1.0
-        row[i] = 0.0
-        dist[i] = dist[:, i] = row
-        np.minimum(dist, row[:, None] + row[None, :], out=dist)
-        present[i] = True
-        n, m = n + 1, m + linked.size
+        linked = np.flatnonzero(b[p, :p])  # the neighbours already back
+        row = np.min(dist[linked, : p + 1], axis=0, initial=np.inf) + 1.0
+        row[p] = 0.0
+        dist[p, : p + 1] = dist[: p + 1, p] = row
+        block = dist[: p + 1, : p + 1]
+        np.minimum(block, row[:, None] + row[None, :], out=block)
+        p, m = p + 1, m + linked.size
+    full = np.empty_like(dist)
+    full[np.ix_(perm, perm)] = dist
+    full[full == np.inf] = -1.0  # `metrics` marks an unreachable pair -1
     try:
-        initial_metrics = metrics.report(g)
+        initial_metrics = metrics._report(g, order, a, full)
     except PreconditionError:
         initial_metrics = None
     return DismantlingTrace(

@@ -253,16 +253,14 @@ class MetricsReport:
         return json.dumps(self.to_dict(), indent=2) + "\n"
 
 
-def report(g: LabeledGraph) -> MetricsReport:
-    """Compute every metric at once; needs n >= 3 and at least one edge.
-
-    The adjacency and distance matrices are built once and shared by the
-    metrics that need them; each field equals its standalone function.
-    """
+def _report(
+    g: LabeledGraph, order: tuple[str, ...], a: np.ndarray, dist: np.ndarray
+) -> MetricsReport:
+    """The report of g from its sorted label order, adjacency matrix and
+    hop distances (-1 if unreachable), whoever computed them."""
     dens, frag, avg_deg = density(g), fragmentation(g), average_degree(g)
     _require_edge(g)
     _require_three(g)
-    order, a, dist, _sigma = _matrices(g)
     return MetricsReport(
         node_count=g.node_count,
         edge_count=g.edge_count,
@@ -275,3 +273,12 @@ def report(g: LabeledGraph) -> MetricsReport:
         degree_centralization=degree_centralization(g),
         eigenvector_centrality=_eigenvector_scores(order, a, dist),
     )
+
+
+def report(g: LabeledGraph) -> MetricsReport:
+    """Compute every metric at once; needs n >= 3 and at least one edge.
+
+    The adjacency and distance matrices are built once and shared by the
+    metrics that need them; each field equals its standalone function.
+    """
+    return _report(g, *_matrices(g)[:3])

@@ -11,6 +11,7 @@ across the eleven observed roles.
 
 from __future__ import annotations
 
+import functools
 from importlib import resources
 
 from .graph import LabeledGraph, Role, load_edge_list
@@ -96,8 +97,14 @@ def build_reference_network() -> LabeledGraph:
     return graph.with_roles(chiapas_roster())
 
 
+@functools.cache
 def reference_network() -> LabeledGraph:
-    """The bundled pre-synthesized reference network, with `chiapas_roster()` attached."""
+    """The bundled pre-synthesized reference network, with `chiapas_roster()` attached.
+
+    The edge list is parsed once per process; every call returns that one
+    shared graph, which is safe because graphs are immutable (`with_roles`
+    and `load_roles` return new graphs).
+    """
     edges = resources.files("covertnet").joinpath("data", "chiapas_reference.edges")
     return load_edge_list(edges.read_text()).with_roles(chiapas_roster())
 

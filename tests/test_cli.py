@@ -1,9 +1,14 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
+import covertnet
 from covertnet import (
     dump_edge_list,
     dump_roles,
@@ -275,6 +280,12 @@ def _never(*args, **kwargs):
     pytest.fail("the output path was checked only after the work")
 
 
+def _late_open_error(path) -> str:
+    with pytest.raises(OSError) as late:
+        open(path, "w", encoding="utf-8")
+    return f"error: {late.value}\n"
+
+
 @pytest.mark.parametrize("parent", ["missing", "plain.txt"], ids=["missing", "file"])
 def test_unwritable_output_fails_before_any_work(parent, tmp_path, capsys, monkeypatch):
     # a missing directory, or a file where one should be, is the error
@@ -283,10 +294,7 @@ def test_unwritable_output_fails_before_any_work(parent, tmp_path, capsys, monke
     monkeypatch.setattr("covertnet.synthesis.synthesize_reference", _never)
     out_path = tmp_path / parent / "x.edges"
     assert main(["synthesize", "--output", str(out_path)]) == 1
-    err = capsys.readouterr().err
-    with pytest.raises(OSError) as late:
-        open(out_path, "w", encoding="utf-8")
-    assert err == f"error: {late.value}\n"
+    assert capsys.readouterr().err == _late_open_error(out_path)
 
 
 def test_compare_with_unwritable_curves_writes_nothing(tmp_path, capsys):
@@ -295,6 +303,76 @@ def test_compare_with_unwritable_curves_writes_nothing(tmp_path, capsys):
     assert main(["compare", "--runs", "2", "--output", str(ok), "--curves", str(curves)]) == 1
     assert f"No such file or directory: '{curves}'" in capsys.readouterr().err
     assert not ok.exists()
+
+
+@pytest.mark.parametrize("flag", ["--output", "--curves"])
+def test_compare_with_a_directory_output_writes_nothing(flag, tmp_path, capsys):
+    ok = tmp_path / "ok.json"
+    adir = tmp_path / "adir"
+    adir.mkdir()
+    other = "--curves" if flag == "--output" else "--output"
+    assert main(["compare", "--runs", "2", flag, str(adir), other, str(ok)]) == 1
+    expected = _late_open_error(adir)
+    assert "Is a directory" in expected
+    assert capsys.readouterr().err == expected
+    assert not ok.exists()
+
+
+@pytest.mark.parametrize("side", [False, True], ids=["output", "roles-side-file"])
+def test_synthesize_into_a_directory_fails_before_any_work(side, tmp_path, capsys, monkeypatch):
+    # the edge list, or the default target's <output>.roles.csv, is a directory
+    monkeypatch.setattr("covertnet.synthesis.synthesize_reference", _never)
+    out_path = tmp_path / "x.edges"
+    adir = tmp_path / "x.edges.roles.csv" if side else out_path
+    adir.mkdir()
+    assert main(["synthesize", "--output", str(out_path)]) == 1
+    assert capsys.readouterr().err == _late_open_error(adir)
+    assert list(tmp_path.iterdir()) == [adir]
+
+
+def test_in_process_repeats_match_fresh_processes(tmp_path, capsys):
+    # the bundled network is loaded once per process and shared by every
+    # call; two passes of mixed commands in this process must write what
+    # fresh `python -m covertnet.cli` processes write, byte for byte
+    roles = tmp_path / "x.csv"
+    roles.write_text("Ex1,Guide\nP1,Raitero\n")
+    commands = [
+        ["metrics"],
+        ["dismantle", "--strategy", "gnd", "--output", "{}/gnd.csv"],
+        ["sample", "--seeds", "3", "--k", "5", "--waves", "2", "--rng-seed", "11",
+         "--output", "{}/s.edges"],
+        ["compare", "--runs", "3", "--output", "{}/c.json", "--curves", "{}/c.csv"],
+        ["metrics", "--roles", str(roles), "--format", "json"],
+    ]
+    files = ["gnd.csv", "s.edges", "c.json", "c.csv"]
+
+    def outputs(label, run) -> list:
+        out = tmp_path / label
+        out.mkdir()
+        got = [run([arg.format(out) for arg in argv]) for argv in commands]
+        return got + [(out / name).read_bytes() for name in files]
+
+    def in_process(argv) -> str:
+        assert main(argv) == 0
+        return capsys.readouterr().out
+
+    env = dict(os.environ, PYTHONPATH=str(Path(covertnet.__file__).parent.parent))
+
+    def fresh(argv) -> str:
+        done = subprocess.run(
+            [sys.executable, "-m", "covertnet.cli", *argv],
+            env=env, capture_output=True, text=True, check=True,
+        )
+        return done.stdout
+
+    expected = outputs("fresh", fresh)
+    first = outputs("first", in_process)
+    shared = reference_network()
+    second = outputs("second", in_process)
+    assert first == expected
+    assert second == expected
+    assert reference_network() is shared
+    assert dict(shared.roles) == reference.chiapas_roster()
 
 
 def test_malformed_edge_list_is_exit_1(tmp_path, capsys):

@@ -20,6 +20,7 @@ from covertnet import (
     mean_betweenness,
     reference_network,
     removals,
+    report,
     run_strategy,
     threshold_cost,
     wvc,
@@ -354,6 +355,42 @@ def test_initial_metrics_missing_on_tiny_graphs():
     trace = run_strategy(g, StrategySpec(kind="hub", target_lcc_fraction=0.5))
     assert trace.initial_metrics is None  # too small for a full report
     assert json.loads(trace.to_json())["initial_metrics"] is None
+    # n <= 2, or no edge at all: every strategy logs no report
+    tiny = [LabeledGraph(), LabeledGraph(["a"]), LabeledGraph(["a", "b"]), g]
+    edgeless = [LabeledGraph([f"x{i}" for i in range(k)]) for k in (3, 7)]
+    for h in tiny + edgeless:
+        for kind in STRATEGY_KINDS:
+            for target in (0.01, 0.5, 1.0):
+                spec = StrategySpec(
+                    kind=kind, target_lcc_fraction=target, rng_seed=1 if kind == "random" else None
+                )
+                assert run_strategy(h, spec).initial_metrics is None
+
+
+@pytest.mark.parametrize("kind", STRATEGY_KINDS)
+def test_initial_metrics_equal_the_report(kind):
+    # the report built from the logged run's final distances equals a
+    # fresh `report`, every field and floats exactly, whatever was removed
+    rng = random.Random(407)
+    graphs = [reference_network(), barbell_graph(4)]
+    graphs += [random_connected_graph(rng, rng.randrange(3, 40), rng.randrange(0, 60))
+               for _ in range(25)]
+    graphs += [gnp_graph(rng, rng.randrange(3, 30), rng.uniform(0.03, 0.2)) for _ in range(25)]
+    for _ in range(15):  # a connected core plus isolated nodes
+        core = random_connected_graph(rng, rng.randrange(3, 20), rng.randrange(0, 20))
+        loners = [f"z{i}" for i in range(rng.randrange(1, 6))]
+        graphs.append(LabeledGraph(core.nodes + tuple(loners), core.edges()))
+    compared = emptied = 0
+    for g in graphs:
+        expected = report(g) if g.edge_count else None
+        for target in (0.01, 0.2, 0.5, 1.0):  # 0.01 removes every node
+            seed = rng.randrange(10**6) if kind == "random" else None
+            spec = StrategySpec(kind=kind, target_lcc_fraction=target, rng_seed=seed)
+            trace = run_strategy(g, spec)
+            assert trace.initial_metrics == expected
+            compared += expected is not None
+            emptied += len(trace.steps) == g.node_count
+    assert compared >= 250 and emptied >= 60
 
 
 def test_serialisers_match_the_field_by_field_writers():
