@@ -25,6 +25,7 @@ from .dismantling import (
     StrategySpec,
     TRACE_CSV_HEADER,
     removals,
+    run_strategies,
     run_strategy,
     threshold_cost,
 )
@@ -236,13 +237,18 @@ def build_comparison(
     """
     if runs < 1:
         raise PreconditionError("--runs must be at least 1")
-    gnd_trace = run_strategy(g, StrategySpec(kind="gnd", target_lcc_fraction=target_lcc))
-    hub_trace = run_strategy(g, StrategySpec(kind="hub", target_lcc_fraction=target_lcc))
     specs = [
         StrategySpec(kind="random", target_lcc_fraction=target_lcc, rng_seed=base_seed + i)
         for i in range(runs)
     ]
-    random_trace = run_strategy(g, specs[0])
+    gnd_trace, hub_trace, random_trace = run_strategies(
+        g,
+        [
+            StrategySpec(kind="gnd", target_lcc_fraction=target_lcc),
+            StrategySpec(kind="hub", target_lcc_fraction=target_lcc),
+            specs[0],
+        ],
+    )
     ensemble = [random_trace] + [removals(g, spec) for spec in specs[1:]]
     mean: dict[float, float | None] = {}
     stddev: dict[float, float | None] = {}

@@ -17,7 +17,8 @@ one before it; these give the density, fragmentation and mean
 betweenness of each residual graph, so that strategies can be compared
 step for step in a `DismantlingTrace`. Once every node is back those
 distances are the whole graph's, and the trace's initial metrics report
-is built from them rather than from a second sweep.
+is built from them rather than from a second sweep; runs logged together
+on one graph share one report.
 """
 
 from __future__ import annotations
@@ -331,8 +332,12 @@ def removals(g: LabeledGraph, spec: StrategySpec) -> Removals:
     return Removals(n, lcc[0], tuple(steps))
 
 
-def _logged(g: LabeledGraph, spec: StrategySpec, run: Removals) -> DismantlingTrace:
-    """The trace of `run`, with the metrics of each step's residual graph.
+def _residual_steps(
+    a: np.ndarray, index: dict[str, int], run: Removals
+) -> tuple[list[RemovalStep], np.ndarray]:
+    """The logged steps of `run` on the graph with adjacency matrix `a`
+    (rows in `index` order), and the whole graph's hop distances, -1 if
+    unreachable.
 
     The adjacency matrix is permuted once into insertion order: the nodes
     never removed, then the removals reversed, so the residual graph of
@@ -345,16 +350,13 @@ def _logged(g: LabeledGraph, spec: StrategySpec, run: Removals) -> DismantlingTr
     from the distances alone. A residual graph below a metric's size
     precondition logs density 0.0, fragmentation 1.0 and mean betweenness
     0.0. Once every node is back the block holds the whole graph's
-    distances, which, un-permuted, give the initial metrics report.
+    distances, un-permuted once at the end.
     """
-    order = node_order(g)
-    index = {v: i for i, v in enumerate(order)}
     removed = [index[s.node] for s in run.steps]
     out = set(removed)
-    perm = [i for i in range(len(order)) if i not in out] + removed[::-1]
-    a = adjacency_matrix(g)
+    perm = [i for i in range(a.shape[0]) if i not in out] + removed[::-1]
     b = a[np.ix_(perm, perm)]
-    p = len(order) - len(removed)
+    p = a.shape[0] - len(removed)
     m = int(b[:p, :p].sum()) // 2
     dist = np.full(a.shape, np.inf)
     reached = metrics._paths(b[:p, :p])[0]
@@ -374,19 +376,40 @@ def _logged(g: LabeledGraph, spec: StrategySpec, run: Removals) -> DismantlingTr
     full = np.empty_like(dist)
     full[np.ix_(perm, perm)] = dist
     full[full == np.inf] = -1.0  # `metrics` marks an unreachable pair -1
-    try:
-        initial_metrics = metrics._report(g, order, a, full)
-    except PreconditionError:
-        initial_metrics = None
-    return DismantlingTrace(
-        strategy=spec,
-        initial_node_count=run.initial_node_count,
-        initial_lcc_size=run.initial_lcc_size,
-        initial_metrics=initial_metrics,
-        steps=tuple(steps[::-1]),
-    )
+    return steps[::-1], full
+
+
+def run_strategies(g: LabeledGraph, specs: list[StrategySpec]) -> list[DismantlingTrace]:
+    """`run_strategy` for each spec on one graph, in order.
+
+    The initial metrics report is the same for every run, so it is built
+    once, from the whole-graph distances that logging the first run ends
+    with, and shared by every trace.
+    """
+    order = node_order(g)
+    index = {v: i for i, v in enumerate(order)}
+    a = adjacency_matrix(g)
+    traces: list[DismantlingTrace] = []
+    for spec in specs:
+        run = removals(g, spec)
+        steps, full = _residual_steps(a, index, run)
+        if not traces:
+            try:
+                initial_metrics = metrics._report(g, order, a, full)
+            except PreconditionError:
+                initial_metrics = None
+        traces.append(
+            DismantlingTrace(
+                strategy=spec,
+                initial_node_count=run.initial_node_count,
+                initial_lcc_size=run.initial_lcc_size,
+                initial_metrics=initial_metrics,
+                steps=tuple(steps),
+            )
+        )
+    return traces
 
 
 def run_strategy(g: LabeledGraph, spec: StrategySpec) -> DismantlingTrace:
     """Run the strategy named by the spec and log its trace."""
-    return _logged(g, spec, removals(g, spec))
+    return run_strategies(g, [spec])[0]

@@ -112,15 +112,18 @@ def _raw_betweenness(a: np.ndarray, dist: np.ndarray, sigma: np.ndarray) -> np.n
     return delta.sum(axis=0) - np.diag(delta)
 
 
-def _leading_vector(a: np.ndarray, dist: np.ndarray) -> np.ndarray:
-    """Leading eigenvector of the largest component, 0 elsewhere; its largest |entry| is > 0."""
+def _leading_vector(a: np.ndarray, dist: np.ndarray) -> tuple[np.ndarray, float]:
+    """Leading eigenvector of the largest component, 0 elsewhere, and the
+    component's second eigenvalue (-inf for a single node); the vector's
+    largest |entry| is > 0."""
     members = _largest_component(dist)
-    vec = np.linalg.eigh(a[np.ix_(members, members)])[1][:, -1]
+    vals, vecs = np.linalg.eigh(a[np.ix_(members, members)])
+    vec = vecs[:, -1]
     if vec[int(np.abs(vec).argmax())] < 0:
         vec = -vec
     scores = np.zeros(a.shape[0])
     scores[members] = vec
-    return scores
+    return scores, float(vals[-2]) if members.size > 1 else -np.inf
 
 
 def _matrices(g: LabeledGraph) -> tuple[tuple[str, ...], np.ndarray, np.ndarray, np.ndarray]:
@@ -201,7 +204,7 @@ def _eigenvector_scores(
 ) -> dict[str, float]:
     # the component's leading eigenvector is positive; abs clears the
     # rounding-level negatives eigh can leave on near-zero entries
-    vec = np.abs(_leading_vector(a, dist))
+    vec = np.abs(_leading_vector(a, dist)[0])
     return {v: float(x) for v, x in zip(order, vec / vec.max())}
 
 

@@ -18,7 +18,9 @@ report field by field, instead of from one row generator and
 metric once into a dict keyed by metric name and then scores the
 targets from that dict, instead of scoring each target in one pass; so
 it scores every `eigenvector_top3` entry with the first entry's node
-list.
+list. It ranks that term's nodes by a bare dense eigensolve of the
+largest component on every call, instead of through `_leading_vector`
+and the annealer's certified power iteration.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ from covertnet import (
     SynthesisTarget,
     WaveStats,
 )
-from covertnet.metrics import _clustering, _degree_centralization, _density, _leading_vector
+from covertnet.metrics import _clustering, _degree_centralization, _density
 from covertnet.metrics import _paths, _raw_betweenness
 
 
@@ -461,10 +463,23 @@ class MetricDictEvaluator:
             elif metric == "degree_centralization":
                 out[metric] = _degree_centralization(state.deg) if n >= 3 else None
             elif metric == "eigenvector_top3":
-                scores = _leading_vector(a, dist)
+                # the largest component, a size tie going to the lowest index
+                reach = dist >= 0
+                members = np.flatnonzero(reach[int(reach.sum(axis=1).argmax())])
+                vec = np.linalg.eigh(a[np.ix_(members, members)])[1][:, -1]
+                if vec[int(np.abs(vec).argmax())] < 0:
+                    vec = -vec
+                scores = np.zeros(n)
+                scores[members] = vec
                 top = np.argsort(-scores, kind="stable")[:3].tolist()
                 out[metric] = len(set(top).intersection(nodes)) / len(nodes)
         return out
+
+    def objective(self, state) -> float:
+        total = 0.0
+        for _metric, _got, contribution in self.contributions(state):
+            total += contribution
+        return total
 
     def contributions(self, state):
         """(metric, achieved, contribution) for each soft target, in target order."""

@@ -25,7 +25,7 @@ from covertnet import (
     threshold_cost,
     wvc,
 )
-from covertnet.dismantling import COST_MODELS, STRATEGY_KINDS, Removals
+from covertnet.dismantling import COST_MODELS, STRATEGY_KINDS, Removals, run_strategies
 from oracles import greedy_cover_order, lazy_trace, report_dict, spec_dict, trace_csv, trace_json
 from util import (
     barbell_graph,
@@ -391,6 +391,24 @@ def test_initial_metrics_equal_the_report(kind):
             compared += expected is not None
             emptied += len(trace.steps) == g.node_count
     assert compared >= 250 and emptied >= 60
+
+
+def test_runs_logged_together_share_one_initial_report():
+    # compare logs gnd, hub and a random run on one graph; they get the
+    # traces that separate runs give, with the report built once
+    rng = random.Random(408)
+    graphs = [reference_network(), path_graph(2), LabeledGraph([f"x{i}" for i in range(4)])]
+    graphs += [gnp_graph(rng, rng.randrange(3, 25), rng.uniform(0.05, 0.3)) for _ in range(10)]
+    for g in graphs:
+        for target in (0.01, 0.2, 0.5):
+            specs = [
+                StrategySpec(kind="gnd", target_lcc_fraction=target),
+                StrategySpec(kind="hub", target_lcc_fraction=target, cost_model="initial"),
+                StrategySpec(kind="random", target_lcc_fraction=target, rng_seed=5),
+            ]
+            traces = run_strategies(g, specs)
+            assert traces == [run_strategy(g, spec) for spec in specs]
+            assert all(t.initial_metrics is traces[0].initial_metrics for t in traces)
 
 
 def test_serialisers_match_the_field_by_field_writers():

@@ -35,11 +35,12 @@ from covertnet import (
     soft_report,
     synthesize_reference,
 )
-from covertnet.metrics import _paths, _raw_betweenness
+from covertnet import synthesis
+from covertnet.metrics import _leading_vector, _paths, _raw_betweenness
 from covertnet.synthesis import SOFT_METRICS, _candidate, _HardCheck, _index_pairs, _State
 
 from oracles import MetricDictEvaluator
-from util import gnm_graph, labels, random_connected_graph
+from util import complete_graph, cycle_graph, gnm_graph, labels, random_connected_graph, star_graph
 
 ALL_PLAIN_METRICS = (
     "density",
@@ -386,6 +387,147 @@ def test_each_eigenvector_top3_entry_is_scored_with_its_own_nodes():
     target = SynthesisTarget(nodes=tuple(g.nodes), edge_count=g.edge_count, soft=soft)
     assert [row["achieved"] for row in soft_report(g, target)] == [1.0, 0.0]
     assert objective(g, target) == 1.0
+
+
+def top3_target(g):
+    """An eigenvector_top3 target on g's roster whose hard rules never bind."""
+    roster = tuple(sorted(g.nodes))
+    return SynthesisTarget(
+        nodes=roster,
+        edge_count=g.edge_count,
+        hard=HardConstraints(connected=False),
+        soft=(SoftTarget(metric="eigenvector_top3", value=1.0, nodes=roster[:3]),),
+    )
+
+
+@pytest.fixture
+def dense_calls(monkeypatch):
+    """A list that grows by one on every dense solve the annealer's evaluator makes."""
+    calls = []
+
+    def counted(a, dist):
+        calls.append(a.shape[0])
+        return _leading_vector(a, dist)
+
+    monkeypatch.setattr(synthesis, "_leading_vector", counted)
+    return calls
+
+
+def dense_top3(state):
+    dist = _paths(state.a)[0]
+    return set(np.argsort(-_leading_vector(state.a, dist)[0], kind="stable")[:3].tolist())
+
+
+def test_certified_top3_matches_the_dense_ranking_on_swap_walks(dense_calls):
+    # one evaluator per walk, as in the annealer, so every state after the
+    # first may be decided by power iteration from the previous ones
+    rng = random.Random(94)
+    calls = 0
+    for walk in range(40):
+        n = rng.randrange(4, 41)
+        if walk % 2:
+            g = gnm_graph(rng, n, rng.randrange(n * (n - 1) // 2 + 1))
+        else:
+            g = random_connected_graph(rng, n, rng.randrange(3 * n))
+        state, evaluator = _candidate(g, top3_target(g))
+        for _ in range(60):
+            assert evaluator._top3(state.a, _paths(state.a)[0]) == dense_top3(state)
+            calls += 1
+            if not state.edges or not state.non_edges:
+                break
+            out_pair = state.edges[rng.randrange(len(state.edges))]
+            state.swap(out_pair, state.non_edges[rng.randrange(len(state.non_edges))])
+    # both branches ran, many times each
+    assert min(len(dense_calls), calls - len(dense_calls)) >= 200
+
+
+def complete_bipartite(a, b):
+    names = labels(a + b)
+    return LabeledGraph(names, [(names[i], names[a + j]) for i in range(a) for j in range(b)])
+
+
+def lopsided_pair(tail_edges, bridge):
+    """A 7-node cluster with a clear top three (v04-v06), optionally joined
+    at v06 to the edges on v07-v16; with the bridge gone the larger
+    component is the tail, although the cluster holds the top eigenvalue."""
+    names = labels(17)
+    dropped = {(0, 1), (0, 2), (1, 2), (0, 3)}
+    pairs = [(i, j) for i in range(7) for j in range(i + 1, 7) if (i, j) not in dropped]
+    edges = [(names[i], names[j]) for i, j in pairs]
+    edges += [(names[i], names[j]) for i, j in tail_edges]
+    if bridge:
+        edges.append((names[6], names[7]))
+    return LabeledGraph(names, edges)
+
+
+PATH_TAIL = [(i, i + 1) for i in range(7, 16)]
+# a chain v07-v09 to a second cluster, a path or a K7 on v10-v16
+CHAIN = [(i, i + 1) for i in range(7, 10)]
+CHAIN_TO_PATH = CHAIN + [(i, i + 1) for i in range(10, 16)]
+CHAIN_TO_K7 = CHAIN + [(i, j) for i in range(10, 17) for j in range(i + 1, 17)]
+
+
+@pytest.mark.parametrize(
+    "graphs",
+    [
+        [complete_graph(7)] * 2,
+        [cycle_graph(8)] * 2,
+        [complete_bipartite(4, 5)] * 2,
+        [star_graph(6)] * 2,
+        [cycle_graph(3)] * 2,
+        [lopsided_pair(PATH_TAIL, True), lopsided_pair(PATH_TAIL, False)],
+        [lopsided_pair(CHAIN_TO_PATH, True), lopsided_pair(CHAIN_TO_K7, True)],
+    ],
+    ids=["K7", "C8", "K4,5", "star", "n=3", "split", "far-from-anchor"],
+)
+def test_top3_falls_back_to_eigh_where_nothing_is_proved(graphs, dense_calls):
+    # one evaluator scores the graphs in turn. On the symmetric graphs the
+    # second call starts from the exact leading vector, yet a tie between
+    # the 3rd and 4th entries, or n <= 3, leaves the set to the dense
+    # solve. "split" drops the bridge: power iteration would settle on the
+    # cluster, the dense solve ranks the larger component. "far-from-anchor"
+    # makes the second cluster dominant: the start vector is nearly an
+    # eigenvector of the second eigenvalue, and only the drift term of the
+    # eigenvalue bound keeps that from passing as the leading one.
+    roster = tuple(sorted(graphs[0].nodes))
+    idx = {v: i for i, v in enumerate(roster)}
+    evaluator = _candidate(graphs[0], top3_target(graphs[0]))[1]
+    for k, g in enumerate(graphs, 1):
+        state = _State(len(roster), _index_pairs(idx, g.edges()))
+        assert evaluator._top3(state.a, _paths(state.a)[0]) == dense_top3(state)
+        assert len(dense_calls) == k
+
+
+def test_certified_top3_decides_without_eigh_once_warm(dense_calls):
+    g = reference_network()
+    state, evaluator = _candidate(g, top3_target(g))
+    for _ in range(5):
+        assert evaluator._top3(state.a, _paths(state.a)[0]) == dense_top3(state)
+    assert len(dense_calls) == 1  # the first call only
+
+
+@pytest.mark.parametrize("n, m, seed", [(12, 26, 1), (16, 40, 2), (20, 52, 3)])
+def test_synthesis_replays_with_the_dense_oracle_evaluator(n, m, seed, monkeypatch):
+    # the annealer's path depends on every score, so equal edges mean the
+    # certified top-3 sets equalled the dense ones all the way
+    names = labels(n)
+    target = SynthesisTarget(
+        nodes=tuple(names),
+        edge_count=m,
+        hard=HardConstraints(connected=True),
+        soft=(
+            SoftTarget(metric="eigenvector_top3", value=1.0, weight=5.0, nodes=tuple(names[-3:])),
+            SoftTarget(metric="average_clustering", value=0.6),
+            SoftTarget(metric="diameter_lcc", value=2.0),
+            SoftTarget(metric="mean_betweenness", value=0.02),
+        ),
+        schedule=AnnealingSchedule(
+            initial_temperature=0.5, cooling_factor=0.998, iterations=2000, rng_seed=seed
+        ),
+    )
+    built = synthesize_reference(target)
+    monkeypatch.setattr(synthesis, "_Evaluator", MetricDictEvaluator)
+    assert synthesize_reference(target).edges() == built.edges()
 
 
 def test_missing_metric_draws_the_penalty():
