@@ -59,25 +59,28 @@ def average_degree(g: LabeledGraph) -> float:
 def _paths(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """All-pairs hop distances (-1 if unreachable) and shortest-path counts.
 
-    One BFS sweep: the counts reaching level k are the level k-1 counts
-    times `a`, each an exact integer in float. A count past the largest
-    float is carried as that float, so an overflow never turns into
-    inf * 0 = NaN and the distances stay exact whatever the counts do.
+    One BFS sweep, started at level 1: the counts reaching level 1 are `a`
+    itself, and those reaching level k are the level k-1 counts times `a`,
+    each an exact integer in float. A count past the largest float is
+    carried as that float, so an overflow never turns into inf * 0 = NaN
+    and the distances stay exact whatever the counts do.
     """
-    n = a.shape[0]
     big = np.finfo(float).max
-    dist = np.full((n, n), -1.0)
+    dist = np.where(a > 0, 1.0, -1.0)
     np.fill_diagonal(dist, 0.0)
-    sigma = frontier = np.eye(n)
-    d = 0
+    sigma = a + np.eye(a.shape[0])
+    frontier = a
+    d = 1
     while True:
         counts = frontier @ a
-        nxt = (counts > 0) & (dist < 0)
+        nxt = counts > 0
+        nxt &= dist < 0
         if not nxt.any():
             return dist, sigma
         d += 1
         dist[nxt] = d
-        frontier = np.where(nxt, np.minimum(counts, big), 0.0)
+        frontier = np.minimum(counts, big, out=counts)
+        frontier *= nxt  # capped counts are finite, so this zeroes exactly
         sigma += frontier
 
 
@@ -88,12 +91,11 @@ def _largest_component(dist: np.ndarray) -> np.ndarray:
 
 
 def _clustering(a: np.ndarray) -> np.ndarray:
-    """Per-node local clustering; nodes of degree below 2 score 0."""
+    """Per-node local clustering; a node of degree below 2 closes no
+    triangle, so it scores 0 / 1 = 0."""
     deg = a.sum(axis=1)
     closed = ((a @ a) * a).sum(axis=1)  # per node: twice its triangle count
-    pairs = deg * (deg - 1.0)
-    safe = np.where(pairs > 0.0, pairs, 1.0)
-    return np.where(pairs > 0.0, closed / safe, 0.0)
+    return closed / np.maximum(deg * (deg - 1.0), 1.0)
 
 
 def _raw_betweenness(a: np.ndarray, dist: np.ndarray, sigma: np.ndarray) -> np.ndarray:
@@ -106,8 +108,14 @@ def _raw_betweenness(a: np.ndarray, dist: np.ndarray, sigma: np.ndarray) -> np.n
     level = dist == maxd
     for k in range(maxd, 0, -1):
         below = dist == k - 1
-        ratio = np.where(level, (1.0 + delta) / safe, 0.0)
-        delta += (ratio @ a) * below * sigma
+        # in place, in the order of ((1 + delta) / safe * level) @ a * below * sigma
+        ratio = delta + 1.0
+        ratio /= safe
+        ratio *= level
+        step = ratio @ a
+        step *= below
+        step *= sigma
+        delta += step
         level = below
     return delta.sum(axis=0) - np.diag(delta)
 

@@ -11,9 +11,13 @@ swaps, keeping the best-scoring graph it visits.
 
 The eigenvector_top3 term needs only the set of the three largest
 leading-eigenvector entries. The annealer proves that set by a short
-power iteration from the previous candidate's leading vector, and falls
-back to one dense eigensolve whenever the proof fails, so the set always
-equals the dense ranking's and no score depends on which path decided it.
+power iteration from the previous candidate's leading vector: the second
+eigenvalue is bounded by the last dense solve's plus min(sqrt(c), r), for
+c the adjacency entries changed since and r the most in one row, and the
+three largest entries of x = Aw must clear the fourth by more than x's
+entrywise distance from the scaled leading vector. It falls back to one
+dense eigensolve whenever the proof fails, so the set always equals the
+dense ranking's and no score depends on which path decided it.
 
 Every run is driven by one seeded RNG, so a target synthesizes to the
 same graph on every machine.
@@ -432,6 +436,14 @@ class _HardCheck:
         return float(sum(self._excess(state)))
 
 
+def _drift(a: np.ndarray, anchor: np.ndarray) -> float:
+    """A bound on the 2-norm of E = a - anchor, two symmetric 0/1 matrices:
+    min(sqrt(c), r) for c the entries that differ and r the most in one
+    row, since |E|_2 <= |E|_F and, E being symmetric, |E|_2 <= |E|_inf."""
+    moved = a != anchor
+    return min(math.sqrt(np.count_nonzero(moved)), float(moved.sum(axis=1).max()))
+
+
 class _Evaluator:
     """Vectorized soft-metric scoring against one compiled target.
 
@@ -449,45 +461,52 @@ class _Evaluator:
         wanted = {t.metric for t in target.soft}
         self.need_dist = bool(wanted & {"diameter_lcc", "mean_betweenness", "eigenvector_top3"})
         self.anchor = None  # (adjacency, second eigenvalue) of the last connected dense solve
-        self.lead = None  # the last leading vector, where power iteration starts
+        self.lead = None  # the last leading vector (unit, >= 0), where power iteration starts
 
-    def _top3(self, a: np.ndarray, dist: np.ndarray) -> set[int]:
+    def _top3(self, state: _State, dist: np.ndarray, connected: bool) -> set[int]:
         """The indexes of the three largest entries of `_leading_vector`,
         the lowest index first among equal entries.
 
         On a connected candidate with n > 3, after a first dense solve,
-        power iteration from the last leading vector w tries to prove the
-        set. Weyl's inequality bounds the candidate's second eigenvalue by
-        the anchor's plus the Frobenius norm of their difference. With
-        rho = w'Aw above that bound, Davis-Kahan (SIAM J. Numer. Anal. 7:1,
-        1970) puts w within sqrt(2) |Aw - rho w| / (rho - bound) of the
-        unit leading vector; when w's third and fourth largest entries are
-        more than twice that (plus 1e-9 for eigh's own error) apart, the
-        dense solve's top three are w's. Otherwise, on a disconnected
+        power iteration from the last (unit) leading vector w tries to
+        prove the set. Weyl's inequality bounds the candidate's second
+        eigenvalue by the anchor's plus `_drift`, a bound on the 2-norm of
+        their difference. With rho = w'Aw above that bound, Davis-Kahan
+        (SIAM J. Numer. Anal. 7:1, 1970) puts w within
+        delta = sqrt(2) |Aw - rho w| / (rho - bound) of the unit leading
+        vector v. Then x = Aw is entrywise close to lambda v: the rows of a
+        0/1 matrix of largest degree d differ by at most sqrt(2d), so
+        lambda (v_i - v_j) >= x_i - x_j - sqrt(2d) delta. When x's third
+        and fourth largest entries are more than sqrt(2d) delta +
+        2e-9 d apart (eigh's own 1e-9 per entry, times lambda <= d), the
+        dense solve's top three are x's. Otherwise, on a disconnected
         candidate and on the first call, one dense solve decides, and on a
         connected candidate it becomes the new anchor.
         """
-        n = a.shape[0]
-        connected = n > 3 and bool((dist >= 0).all())
-        if connected and self.anchor is not None:
+        a = state.a
+        certifiable = connected and state.n > 3
+        if certifiable and self.anchor is not None:
             anchor, second = self.anchor
-            bound = second + math.sqrt(np.count_nonzero(a != anchor)) + 1e-9
-            w = np.abs(self.lead)
-            w /= np.linalg.norm(w)
+            bound = second + _drift(a, anchor) + 1e-9
+            d = float(state.deg.max())
+            spread, slack = math.sqrt(2.0 * d), 2e-9 * d
+            w = self.lead
             for _ in range(_POWER_STEPS):
                 x = a @ w
-                rho = float(w @ x)
+                rho = float(w.dot(x))
                 if rho <= bound:  # w is near the leading vector, so rho cannot rise much
                     break
-                err = math.sqrt(2.0) * float(np.linalg.norm(x - rho * w)) / (rho - bound)
-                part = np.partition(w, (n - 4, n - 3))
-                if part[n - 3] - part[n - 4] > 2.0 * (err + 1e-9):
+                resid = x - rho * w
+                delta = math.sqrt(2.0 * float(resid.dot(resid))) / (rho - bound)
+                rank = x.argsort()
+                w = x / math.sqrt(float(x.dot(x)))
+                if x[rank[-3]] - x[rank[-4]] > spread * delta + slack:
                     self.lead = w
-                    return set(np.flatnonzero(w >= part[n - 3]).tolist())
-                w = x / np.linalg.norm(x)
+                    return set(rank[-3:].tolist())
         scores, second = _leading_vector(a, dist)
-        if connected:
-            self.anchor, self.lead = (a.copy(), second), scores
+        if certifiable:
+            # abs clears the rounding-level negatives eigh can leave
+            self.anchor, self.lead = (a.copy(), second), np.abs(scores)
         return set(np.argsort(-scores, kind="stable")[:3].tolist())
 
     def contributions(self, state: _State):
@@ -498,6 +517,7 @@ class _Evaluator:
         m = len(state.edges)
         a = state.a
         dist, sigma = _paths(a) if self.need_dist else (None, None)
+        connected = dist is not None and bool((dist >= 0).all())
         top = None
         for metric, value, weight, nodes in self.terms:
             if metric == "density":
@@ -508,7 +528,7 @@ class _Evaluator:
                 got = (2.0 * m) / n if n >= 1 else None
             elif metric == "diameter_lcc":
                 # a disconnected candidate has no diameter
-                got = float(dist.max()) if m and (dist >= 0).all() else None
+                got = float(dist.max()) if m and connected else None
             elif metric == "average_clustering":
                 got = float(_clustering(a).mean()) if n >= 1 else None
             elif metric == "mean_betweenness":
@@ -525,7 +545,7 @@ class _Evaluator:
                 # eigenvector_top3: the fraction of `nodes` (on the roster,
                 # so n >= 1) in the top-3 eigenvector ranking
                 if top is None:
-                    top = self._top3(a, dist)
+                    top = self._top3(state, dist, connected)
                 got = len(top.intersection(nodes)) / len(nodes)
             if got is None:
                 yield metric, None, weight * self.penalty

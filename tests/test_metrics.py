@@ -27,6 +27,7 @@ from covertnet import (
     report,
 )
 from covertnet.metrics import (
+    _clustering,
     _diameter,
     _largest_component,
     _mean_betweenness,
@@ -124,6 +125,29 @@ def test_clustering_hand_values():
     assert average_clustering(g) == pytest.approx((1 + 1 + 1 / 3 + 0) / 4)
     with pytest.raises(GraphError, match="unknown node 'ghost'"):
         local_clustering(g, "ghost")
+
+
+def _frozen_clustering(a):
+    """The per-node clustering formula as first written, with two np.where."""
+    deg = a.sum(axis=1)
+    closed = ((a @ a) * a).sum(axis=1)
+    pairs = deg * (deg - 1.0)
+    safe = np.where(pairs > 0.0, pairs, 1.0)
+    return np.where(pairs > 0.0, closed / safe, 0.0)
+
+
+def test_clustering_kernel_is_bit_identical_to_the_frozen_formula():
+    # sparse graphs leave isolated and degree-1 nodes, where the frozen
+    # formula wrote 0.0 and the kernel divides a zero triangle count by 1
+    rng = random.Random(61)
+    isolated = pendant = 0
+    for _ in range(200):
+        a = adjacency_matrix(gnp_graph(rng, rng.randrange(1, 45), rng.uniform(0.0, 0.4)))
+        assert _clustering(a).tobytes() == _frozen_clustering(a).tobytes()
+        deg = a.sum(axis=1)
+        isolated += int((deg == 0).sum())
+        pendant += int((deg == 1).sum())
+    assert min(isolated, pendant) >= 100
 
 
 def test_betweenness_hand_values():

@@ -413,9 +413,18 @@ def dense_calls(monkeypatch):
     return calls
 
 
-def dense_top3(state):
+def certified_top3(evaluator, state):
+    """The evaluator's top-3 set for state, with connectivity decided as `contributions` does."""
     dist = _paths(state.a)[0]
-    return set(np.argsort(-_leading_vector(state.a, dist)[0], kind="stable")[:3].tolist())
+    return evaluator._top3(state, dist, bool((dist >= 0).all()))
+
+
+def dense_top3_scores(state):
+    return _leading_vector(state.a, _paths(state.a)[0])[0]
+
+
+def dense_top3(state):
+    return set(np.argsort(-dense_top3_scores(state), kind="stable")[:3].tolist())
 
 
 def test_certified_top3_matches_the_dense_ranking_on_swap_walks(dense_calls):
@@ -431,7 +440,7 @@ def test_certified_top3_matches_the_dense_ranking_on_swap_walks(dense_calls):
             g = random_connected_graph(rng, n, rng.randrange(3 * n))
         state, evaluator = _candidate(g, top3_target(g))
         for _ in range(60):
-            assert evaluator._top3(state.a, _paths(state.a)[0]) == dense_top3(state)
+            assert certified_top3(evaluator, state) == dense_top3(state)
             calls += 1
             if not state.edges or not state.non_edges:
                 break
@@ -494,7 +503,7 @@ def test_top3_falls_back_to_eigh_where_nothing_is_proved(graphs, dense_calls):
     evaluator = _candidate(graphs[0], top3_target(graphs[0]))[1]
     for k, g in enumerate(graphs, 1):
         state = _State(len(roster), _index_pairs(idx, g.edges()))
-        assert evaluator._top3(state.a, _paths(state.a)[0]) == dense_top3(state)
+        assert certified_top3(evaluator, state) == dense_top3(state)
         assert len(dense_calls) == k
 
 
@@ -502,16 +511,76 @@ def test_certified_top3_decides_without_eigh_once_warm(dense_calls):
     g = reference_network()
     state, evaluator = _candidate(g, top3_target(g))
     for _ in range(5):
-        assert evaluator._top3(state.a, _paths(state.a)[0]) == dense_top3(state)
+        assert certified_top3(evaluator, state) == dense_top3(state)
     assert len(dense_calls) == 1  # the first call only
 
 
-@pytest.mark.parametrize("n, m, seed", [(12, 26, 1), (16, 40, 2), (20, 52, 3)])
-def test_synthesis_replays_with_the_dense_oracle_evaluator(n, m, seed, monkeypatch):
-    # the annealer's path depends on every score, so equal edges mean the
-    # certified top-3 sets equalled the dense ones all the way
+def swap_walk(rng, state, steps, hub=None):
+    """Random single-edge swaps; with `hub`, each swap moves an edge of that node."""
+    for _ in range(steps):
+        if hub is not None:
+            near = [u for u in range(state.n) if u != hub and state.has(hub, u)]
+            far = [u for u in range(state.n) if u != hub and not state.has(hub, u)]
+            if not near or not far:
+                return
+            out_u, in_u = rng.choice(near), rng.choice(far)
+            state.swap((min(hub, out_u), max(hub, out_u)), (min(hub, in_u), max(hub, in_u)))
+        elif state.edges and state.non_edges:
+            out_pair = state.edges[rng.randrange(len(state.edges))]
+            state.swap(out_pair, state.non_edges[rng.randrange(len(state.non_edges))])
+
+
+def test_drift_bounds_the_second_eigenvalue_on_swap_walks():
+    # drift bounds |a - anchor|_2, so by Weyl
+    # lambda2(a) <= lambda2(anchor) + |a - anchor|_2 <= lambda2(anchor) + drift.
+    # Swaps spread over the graph make the row bound r the smaller one;
+    # swaps concentrated on one node make sqrt(c) the smaller one.
+    rng = random.Random(19)
+    by_row = by_count = 0
+    for walk in range(120):
+        n = rng.randrange(5, 36)
+        g = random_connected_graph(rng, n, rng.randrange(3 * n))
+        state = _candidate(g, top3_target(g))[0]
+        anchor = state.a.copy()
+        second = np.linalg.eigvalsh(anchor)[-2]
+        hub = rng.randrange(n) if walk % 2 else None
+        for _ in range(8):
+            swap_walk(rng, state, rng.randrange(1, 4), hub)
+            moved = np.count_nonzero(state.a != anchor, axis=1)
+            drift = synthesis._drift(state.a, anchor)
+            assert np.linalg.norm(state.a - anchor, 2) <= drift + 1e-12
+            assert np.linalg.eigvalsh(state.a)[-2] <= second + drift + 1e-9
+            by_row += moved.max() < math.sqrt(moved.sum())
+            by_count += math.sqrt(moved.sum()) < moved.max()
+    assert min(by_row, by_count) >= 100
+
+
+def test_every_certified_top3_set_clears_the_dense_vector_by_its_slack(dense_calls):
+    # each set the certificate accepts must be the dense vector's top three
+    # with room for eigh's error: min inside minus max outside > 2e-9
+    rng = random.Random(58)
+    certified = 0
+    for walk in range(40):
+        n = rng.randrange(5, 36)
+        g = random_connected_graph(rng, n, rng.randrange(n, 4 * n))
+        state, evaluator = _candidate(g, top3_target(g))
+        hub = rng.randrange(n) if walk % 2 else None
+        for _ in range(40):
+            before = len(dense_calls)
+            got = certified_top3(evaluator, state)
+            if len(dense_calls) == before:
+                scores = dense_top3_scores(state)
+                inside = np.array(sorted(got))
+                outside = np.setdiff1d(np.arange(n), inside)
+                assert scores[inside].min() - scores[outside].max() > 2e-9
+                certified += 1
+            swap_walk(rng, state, 1, hub)
+    assert certified >= 500
+
+
+def replay_target(n, m, seed):
     names = labels(n)
-    target = SynthesisTarget(
+    return SynthesisTarget(
         nodes=tuple(names),
         edge_count=m,
         hard=HardConstraints(connected=True),
@@ -525,9 +594,38 @@ def test_synthesis_replays_with_the_dense_oracle_evaluator(n, m, seed, monkeypat
             initial_temperature=0.5, cooling_factor=0.998, iterations=2000, rng_seed=seed
         ),
     )
+
+
+REPLAYS = [(12, 26, 1), (16, 40, 2), (20, 52, 3)]
+
+
+@pytest.mark.parametrize("n, m, seed", REPLAYS)
+def test_synthesis_replays_with_the_dense_oracle_evaluator(n, m, seed, monkeypatch):
+    # the annealer's path depends on every score, so equal edges mean the
+    # certified top-3 sets equalled the dense ones all the way
+    target = replay_target(n, m, seed)
     built = synthesize_reference(target)
     monkeypatch.setattr(synthesis, "_Evaluator", MetricDictEvaluator)
     assert synthesize_reference(target).edges() == built.edges()
+
+
+def chiapas_prefix():
+    """The default target cut to its first 1 500 proposals."""
+    t = default_chiapas_target()
+    return replace(t, schedule=replace(t.schedule, iterations=1500))
+
+
+@pytest.mark.parametrize(
+    "target, most",
+    [(replay_target(*args), 400) for args in REPLAYS] + [(chiapas_prefix(), 20)],
+    ids=[f"replay-n{n}" for n, _m, _seed in REPLAYS] + ["chiapas-prefix"],
+)
+def test_dense_solves_stay_rare_on_sparse_and_default_targets(target, most, dense_calls):
+    # the drift bound grows with the swaps since the last dense solve; the
+    # row bound keeps it small enough that most of about 2 000 evaluations
+    # (870 on the default target's 1 500-proposal prefix) are certified
+    synthesize_reference(target)
+    assert len(dense_calls) <= most
 
 
 def test_missing_metric_draws_the_penalty():
