@@ -359,7 +359,7 @@ def _residual_steps(
     p = a.shape[0] - len(removed)
     m = int(b[:p, :p].sum()) // 2
     dist = np.full(a.shape, np.inf)
-    reached = metrics._paths(b[:p, :p])[0]
+    reached = metrics._paths(b[:p, :p]).dist
     dist[:p, :p] = np.where(reached < 0, np.inf, reached)
     steps: list[RemovalStep] = []
     for s in reversed(run.steps):

@@ -6,22 +6,29 @@ PreconditionError rather than guessing a value.
 
 Each metric has one implementation: a dense numpy kernel over the
 adjacency matrix in sorted label order, shared with the annealer in
-`synthesis` (O(n^2) memory). One BFS sweep from every source gives the
-hop distances and shortest-path counts that diameter and betweenness
-share. Mean betweenness is read from the distances alone, so unlike
-per-node betweenness it never needs a path count past the largest
-float; the annealer alone still sums the per-node kernel, so that the
-bundled network rebuilds bit for bit. Eigenvector centrality is the
-leading eigenvector of one dense `eigh` on the largest connected
-component, a size tie going to the component holding the smallest label
-as in `graph.largest_connected_component`; it is scaled so the maximum
-is 1, and nodes outside that component score 0.
+`synthesis`. One BFS sweep from every source (`_paths`) is the only
+all-pairs search. In O(n^2) memory it hands back the hop distances, the
+shortest-path counts, the mask of pairs it did not reach and its depth.
+Diameter, mean betweenness, eigenvector centrality and dismantling's
+logged runs read the distances. Per-node betweenness and the annealer's
+Brandes sum read the distances, counts, mask and depth, deriving each
+hop level's pairs from the distances as the backward pass reaches it.
+The annealer also takes its diameter from the depth and its
+connectivity from the unreached mask. Mean betweenness is read from the
+distances alone, so unlike per-node betweenness it never needs a path
+count past the largest float; the annealer alone still sums the
+per-node kernel, so that the bundled network rebuilds bit for bit.
+Eigenvector centrality is the leading eigenvector of one dense `eigh` on
+the largest connected component, a size tie going to the component
+holding the smallest label as in `graph.largest_connected_component`; it
+is scaled so the maximum is 1, and nodes outside that component score 0.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -56,32 +63,52 @@ def average_degree(g: LabeledGraph) -> float:
     return (2.0 * g.edge_count) / g.node_count
 
 
-def _paths(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """All-pairs hop distances (-1 if unreachable) and shortest-path counts.
+class _Sweep(NamedTuple):
+    """What one `_paths` sweep computes; the arrays are n x n."""
+
+    dist: np.ndarray  # hop distances, -1 if unreachable
+    sigma: np.ndarray  # shortest-path counts, capped at the largest float; 0 if unreachable
+    unreached: np.ndarray  # dist < 0
+    depth: int  # the largest finite hop distance
+
+
+def _paths(a: np.ndarray) -> _Sweep:
+    """All-pairs hop distances and shortest-path counts, level by level.
 
     One BFS sweep, started at level 1: the counts reaching level 1 are `a`
     itself, and those reaching level k are the level k-1 counts times `a`,
     each an exact integer in float. A count past the largest float is
     carried as that float, so an overflow never turns into inf * 0 = NaN
-    and the distances stay exact whatever the counts do.
+    and the distances stay exact whatever the counts do. Level k's counts
+    are zero off its pairs, so `sigma` is the sum of every level's, and
+    `depth` is the diameter of a connected graph. Only two levels' counts
+    are held at a time, so memory is O(n^2) whatever the diameter.
     """
     big = np.finfo(float).max
     dist = np.where(a > 0, 1.0, -1.0)
     np.fill_diagonal(dist, 0.0)
+    unreached = dist < 0
+    left = np.count_nonzero(unreached)
     sigma = a + np.eye(a.shape[0])
-    frontier = a
-    d = 1
-    while True:
-        counts = frontier @ a
+    depth = int(a.any())  # level 1 is empty without an edge
+    counts = a @ a
+    while left:
         nxt = counts > 0
-        nxt &= dist < 0
-        if not nxt.any():
-            return dist, sigma
-        d += 1
-        dist[nxt] = d
-        frontier = np.minimum(counts, big, out=counts)
-        frontier *= nxt  # capped counts are finite, so this zeroes exactly
-        sigma += frontier
+        nxt &= unreached
+        found = np.count_nonzero(nxt)
+        if not found:
+            break
+        left -= found
+        depth += 1
+        unreached ^= nxt
+        np.putmask(dist, nxt, depth)
+        # an overflow is carried as the largest float
+        front = np.minimum(counts, big, out=counts)
+        front *= nxt  # capped counts are finite, so this zeroes exactly
+        sigma += front
+        if left:  # else every pair is reached, and a further level would be empty
+            counts = front @ a
+    return _Sweep(dist, sigma, unreached, depth)
 
 
 def _largest_component(dist: np.ndarray) -> np.ndarray:
@@ -98,24 +125,35 @@ def _clustering(a: np.ndarray) -> np.ndarray:
     return closed / np.maximum(deg * (deg - 1.0), 1.0)
 
 
-def _raw_betweenness(a: np.ndarray, dist: np.ndarray, sigma: np.ndarray) -> np.ndarray:
-    """Per-node Brandes dependency sums over ordered pairs; sources are the rows of `_paths`."""
-    if (sigma >= np.finfo(float).max).any():  # a count `_paths` saturated is not exact
+def _raw_betweenness(a: np.ndarray, sweep: _Sweep) -> np.ndarray:
+    """Per-node Brandes dependency sums over ordered pairs, from a
+    `_paths(a)` sweep whose rows are the sources.
+
+    The backward pass walks the hop levels from the sweep's depth: the
+    dependency of level k's pairs flows through `a` to the pairs of level
+    k-1, weighted by their path counts. Each level's pairs are derived
+    from `dist` as the pass reaches them, two levels at a time, so memory
+    stays O(n^2) whatever the diameter.
+    """
+    dist, sigma = sweep.dist, sweep.sigma
+    if sigma.max() >= np.finfo(float).max:  # a count `_paths` saturated is not exact
         raise PreconditionError("a shortest-path count overflows a float")
-    maxd = int(dist.max())
-    safe = np.where(sigma > 0, sigma, 1.0)
-    delta = np.zeros_like(sigma)
-    level = dist == maxd
-    for k in range(maxd, 0, -1):
+    safe = sigma + sweep.unreached  # 1 where no path, so the ratio stays finite
+    delta = np.zeros(sigma.shape)
+    step = np.empty(sigma.shape)
+    ratio = 1.0 / safe  # the deepest level carries no dependency yet
+    level = dist == sweep.depth
+    for k in range(sweep.depth, 0, -1):
         below = dist == k - 1
         # in place, in the order of ((1 + delta) / safe * level) @ a * below * sigma
-        ratio = delta + 1.0
-        ratio /= safe
         ratio *= level
-        step = ratio @ a
+        np.matmul(ratio, a, out=step)
         step *= below
         step *= sigma
         delta += step
+        if k > 1:
+            np.add(delta, 1.0, out=ratio)
+            ratio /= safe
         level = below
     return delta.sum(axis=0) - np.diag(delta)
 
@@ -134,10 +172,10 @@ def _leading_vector(a: np.ndarray, dist: np.ndarray) -> tuple[np.ndarray, float]
     return scores, float(vals[-2]) if members.size > 1 else -np.inf
 
 
-def _matrices(g: LabeledGraph) -> tuple[tuple[str, ...], np.ndarray, np.ndarray, np.ndarray]:
-    """Sorted label order, adjacency matrix, hop distances and shortest-path counts of g."""
+def _matrices(g: LabeledGraph) -> tuple[tuple[str, ...], np.ndarray, np.ndarray]:
+    """Sorted label order, adjacency matrix and hop distances of g."""
     a = adjacency_matrix(g)
-    return node_order(g), a, *_paths(a)
+    return node_order(g), a, _paths(a).dist
 
 
 def _require_edge(g: LabeledGraph) -> None:
@@ -182,10 +220,11 @@ def betweenness(g: LabeledGraph) -> dict[str, float]:
     node on every shortest path scores exactly 1.
     """
     _require_three(g)
-    order, a, dist, sigma = _matrices(g)
+    a = adjacency_matrix(g)
+    raw = _raw_betweenness(a, _paths(a))
     n = g.node_count
     scale = 1.0 / ((n - 1) * (n - 2))
-    return {v: float(raw * scale) for v, raw in zip(order, _raw_betweenness(a, dist, sigma))}
+    return {v: float(x * scale) for v, x in zip(node_order(g), raw)}
 
 
 def _mean_betweenness(dist: np.ndarray, n: int) -> float:
@@ -224,7 +263,7 @@ def eigenvector_centrality(g: LabeledGraph) -> dict[str, float]:
     """
     if g.node_count == 0:
         raise PreconditionError("eigenvector centrality of an empty graph")
-    return _eigenvector_scores(*_matrices(g)[:3])
+    return _eigenvector_scores(*_matrices(g))
 
 
 def _degree_centralization(deg: np.ndarray) -> float:
@@ -292,4 +331,4 @@ def report(g: LabeledGraph) -> MetricsReport:
     The adjacency and distance matrices are built once and shared by the
     metrics that need them; each field equals its standalone function.
     """
-    return _report(g, *_matrices(g)[:3])
+    return _report(g, *_matrices(g))

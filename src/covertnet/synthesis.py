@@ -20,7 +20,11 @@ dense eigensolve whenever the proof fails, so the set always equals the
 dense ranking's and no score depends on which path decided it.
 
 Every run is driven by one seeded RNG, so a target synthesizes to the
-same graph on every machine.
+same graph on every run. Across machines that is checked, not proved:
+the annealer's path depends on the last bits of numpy's float kernels,
+and the bundled network rebuilds identically under OpenBLAS's SkylakeX,
+Haswell, Sandybridge and Prescott kernels; MKL and Accelerate were not
+tried.
 """
 
 from __future__ import annotations
@@ -411,8 +415,13 @@ class _HardCheck:
             others[idx[u]] = others[idx[v]] = 0
             self.top_pair = (idx[u], idx[v], hc.top_degree_margin, others)
 
-    def _excess(self, state: _State):
-        """Each rule's integer distance from holding, cheapest rules first."""
+    def _excess(self, state: _State, cut: tuple[int, int] | None = None):
+        """Each rule's integer distance from holding, cheapest rules first.
+
+        `cut`, if given, is the edge a swap just removed from a connected
+        state. When its ends still share a neighbour, a path runs around
+        it, and the edge swapped in can only join components, so the
+        state is still connected and the component count is skipped."""
         deg = state.deg
         for i, want in self.pins:
             yield abs(int(deg[i]) - want)
@@ -425,11 +434,12 @@ class _HardCheck:
             i, j, margin, others = self.top_pair
             lim = min(int(deg[i]), int(deg[j])) - margin
             yield int(np.maximum(deg - lim, 0) @ others)
-        if self.connected:
+        if self.connected and not (cut and state.bits[cut[0]] & state.bits[cut[1]]):
             yield state.component_count() - 1
 
-    def ok(self, state: _State) -> bool:
-        return not any(self._excess(state))
+    def ok(self, state: _State, cut: tuple[int, int] | None = None) -> bool:
+        """Whether every rule holds; `cut` as in `_excess`."""
+        return not any(self._excess(state, cut))
 
     def violations(self, state: _State) -> float:
         """Integer-valued distance from feasibility; zero means feasible."""
@@ -516,8 +526,8 @@ class _Evaluator:
         n = state.n
         m = len(state.edges)
         a = state.a
-        dist, sigma = _paths(a) if self.need_dist else (None, None)
-        connected = dist is not None and bool((dist >= 0).all())
+        sweep = _paths(a) if self.need_dist else None
+        connected = sweep is not None and not sweep.unreached.any()
         top = None
         for metric, value, weight, nodes in self.terms:
             if metric == "density":
@@ -528,14 +538,14 @@ class _Evaluator:
                 got = (2.0 * m) / n if n >= 1 else None
             elif metric == "diameter_lcc":
                 # a disconnected candidate has no diameter
-                got = float(dist.max()) if m and connected else None
+                got = float(sweep.depth) if m and connected else None
             elif metric == "average_clustering":
                 got = float(_clustering(a).mean()) if n >= 1 else None
             elif metric == "mean_betweenness":
                 # the Brandes kernel's sum, not `metrics.mean_betweenness`'s
                 # distance identity: the annealer's path depends on every bit
                 got = (
-                    float(_raw_betweenness(a, dist, sigma).sum()) / (n * (n - 1) * (n - 2))
+                    float(_raw_betweenness(a, sweep).sum()) / (n * (n - 1) * (n - 2))
                     if n >= 3
                     else None
                 )
@@ -545,7 +555,7 @@ class _Evaluator:
                 # eigenvector_top3: the fraction of `nodes` (on the roster,
                 # so n >= 1) in the top-3 eigenvector ranking
                 if top is None:
-                    top = self._top3(state, dist, connected)
+                    top = self._top3(state, sweep.dist, connected)
                 got = len(top.intersection(nodes)) / len(nodes)
             if got is None:
                 yield metric, None, weight * self.penalty
@@ -616,7 +626,10 @@ def _anneal(
     Returns (final score, best edge list). Scores are
     non-negative, so the loop stops early at 0.0. Temperature cools
     every proposal; the acceptance coin is only flipped for uphill
-    moves, so the RNG sequence is reproducible.
+    moves, so the RNG sequence is reproducible. A `guard` sees each
+    swapped state with the edge swapped out, and a swap it refuses is
+    undone, so from a state the guard accepts every state it sees is
+    one swap from an accepted one.
     """
     cur = score(state)
     best = cur
@@ -631,7 +644,7 @@ def _anneal(
         if out_pair in protected:
             continue
         state.swap(out_pair, in_pair)
-        if guard is not None and not guard(state):
+        if guard is not None and not guard(state, out_pair):
             state.swap(in_pair, out_pair)
             continue
         new = score(state)

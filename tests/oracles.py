@@ -18,9 +18,12 @@ report field by field, instead of from one row generator and
 metric once into a dict keyed by metric name and then scores the
 targets from that dict, instead of scoring each target in one pass; so
 it scores every `eigenvector_top3` entry with the first entry's node
-list. It ranks that term's nodes by a bare dense eigensolve of the
-largest component on every call, instead of through `_leading_vector`
-and the annealer's certified power iteration.
+list. It takes distances, clustering and betweenness from the frozen
+kernels below, as first written, instead of from `_clustering` and the
+counts, depth and unreached mask of one `_paths` sweep. It ranks that term's
+nodes by a bare dense eigensolve of the largest component on every
+call, instead of through `_leading_vector` and the annealer's certified
+power iteration.
 """
 
 from __future__ import annotations
@@ -45,8 +48,50 @@ from covertnet import (
     SynthesisTarget,
     WaveStats,
 )
-from covertnet.metrics import _clustering, _degree_centralization, _density
-from covertnet.metrics import _paths, _raw_betweenness
+from covertnet.metrics import _degree_centralization, _density
+
+
+# Frozen regression references: the clustering, distance and betweenness
+# kernels as first written, before one BFS sweep gave distances, path
+# counts, the unreached mask and the depth. They are kept verbatim so the
+# sweep and the kernels that read it can be held to the same bits.
+def frozen_clustering(a):
+    """The per-node clustering formula as first written, with two np.where."""
+    deg = a.sum(axis=1)
+    closed = ((a @ a) * a).sum(axis=1)
+    pairs = deg * (deg - 1.0)
+    safe = np.where(pairs > 0.0, pairs, 1.0)
+    return np.where(pairs > 0.0, closed / safe, 0.0)
+
+
+def frozen_distances(a):
+    n = a.shape[0]
+    dist = np.full((n, n), -1.0)
+    np.fill_diagonal(dist, 0.0)
+    frontier = np.eye(n)
+    d = 0
+    while True:
+        nxt = ((frontier @ a) > 0) & (dist < 0)
+        if not nxt.any():
+            return dist
+        d += 1
+        dist[nxt] = d
+        frontier = nxt.astype(float)
+
+
+def frozen_raw_betweenness(a, dist):
+    n = a.shape[0]
+    maxd = int(dist.max())
+    sigma = np.eye(n)
+    for k in range(1, maxd + 1):
+        prev = sigma * (dist == k - 1)
+        sigma = sigma + (prev @ a) * (dist == k)
+    delta = np.zeros((n, n))
+    for k in range(maxd, 0, -1):
+        on_level = (dist == k) & (sigma > 0)
+        ratio = np.where(on_level, (1.0 + delta) / np.where(sigma > 0, sigma, 1.0), 0.0)
+        delta += (ratio @ a) * (dist == k - 1) * sigma
+    return delta.sum(axis=0) - np.diag(delta)
 
 
 def enumerate_betweenness(g: LabeledGraph) -> dict[str, Fraction]:
@@ -440,7 +485,7 @@ class MetricDictEvaluator:
         m = len(state.edges)
         a = state.a
         out: dict[str, float | None] = {}
-        dist, sigma = _paths(a) if self.need_dist else (None, None)
+        dist = frozen_distances(a) if self.need_dist else None
         for metric, _value, _weight, nodes in self.terms:
             if metric in out:
                 continue
@@ -453,10 +498,10 @@ class MetricDictEvaluator:
             elif metric == "diameter_lcc":
                 out[metric] = float(dist.max()) if m and (dist >= 0).all() else None
             elif metric == "average_clustering":
-                out[metric] = float(_clustering(a).mean()) if n >= 1 else None
+                out[metric] = float(frozen_clustering(a).mean()) if n >= 1 else None
             elif metric == "mean_betweenness":
                 out[metric] = (
-                    float(_raw_betweenness(a, dist, sigma).sum()) / (n * (n - 1) * (n - 2))
+                    float(frozen_raw_betweenness(a, dist).sum()) / (n * (n - 1) * (n - 2))
                     if n >= 3
                     else None
                 )

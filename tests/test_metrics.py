@@ -1,5 +1,6 @@
 import json
 import random
+import tracemalloc
 from collections import deque
 
 import numpy as np
@@ -35,7 +36,13 @@ from covertnet.metrics import (
     _raw_betweenness,
 )
 
-from oracles import brute_diameter, enumerate_betweenness
+from oracles import (
+    brute_diameter,
+    enumerate_betweenness,
+    frozen_clustering,
+    frozen_distances,
+    frozen_raw_betweenness,
+)
 from util import (
     barbell_graph,
     complete_graph,
@@ -127,15 +134,6 @@ def test_clustering_hand_values():
         local_clustering(g, "ghost")
 
 
-def _frozen_clustering(a):
-    """The per-node clustering formula as first written, with two np.where."""
-    deg = a.sum(axis=1)
-    closed = ((a @ a) * a).sum(axis=1)
-    pairs = deg * (deg - 1.0)
-    safe = np.where(pairs > 0.0, pairs, 1.0)
-    return np.where(pairs > 0.0, closed / safe, 0.0)
-
-
 def test_clustering_kernel_is_bit_identical_to_the_frozen_formula():
     # sparse graphs leave isolated and degree-1 nodes, where the frozen
     # formula wrote 0.0 and the kernel divides a zero triangle count by 1
@@ -143,7 +141,7 @@ def test_clustering_kernel_is_bit_identical_to_the_frozen_formula():
     isolated = pendant = 0
     for _ in range(200):
         a = adjacency_matrix(gnp_graph(rng, rng.randrange(1, 45), rng.uniform(0.0, 0.4)))
-        assert _clustering(a).tobytes() == _frozen_clustering(a).tobytes()
+        assert _clustering(a).tobytes() == frozen_clustering(a).tobytes()
         deg = a.sum(axis=1)
         isolated += int((deg == 0).sum())
         pendant += int((deg == 1).sum())
@@ -326,39 +324,6 @@ def test_report_equals_the_standalone_functions():
     assert disconnected >= 3
 
 
-# Frozen regression reference: the distance and betweenness kernels as
-# they were before one BFS sweep gave both distances and path counts.
-# They are kept verbatim so the sweep can be held to the same bits.
-def _frozen_distances(a):
-    n = a.shape[0]
-    dist = np.full((n, n), -1.0)
-    np.fill_diagonal(dist, 0.0)
-    frontier = np.eye(n)
-    d = 0
-    while True:
-        nxt = ((frontier @ a) > 0) & (dist < 0)
-        if not nxt.any():
-            return dist
-        d += 1
-        dist[nxt] = d
-        frontier = nxt.astype(float)
-
-
-def _frozen_raw_betweenness(a, dist):
-    n = a.shape[0]
-    maxd = int(dist.max())
-    sigma = np.eye(n)
-    for k in range(1, maxd + 1):
-        prev = sigma * (dist == k - 1)
-        sigma = sigma + (prev @ a) * (dist == k)
-    delta = np.zeros((n, n))
-    for k in range(maxd, 0, -1):
-        on_level = (dist == k) & (sigma > 0)
-        ratio = np.where(on_level, (1.0 + delta) / np.where(sigma > 0, sigma, 1.0), 0.0)
-        delta += (ratio @ a) * (dist == k - 1) * sigma
-    return delta.sum(axis=0) - np.diag(delta)
-
-
 def _bfs_paths(g, order):
     """Hop distances and shortest-path counts from a plain per-source BFS."""
     n = len(order)
@@ -397,12 +362,50 @@ def test_paths_match_a_per_source_bfs():
     disconnected = 0
     for g in graphs:
         order, a = _kernel_input(g)
-        dist, sigma = _paths(a)
+        dist, sigma = _paths(a)[:2]
         want_dist, want_sigma = _bfs_paths(g, order)
         assert dist.tolist() == want_dist
         assert sigma.tolist() == want_sigma
         disconnected += bool((dist < 0).any())
     assert disconnected >= 5
+
+
+def test_sweep_hands_back_its_mask_and_depth():
+    # the annealer reads its connectivity and diameter off the sweep,
+    # and Brandes starts its backward pass at the depth
+    rng = random.Random(47)
+    graphs = [LabeledGraph(labels(n)) for n in (1, 4)]
+    graphs += [path_graph(40), cycle_graph(31), complete_graph(6), barbell_graph(5)]
+    graphs += [gnp_graph(rng, rng.randrange(3, 40), rng.uniform(0.02, 0.3)) for _ in range(30)]
+    disconnected = 0
+    for g in graphs:
+        _order, a = _kernel_input(g)
+        sweep = _paths(a)
+        dist = sweep.dist
+        assert sweep.depth == int(dist.max())
+        assert sweep.unreached.tolist() == (dist < 0).tolist()
+        disconnected += bool(sweep.unreached.any())
+    assert disconnected >= 10
+
+
+def test_betweenness_memory_does_not_grow_with_the_diameter():
+    # the backward pass derives each hop level from `dist` as it goes, so
+    # a 300-node path (diameter 299) peaks at a few n x n arrays; keeping
+    # one mask and one count array per level would take about 240 MB
+    n = 300
+    g = path_graph(n)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        held = tracemalloc.get_traced_memory()[0]
+        scores = betweenness(g)
+        peak = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * n * n * 8
+    # the i-th node of a path lies on every path between its two sides
+    want = [2.0 * i * (n - 1 - i) / ((n - 1) * (n - 2)) for i in range(n)]
+    assert [scores[v] for v in labels(n)] == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
 def test_paths_kernel_is_bit_identical_to_the_frozen_reference():
@@ -415,11 +418,12 @@ def test_paths_kernel_is_bit_identical_to_the_frozen_reference():
         else:
             g = gnp_graph(rng, n, rng.uniform(0.02, 0.3))
         _order, a = _kernel_input(g)
-        dist, sigma = _paths(a)
-        frozen = _frozen_distances(a)
+        sweep = _paths(a)
+        dist = sweep.dist
+        frozen = frozen_distances(a)
         assert dist.tobytes() == frozen.tobytes()
-        got = _raw_betweenness(a, dist, sigma)
-        assert got.tobytes() == _frozen_raw_betweenness(a, frozen).tobytes()
+        got = _raw_betweenness(a, sweep)
+        assert got.tobytes() == frozen_raw_betweenness(a, frozen).tobytes()
         connected += bool((dist >= 0).all())
     assert 60 <= connected <= 160
 
@@ -439,7 +443,7 @@ def test_paths_distances_survive_overflowing_counts():
     g = _layered_graph(10, extra=["lone"])
     _order, a = _kernel_input(g)
     with np.errstate(over="ignore"):
-        dist, sigma = _paths(a * 1e100)
+        dist, sigma = _paths(a * 1e100)[:2]
     assert dist.tobytes() == _paths(a)[0].tobytes()
     assert (sigma == np.finfo(float).max).any()
     assert _largest_component(dist).tolist() == list(range(30))
@@ -453,9 +457,10 @@ def test_betweenness_rejects_saturated_counts():
     g = _layered_graph(10, extra=["lone"])
     _order, a = _kernel_input(g)
     with np.errstate(over="ignore"):
-        dist, sigma = _paths(a * 1e100)
+        sweep = _paths(a * 1e100)
+    dist = sweep.dist
     with pytest.raises(PreconditionError, match="overflows a float"):
-        _raw_betweenness(a * 1e100, dist, sigma)
+        _raw_betweenness(a * 1e100, sweep)
     assert _mean_betweenness(dist, 31) == _mean_betweenness(_paths(a)[0], 31)
     assert _mean_betweenness(dist, 31) == mean_betweenness(g)
 

@@ -40,7 +40,15 @@ from covertnet.metrics import _leading_vector, _paths, _raw_betweenness
 from covertnet.synthesis import SOFT_METRICS, _candidate, _HardCheck, _index_pairs, _State
 
 from oracles import MetricDictEvaluator
-from util import complete_graph, cycle_graph, gnm_graph, labels, random_connected_graph, star_graph
+from util import (
+    complete_graph,
+    cycle_graph,
+    gnm_graph,
+    labels,
+    path_graph,
+    random_connected_graph,
+    star_graph,
+)
 
 ALL_PLAIN_METRICS = (
     "density",
@@ -303,7 +311,7 @@ def test_evaluator_agrees_with_plain_metrics():
         # distances alone and may differ from it in the last bits
         a = adjacency_matrix(g)
         n = g.node_count
-        kernel = float(_raw_betweenness(a, *_paths(a)).sum()) / (n * (n - 1) * (n - 2))
+        kernel = float(_raw_betweenness(a, _paths(a)).sum()) / (n * (n - 1) * (n - 2))
         assert rows["mean_betweenness"]["achieved"] == kernel
         assert kernel == pytest.approx(mean_betweenness(g), rel=1e-15, abs=0.0)
 
@@ -378,6 +386,60 @@ def test_evaluator_matches_the_metric_dict_oracle():
         assert evaluator.objective(state) == total
         repeats += len({t.metric for t in target.soft}) < len(target.soft)
     assert repeats >= 50  # targets that list one metric twice are exercised
+
+
+def stretched_graph(rng, kind, n, isolated):
+    """A path, cycle or barbell (4-cliques at both ends of a path) through
+    n shuffled labels, plus `isolated` nodes without an edge."""
+    names = labels(n + isolated)
+    rng.shuffle(names)
+    line = names[:n]
+    edges = list(zip(line, line[1:]))
+    if kind == "cycle":
+        edges.append((line[-1], line[0]))
+    elif kind == "barbell":
+        for end in (line[:4], line[-4:]):
+            edges += [(u, v) for i, u in enumerate(end) for v in end[i + 2:]]
+    return LabeledGraph(names, edges)
+
+
+def test_evaluator_matches_the_oracle_on_long_and_split_graphs():
+    # diameters of 10 and more give Brandes many hop levels and the sweep
+    # a deep depth; isolated nodes and swaps that cut the line leave pairs
+    # unreached. The oracle reads neither the sweep's depth nor its mask
+    # (tests/oracles.py).
+    rng = random.Random(95)
+    deep = split = 0
+    for trial in range(30):
+        kind = ("path", "cycle", "barbell")[trial % 3]
+        isolated = rng.randrange(1, 4) if trial % 2 else 0
+        g = stretched_graph(rng, kind, rng.randrange(20, 41 - isolated), isolated)
+        roster = tuple(sorted(g.nodes))
+        soft = tuple(
+            SoftTarget(
+                metric=metric,
+                value=rng.uniform(0.0, 12.0),
+                weight=rng.uniform(0.5, 2.0),
+                nodes=tuple(rng.sample(roster, 3)) if metric == "eigenvector_top3" else (),
+            )
+            for metric in SOFT_METRICS
+        )
+        target = SynthesisTarget(
+            nodes=roster,
+            edge_count=g.edge_count,
+            hard=HardConstraints(connected=False),
+            soft=soft,
+        )
+        state, evaluator = _candidate(g, target)
+        oracle = MetricDictEvaluator(target, roster)
+        for _ in range(6):
+            got = list(evaluator.contributions(state))
+            assert got == list(oracle.contributions(state))
+            diameter = {metric: achieved for metric, achieved, _c in got}["diameter_lcc"]
+            deep += diameter is not None and diameter >= 10
+            split += diameter is None
+            swap_walk(rng, state, 1)
+    assert deep >= 30 and split >= 60
 
 
 def test_each_eigenvector_top3_entry_is_scored_with_its_own_nodes():
@@ -805,6 +867,63 @@ def test_chiapas_roster_labels_roles_and_order():
         ("Rv1", "RecruiterVictim"), ("Rv2", "RecruiterVictim"),
         ("Rv3", "RecruiterVictim"), ("Rv4", "RecruiterVictim"),
     ]
+
+
+@pytest.fixture
+def counted_components(monkeypatch):
+    """A list that grows by one on every full component count."""
+    calls = []
+    full = _State.component_count
+
+    def counted(state):
+        calls.append(state.n)
+        return full(state)
+
+    monkeypatch.setattr(_State, "component_count", counted)
+    return calls
+
+
+def connected_check(g):
+    """g's state and a hard check whose only rule is connectedness."""
+    order = tuple(sorted(g.nodes))
+    target = small_target(nodes=order, edge_count=g.edge_count)
+    idx = {v: i for i, v in enumerate(order)}
+    return _State(len(order), _index_pairs(idx, g.edges())), _HardCheck(target, order)
+
+
+def test_guard_witness_agrees_with_the_full_component_count(counted_components):
+    # from a connected state, the swapped-out edge's ends sharing a
+    # neighbour proves the swap kept it connected; without a witness the
+    # guard counts components, so its verdict equals the full check's.
+    # A refused swap is undone, as in the annealer, so every walk state
+    # the guard sees is one swap from a connected state.
+    rng = random.Random(29)
+    witnessed = counted = refused = 0
+    for _ in range(60):
+        n = rng.randrange(5, 31)
+        state, check = connected_check(random_connected_graph(rng, n, rng.randrange(n)))
+        for _ in range(30):
+            out_pair = state.edges[rng.randrange(len(state.edges))]
+            in_pair = state.non_edges[rng.randrange(len(state.non_edges))]
+            state.swap(out_pair, in_pair)
+            before = len(counted_components)
+            verdict = check.ok(state, out_pair)
+            witnessed += len(counted_components) == before
+            counted += len(counted_components) > before
+            assert verdict == check.ok(state)
+            if not verdict:
+                refused += 1
+                state.swap(in_pair, out_pair)
+    assert min(witnessed, counted, refused) >= 150
+
+
+def test_guard_counts_components_when_a_bridge_has_no_witness(counted_components):
+    # v1-v2 is a bridge of the path v0-...-v4 whose ends share no
+    # neighbour, and the edge swapped in (v2-v4) stays on one side
+    state, check = connected_check(path_graph(5))
+    state.swap((1, 2), (2, 4))
+    assert not check.ok(state, (1, 2))
+    assert counted_components == [5]
 
 
 def hard_rule_distances(g, hard):
