@@ -16,8 +16,10 @@ hop level's pairs from the distances as the backward pass reaches it.
 The annealer also takes its diameter from the depth and its
 connectivity from the unreached mask. Mean betweenness is read from the
 distances alone, so unlike per-node betweenness it never needs a path
-count past the largest float; the annealer alone still sums the
-per-node kernel, so that the bundled network rebuilds bit for bit.
+count past the largest float. The annealer's mean betweenness is the
+per-node kernel's float sum, so that the bundled network rebuilds bit
+for bit; it brackets that sum by the same distance sums and runs the
+kernel only where the bracket leaves a decision open.
 Eigenvector centrality is the leading eigenvector of one dense `eigh` on
 the largest connected component, a size tie going to the component
 holding the smallest label as in `graph.largest_connected_component`; it
@@ -209,7 +211,8 @@ def local_clustering(g: LabeledGraph, v: str) -> float:
 def average_clustering(g: LabeledGraph) -> float:
     if g.node_count == 0:
         raise PreconditionError("average clustering of an empty graph")
-    return float(_clustering(adjacency_matrix(g)).mean())
+    # sum / n is np.mean's own reduction and division, so the bits are its
+    return float(_clustering(adjacency_matrix(g)).sum() / g.node_count)
 
 
 def betweenness(g: LabeledGraph) -> dict[str, float]:
@@ -227,17 +230,22 @@ def betweenness(g: LabeledGraph) -> dict[str, float]:
     return {v: float(x * scale) for v, x in zip(node_order(g), raw)}
 
 
-def _mean_betweenness(dist: np.ndarray, n: int) -> float:
-    """Mean betweenness of an n-node graph (n >= 3) from its hop distances alone.
-
-    Summed over all nodes, betweenness counts each ordered connected pair
-    (s, t) d(s, t) - 1 times (Barthelemy, EPJ B 38:163, 2004), so no path
-    count is needed. The sum over the positive finite entries of `dist`
-    (an unreachable pair may be -1 or inf) is an exact integer in float,
-    so the value is rounded once, in the division.
-    """
+def _distance_sums(dist: np.ndarray) -> tuple[float, int]:
+    """(I, R) from hop distances: R the ordered pairs s != t with a path,
+    and I the sum of d(s, t) - 1 over them, the betweenness summed over
+    every node (Barthelemy, EPJ B 38:163, 2004). I comes from the positive
+    finite entries of `dist` (an unreachable pair may be -1 or inf), an
+    exact integer in float."""
     reach = (dist > 0) & (dist < np.inf)
-    return float(dist[reach].sum() - np.count_nonzero(reach)) / (n * (n - 1) * (n - 2))
+    pairs = np.count_nonzero(reach)
+    return float(dist[reach].sum() - pairs), pairs
+
+
+def _mean_betweenness(dist: np.ndarray, n: int) -> float:
+    """Mean betweenness of an n-node graph (n >= 3) from its hop distances
+    alone: `_distance_sums`' I needs no path count, so the value is rounded
+    once, in the division."""
+    return _distance_sums(dist)[0] / (n * (n - 1) * (n - 2))
 
 
 def mean_betweenness(g: LabeledGraph) -> float:
@@ -318,7 +326,7 @@ def _report(
         fragmentation=frag,
         average_degree=avg_deg,
         diameter_lcc=_diameter(dist),
-        average_clustering=float(_clustering(a).mean()),
+        average_clustering=float(_clustering(a).sum() / g.node_count),
         mean_betweenness=_mean_betweenness(dist, g.node_count),
         degree_centralization=degree_centralization(g),
         eigenvector_centrality=_eigenvector_scores(order, a, dist),

@@ -19,6 +19,24 @@ entrywise distance from the scaled leading vector. It falls back to one
 dense eigensolve whenever the proof fails, so the set always equals the
 dense ranking's and no score depends on which path decided it.
 
+The mean_betweenness term is the per-node Brandes kernel's float sum S,
+whose last bits decide some moves, but the annealer decides each move on
+a bracket of it. S approximates the integer I = sum (d(s, t) - 1) over the
+R ordered pairs with a path, which the distances give at once
+(`metrics._distance_sums`). The kernel rounds non-negative terms only,
+apart from subtracting the diagonal, so |S - I| <= gamma_K (I + 2R) for
+K = D(n + 2) + 2n + 2 roundings at depth D, gamma_K = Ku / (1 - Ku) and
+u = 2**-53 (Higham, Accuracy and Stability of Numerical Algorithms, 2002,
+section 3). With D < n <= 1930, gamma_K < 1e-9, so S lies within
+1e-9 (I + 2R) of I while the path counts, below 2**53, are exact. Float
+division, subtraction and products are monotone on either side of the
+target value, and so is a left-to-right sum, so scoring both ends of the
+bracket as the exact value is scored gives lo <= objective <= hi. A
+comparison the brackets settle is settled. One they leave open runs the
+kernel on the compared states' own sweeps, so the walk is the one the
+exact scores take. Past 1930 nodes or 2**53 paths the kernel runs on
+every candidate.
+
 Every run is driven by one seeded RNG, so a target synthesizes to the
 same graph on every run. Across machines that is checked, not proved:
 the annealer's path depends on the last bits of numpy's float kernels,
@@ -47,7 +65,7 @@ from .errors import (
 )
 from .graph import LabeledGraph, _check_label
 from .metrics import _clustering, _degree_centralization, _density, _leading_vector
-from .metrics import _paths, _raw_betweenness
+from .metrics import _distance_sums, _paths, _raw_betweenness
 
 SOFT_METRICS = (
     "density",
@@ -330,13 +348,20 @@ def _pop(items: list, pos: dict, pair: tuple[int, int]) -> None:
 
 
 class _State:
-    """Mutable adjacency state with O(1) edge/non-edge sampling."""
+    """Mutable adjacency state with O(1) edge/non-edge sampling.
+
+    It also keeps the anchor of `_Evaluator._top3`'s certificate: the
+    second eigenvalue of the adjacency at the last `reanchor` (None
+    before), and per node the entries of its row that differ from that
+    adjacency, counted as each flip moves one off it or back."""
 
     def __init__(self, n: int, edges: list[tuple[int, int]]):
         self.n = n
         self.a = np.zeros((n, n))
         self.deg = np.zeros(n, dtype=np.int64)
         self.bits = [0] * n
+        self.anchor_bits = [0] * n
+        self.moved = [0] * n
         self.edges: list[tuple[int, int]] = []
         self.edge_pos: dict[tuple[int, int], int] = {}
         self.non_edges: list[tuple[int, int]] = []
@@ -350,6 +375,13 @@ class _State:
                     _push(self.edges, self.edge_pos, pair)
                 else:
                     _push(self.non_edges, self.non_edge_pos, pair)
+        self.reanchor(None)
+
+    def reanchor(self, second: float | None) -> None:
+        """Make the adjacency as it is now the anchor, `second` its second eigenvalue."""
+        self.second = second
+        self.anchor_bits = self.bits.copy()
+        self.moved = [0] * self.n
 
     def _link(self, pair: tuple[int, int], on: bool) -> None:
         """Flip `pair` in the matrix, degrees and bitsets: add it (on) or drop it."""
@@ -360,6 +392,9 @@ class _State:
         self.deg[j] += step
         self.bits[i] ^= 1 << j
         self.bits[j] ^= 1 << i
+        off = 1 if (self.bits[i] ^ self.anchor_bits[i]) >> j & 1 else -1  # now off the anchor
+        self.moved[i] += off
+        self.moved[j] += off
 
     def swap(self, out_pair: tuple[int, int], in_pair: tuple[int, int]) -> None:
         """Replace edge `out_pair` with non-edge `in_pair`."""
@@ -446,12 +481,77 @@ class _HardCheck:
         return float(sum(self._excess(state)))
 
 
-def _drift(a: np.ndarray, anchor: np.ndarray) -> float:
+def _drift(state: _State) -> float:
     """A bound on the 2-norm of E = a - anchor, two symmetric 0/1 matrices:
     min(sqrt(c), r) for c the entries that differ and r the most in one
-    row, since |E|_2 <= |E|_F and, E being symmetric, |E|_2 <= |E|_inf."""
-    moved = a != anchor
-    return min(math.sqrt(np.count_nonzero(moved)), float(moved.sum(axis=1).max()))
+    row, since |E|_2 <= |E|_F and, E being symmetric, |E|_2 <= |E|_inf.
+    Both are read off the state's per-node counts."""
+    return min(math.sqrt(sum(state.moved)), float(max(state.moved)))
+
+
+_BRACKET_MAX_N = 1930  # gamma_K < 1e-9 up to this n (module docstring)
+_EXACT_COUNT = 2.0**53  # path counts below this are exact integers in float
+
+
+def _brandes(a: np.ndarray, sweep) -> float | tuple[float, float]:
+    """The Brandes sum S, `_raw_betweenness(a, sweep)` summed in float, or
+    a bracket (lo, hi) around it: I -+ 1e-9 (I + 2R), for I and R from
+    `_distance_sums`. The bracket holds while every path count is exact
+    and n <= 1930 (module docstring); otherwise S is computed at once, so
+    a saturated count raises here as the kernel does."""
+    if a.shape[0] <= _BRACKET_MAX_N and sweep.sigma.max() < _EXACT_COUNT:
+        excess, pairs = _distance_sums(sweep.dist)
+        slack = 1e-9 * (excess + 2 * pairs)
+        return excess - slack, excess + slack
+    return float(_raw_betweenness(a, sweep).sum())
+
+
+def _deviation(got: float, value: float, weight: float) -> float:
+    """One soft target's contribution: its weighted squared deviation."""
+    diff = got - value
+    return weight * diff * diff
+
+
+def _bounds(rows) -> tuple[float, float]:
+    """The low and high ends of the rows' contributions, each summed left
+    to right: builtin sum() rounds differently on newer Pythons, and the
+    annealer's path depends on every bit. A bracketed contribution is a
+    (low, high) pair; float addition is monotone, so the sums bound the
+    exact one."""
+    lo = hi = 0.0
+    for _metric, _got, contribution in rows:
+        if type(contribution) is tuple:
+            lo += contribution[0]
+            hi += contribution[1]
+        else:
+            lo += contribution
+            hi += contribution
+    return lo, hi
+
+
+class _Score:
+    """One state's objective x as certified bounds lo <= x <= hi, with its
+    rows (metric, achieved, contribution) in target order. Until `exact`
+    pins x down, the mean betweenness rows hold (low, high) brackets."""
+
+    __slots__ = ("lo", "hi", "rows", "_pending")
+
+    def __init__(self, lo: float, hi: float | None = None, rows=None, pending=None):
+        self.lo = lo
+        self.hi = lo if hi is None else hi
+        self.rows = rows
+        self._pending = pending
+
+    def exact(self) -> float:
+        """x itself; the first call on an open bracket runs the Brandes kernel."""
+        if self._pending is not None:
+            self.rows = self._pending()
+            self._pending = None
+            self.lo, self.hi = _bounds(self.rows)
+        return self.lo
+
+
+_ZERO = _Score(0.0)
 
 
 class _Evaluator:
@@ -459,7 +559,8 @@ class _Evaluator:
 
     The eigenvector_top3 term needs only the set of the three largest
     leading-vector entries, which one evaluator decides without a dense
-    eigensolve where it can prove the answer (see `_top3`).
+    eigensolve where it can prove the answer (see `_top3`). The mean
+    betweenness term is bracketed until a decision needs it (see `score`).
     """
 
     def __init__(self, target: SynthesisTarget, order: tuple[str, ...]):
@@ -470,14 +571,13 @@ class _Evaluator:
         ]
         wanted = {t.metric for t in target.soft}
         self.need_dist = bool(wanted & {"diameter_lcc", "mean_betweenness", "eigenvector_top3"})
-        self.anchor = None  # (adjacency, second eigenvalue) of the last connected dense solve
         self.lead = None  # the last leading vector (unit, >= 0), where power iteration starts
 
     def _top3(self, state: _State, dist: np.ndarray, connected: bool) -> set[int]:
         """The indexes of the three largest entries of `_leading_vector`,
         the lowest index first among equal entries.
 
-        On a connected candidate with n > 3, after a first dense solve,
+        On a connected candidate with n > 3 whose state holds an anchor,
         power iteration from the last (unit) leading vector w tries to
         prove the set. Weyl's inequality bounds the candidate's second
         eigenvalue by the anchor's plus `_drift`, a bound on the 2-norm of
@@ -490,14 +590,13 @@ class _Evaluator:
         and fourth largest entries are more than sqrt(2d) delta +
         2e-9 d apart (eigh's own 1e-9 per entry, times lambda <= d), the
         dense solve's top three are x's. Otherwise, on a disconnected
-        candidate and on the first call, one dense solve decides, and on a
-        connected candidate it becomes the new anchor.
+        candidate and without an anchor, one dense solve decides, and on a
+        connected candidate it becomes the state's new anchor.
         """
         a = state.a
         certifiable = connected and state.n > 3
-        if certifiable and self.anchor is not None:
-            anchor, second = self.anchor
-            bound = second + _drift(a, anchor) + 1e-9
+        if certifiable and state.second is not None and self.lead is not None:
+            bound = state.second + _drift(state) + 1e-9
             d = float(state.deg.max())
             spread, slack = math.sqrt(2.0 * d), 2e-9 * d
             w = self.lead
@@ -515,20 +614,29 @@ class _Evaluator:
                     return set(rank[-3:].tolist())
         scores, second = _leading_vector(a, dist)
         if certifiable:
-            # abs clears the rounding-level negatives eigh can leave
-            self.anchor, self.lead = (a.copy(), second), np.abs(scores)
+            state.reanchor(second)
+            self.lead = np.abs(scores)  # abs clears the rounding-level negatives eigh can leave
         return set(np.argsort(-scores, kind="stable")[:3].tolist())
 
-    def contributions(self, state: _State):
-        """(metric, achieved, contribution) for each soft target, in target
-        order; each entry is scored on its own, achieved None where the
-        metric is not computable."""
+    def score(self, state: _State) -> _Score:
+        """The objective of `state` and its rows, each soft target scored on
+        its own, achieved None where the metric is not computable.
+
+        Every term is exact but mean betweenness, which `_brandes` brackets
+        where it can; its rows then hold (low, high) pairs. Each end is
+        scored by the same float operations as the exact value, and each
+        is monotone on either side of the target value, so the ends bound
+        the exact contribution: 0 at the low end if the bracket straddles
+        the target. `exact` runs the kernel on this state's own sweep.
+        """
         n = state.n
         m = len(state.edges)
         a = state.a
         sweep = _paths(a) if self.need_dist else None
         connected = sweep is not None and not sweep.unreached.any()
         top = None
+        brandes = None
+        rows = []
         for metric, value, weight, nodes in self.terms:
             if metric == "density":
                 got = _density(n, m) if n >= 2 else None
@@ -540,15 +648,21 @@ class _Evaluator:
                 # a disconnected candidate has no diameter
                 got = float(sweep.depth) if m and connected else None
             elif metric == "average_clustering":
-                got = float(_clustering(a).mean()) if n >= 1 else None
+                # sum / n is np.mean's own reduction and division
+                got = float(_clustering(a).sum() / n) if n >= 1 else None
             elif metric == "mean_betweenness":
                 # the Brandes kernel's sum, not `metrics.mean_betweenness`'s
-                # distance identity: the annealer's path depends on every bit
-                got = (
-                    float(_raw_betweenness(a, sweep).sum()) / (n * (n - 1) * (n - 2))
-                    if n >= 3
-                    else None
-                )
+                # distance identity: the annealer's path depends on every
+                # bit, so the identity only brackets the sum (`_brandes`)
+                got = None
+                if n >= 3:
+                    if brandes is None:
+                        brandes = _brandes(a, sweep)
+                    scale = n * (n - 1) * (n - 2)
+                    if type(brandes) is tuple:
+                        got = (brandes[0] / scale, brandes[1] / scale)
+                    else:
+                        got = brandes / scale
             elif metric == "degree_centralization":
                 got = _degree_centralization(state.deg) if n >= 3 else None
             else:
@@ -558,18 +672,40 @@ class _Evaluator:
                     top = self._top3(state, sweep.dist, connected)
                 got = len(top.intersection(nodes)) / len(nodes)
             if got is None:
-                yield metric, None, weight * self.penalty
+                rows.append((metric, None, weight * self.penalty))
+            elif type(got) is tuple:
+                ends = [_deviation(x, value, weight) for x in got]
+                low = 0.0 if got[0] < value < got[1] else min(ends)
+                rows.append((metric, got, (low, max(ends))))
             else:
-                diff = got - value
-                yield metric, got, weight * diff * diff
+                rows.append((metric, got, _deviation(got, value, weight)))
+        lo, hi = _bounds(rows)
+        if type(brandes) is not tuple:
+            return _Score(lo, hi, rows)
+        return _Score(lo, hi, rows, lambda: self._pinned(rows, sweep))
+
+    def _pinned(self, rows: list, sweep) -> list:
+        """`rows` with each bracketed row scored exactly, from the sweep of
+        the state they score; its adjacency is rebuilt from the distances,
+        because the state may have moved on since."""
+        n = sweep.dist.shape[0]
+        a = (sweep.dist == 1.0).astype(float)
+        got = float(_raw_betweenness(a, sweep).sum()) / (n * (n - 1) * (n - 2))
+        pinned = []
+        for (metric, value, weight, _nodes), row in zip(self.terms, rows):
+            if type(row[1]) is tuple:
+                row = (metric, got, _deviation(got, value, weight))
+            pinned.append(row)
+        return pinned
+
+    def contributions(self, state: _State) -> list:
+        """The exact rows (metric, achieved, contribution) of `score`."""
+        score = self.score(state)
+        score.exact()
+        return score.rows
 
     def objective(self, state: _State) -> float:
-        # an explicit left-to-right sum: builtin sum() rounds differently
-        # on newer Pythons, and the annealer's path depends on every bit
-        total = 0.0
-        for _metric, _got, contribution in self.contributions(state):
-            total += contribution
-        return total
+        return self.score(state).exact()
 
 
 def _candidate(g: LabeledGraph, target: SynthesisTarget) -> tuple[_State, _Evaluator]:
@@ -611,6 +747,28 @@ def _random_fill(
     return sorted(required) + rng.sample(rest, m - len(required))
 
 
+def _at_most(x: _Score, y: _Score) -> bool:
+    """x <= y, from the brackets where they settle it, else exactly."""
+    if x.hi <= y.lo:
+        return True
+    if x.lo > y.hi:
+        return False
+    return x.exact() <= y.exact()
+
+
+def _coin(u: float, new: _Score, cur: _Score, t: float) -> bool:
+    """u < exp(-(new - cur) / t) for new > cur and t > 0, from the
+    brackets where they settle it, else exactly. The slack of 1e-12 on
+    each side covers exp's rounding; exp is monotone, and so is the float
+    difference at the brackets' ends."""
+    if u < math.exp(-(new.hi - cur.lo) / t) * (1.0 - 1e-12):
+        return True
+    near = new.lo - cur.hi
+    if near > 0.0 and u >= math.exp(-near / t) * (1.0 + 1e-12):
+        return False
+    return u < math.exp(-(new.exact() - cur.exact()) / t)
+
+
 def _anneal(
     state: _State,
     rng: random.Random,
@@ -623,20 +781,22 @@ def _anneal(
 ) -> tuple[float, list[tuple[int, int]]]:
     """Generic annealing loop over single edge swaps.
 
-    Returns (final score, best edge list). Scores are
-    non-negative, so the loop stops early at 0.0. Temperature cools
-    every proposal; the acceptance coin is only flipped for uphill
-    moves, so the RNG sequence is reproducible. A `guard` sees each
-    swapped state with the edge swapped out, and a swap it refuses is
-    undone, so from a state the guard accepts every state it sees is
-    one swap from an accepted one.
+    Returns (final score, best edge list). `score` gives a state's
+    `_Score`; every comparison is decided on the brackets where they
+    settle it and on the exact scores otherwise, so the path is that of
+    the exact scores. Scores are non-negative, so the loop stops early at
+    0.0. Temperature cools every proposal; the acceptance coin is only
+    flipped for uphill moves, so the RNG sequence is reproducible. A
+    `guard` sees each swapped state with the edge swapped out, and a swap
+    it refuses is undone, so from a state the guard accepts every state
+    it sees is one swap from an accepted one.
     """
     cur = score(state)
     best = cur
     best_edges = list(state.edges)
     t = t0
     for _ in range(iterations):
-        if cur <= 0.0 or not state.edges or not state.non_edges:
+        if _at_most(cur, _ZERO) or not state.edges or not state.non_edges:
             break
         out_pair = state.edges[rng.randrange(len(state.edges))]
         in_pair = state.non_edges[rng.randrange(len(state.non_edges))]
@@ -648,15 +808,15 @@ def _anneal(
             state.swap(in_pair, out_pair)
             continue
         new = score(state)
-        diff = new - cur
-        if diff <= 0.0 or (t > 0.0 and rng.random() < math.exp(-diff / t)):
+        # new <= cur is the sign of the float difference new - cur
+        if _at_most(new, cur) or (t > 0.0 and _coin(rng.random(), new, cur, t)):
             cur = new
-            if cur < best:
+            if not _at_most(best, cur):
                 best = cur
                 best_edges = list(state.edges)
         else:
             state.swap(in_pair, out_pair)
-    return cur, best_edges
+    return cur.exact(), best_edges
 
 
 def synthesize_reference(target: SynthesisTarget) -> LabeledGraph:
@@ -681,7 +841,7 @@ def synthesize_reference(target: SynthesisTarget) -> LabeledGraph:
             iterations=_REPAIR_ITERATIONS,
             t0=sched.initial_temperature,
             cooling=sched.cooling_factor,
-            score=check.violations,
+            score=lambda s: _Score(check.violations(s)),
             guard=None,
             protected=check.required,
         )
@@ -699,7 +859,7 @@ def synthesize_reference(target: SynthesisTarget) -> LabeledGraph:
         iterations=sched.iterations,
         t0=sched.initial_temperature,
         cooling=sched.cooling_factor,
-        score=evaluator.objective,
+        score=evaluator.score,
         guard=check.ok,
         protected=check.required,
     )

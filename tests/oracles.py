@@ -23,13 +23,16 @@ kernels below, as first written, instead of from `_clustering` and the
 counts, depth and unreached mask of one `_paths` sweep. It ranks that term's
 nodes by a bare dense eigensolve of the largest component on every
 call, instead of through `_leading_vector` and the annealer's certified
-power iteration.
+power iteration. The eager annealing loop scores every candidate exactly
+and decides on those floats, instead of on certified brackets of the
+objective that are pinned down only where they leave a decision open.
 """
 
 from __future__ import annotations
 
 import functools
 import json
+import math
 import random
 from collections import deque
 from fractions import Fraction
@@ -49,6 +52,7 @@ from covertnet import (
     WaveStats,
 )
 from covertnet.metrics import _degree_centralization, _density
+from covertnet.synthesis import _Score
 
 
 # Frozen regression references: the clustering, distance and betweenness
@@ -526,6 +530,10 @@ class MetricDictEvaluator:
             total += contribution
         return total
 
+    def score(self, state) -> _Score:
+        """The objective as the annealer takes it, a bracket with nothing open."""
+        return _Score(self.objective(state))
+
     def contributions(self, state):
         """(metric, achieved, contribution) for each soft target, in target order."""
         vals = self.values(state)
@@ -536,3 +544,53 @@ class MetricDictEvaluator:
             else:
                 diff = got - value
                 yield metric, got, weight * diff * diff
+
+
+def eager_anneal(
+    state: _State,
+    rng: random.Random,
+    iterations: int,
+    t0: float,
+    cooling: float,
+    score,
+    guard,
+    protected: frozenset[tuple[int, int]],
+) -> tuple[float, list[tuple[int, int]]]:
+    """The annealing loop as it was before brackets: `score` is a float
+    function, evaluated exactly on every candidate, and each decision reads
+    those floats. Kept verbatim to replay the bracketed loop against.
+
+    Returns (final score, best edge list). Scores are
+    non-negative, so the loop stops early at 0.0. Temperature cools
+    every proposal; the acceptance coin is only flipped for uphill
+    moves, so the RNG sequence is reproducible. A `guard` sees each
+    swapped state with the edge swapped out, and a swap it refuses is
+    undone, so from a state the guard accepts every state it sees is
+    one swap from an accepted one.
+    """
+    cur = score(state)
+    best = cur
+    best_edges = list(state.edges)
+    t = t0
+    for _ in range(iterations):
+        if cur <= 0.0 or not state.edges or not state.non_edges:
+            break
+        out_pair = state.edges[rng.randrange(len(state.edges))]
+        in_pair = state.non_edges[rng.randrange(len(state.non_edges))]
+        t *= cooling
+        if out_pair in protected:
+            continue
+        state.swap(out_pair, in_pair)
+        if guard is not None and not guard(state, out_pair):
+            state.swap(in_pair, out_pair)
+            continue
+        new = score(state)
+        diff = new - cur
+        if diff <= 0.0 or (t > 0.0 and rng.random() < math.exp(-diff / t)):
+            cur = new
+            if cur < best:
+                best = cur
+                best_edges = list(state.edges)
+        else:
+            state.swap(in_pair, out_pair)
+    return cur, best_edges

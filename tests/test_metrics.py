@@ -30,6 +30,7 @@ from covertnet import (
 from covertnet.metrics import (
     _clustering,
     _diameter,
+    _distance_sums,
     _largest_component,
     _mean_betweenness,
     _paths,
@@ -487,3 +488,49 @@ def test_mean_betweenness_equals_the_path_enumeration_mean_exactly():
     assert disconnected >= 10
     assert mean_betweenness(reference_network()) == 0.01999777183600713
 
+
+def test_clustering_mean_is_numpys_mean_bit_for_bit():
+    # np.mean reduces with add.reduce and divides by the count, so sum / n
+    # is the same float; every reader of the mean keeps np.mean's bits
+    rng = np.random.default_rng(17)
+    for size in [1, 2, 3, 7, 8, 9, 33, 34, 127, 128, 129, 1000, 4099]:
+        for _ in range(20):
+            v = rng.random(size) * rng.choice([1e-3, 1.0, 1e3])
+            assert v.sum() / size == np.mean(v)
+    rand = random.Random(17)
+    graphs = [reference_network(), path_graph(3), complete_graph(5)]
+    graphs += [gnp_graph(rand, rand.randrange(1, 40), rand.uniform(0.05, 0.6)) for _ in range(40)]
+    for g in graphs:
+        want = float(np.mean(frozen_clustering(adjacency_matrix(g))))
+        assert average_clustering(g) == want
+        if g.edge_count and g.node_count >= 3:
+            assert report(g).average_clustering == want
+
+
+def gamma(k):
+    """Higham's gamma_k = ku / (1 - ku) for k roundings of unit roundoff u = 2**-53."""
+    ku = k * 2.0**-53
+    return ku / (1.0 - ku)
+
+
+def test_brandes_sum_stays_within_its_forward_error_bound():
+    # the float sum of the per-node kernel rounds non-negative terms only
+    # (but for the diagonal it subtracts), so it stays within
+    # gamma_K (I + 2R) of the exact integer I, K = D(n + 2) + 2n + 2 for
+    # depth D. Paths have the largest depth, D = n - 1.
+    rng = random.Random(29)
+    graphs = [path_graph(n) for n in (3, 10, 40, 120, 300)]
+    graphs += [gnp_graph(rng, rng.randrange(3, 60), rng.uniform(0.03, 0.5)) for _ in range(40)]
+    graphs += [random_connected_graph(rng, rng.randrange(3, 80), rng.randrange(0, 40))
+               for _ in range(40)]
+    worst = 0.0
+    for g in graphs:
+        a = adjacency_matrix(g)
+        sweep = _paths(a)
+        total = float(_raw_betweenness(a, sweep).sum())
+        excess, pairs = _distance_sums(sweep.dist)
+        n = g.node_count
+        bound = gamma(sweep.depth * (n + 2) + 2 * n + 2) * (excess + 2 * pairs)
+        assert abs(total - excess) <= bound
+        worst = max(worst, abs(total - excess) / max(excess + 2 * pairs, 1))
+    assert worst < 1e-12

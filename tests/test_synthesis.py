@@ -39,7 +39,7 @@ from covertnet import synthesis
 from covertnet.metrics import _leading_vector, _paths, _raw_betweenness
 from covertnet.synthesis import SOFT_METRICS, _candidate, _HardCheck, _index_pairs, _State
 
-from oracles import MetricDictEvaluator
+from oracles import MetricDictEvaluator, eager_anneal
 from util import (
     complete_graph,
     cycle_graph,
@@ -538,6 +538,17 @@ CHAIN_TO_PATH = CHAIN + [(i, i + 1) for i in range(10, 16)]
 CHAIN_TO_K7 = CHAIN + [(i, j) for i in range(10, 17) for j in range(i + 1, 17)]
 
 
+def flip_to(state, g, idx):
+    """Flip the state's pairs one at a time until its matrix is g's, so
+    the anchor's counts see every flip as they see a swap's. The edge
+    lists are left as they were: `_top3` does not read them."""
+    want = set(_index_pairs(idx, g.edges()))
+    for i in range(state.n):
+        for j in range(i + 1, state.n):
+            if state.has(i, j) != ((i, j) in want):
+                state._link((i, j), not state.has(i, j))
+
+
 @pytest.mark.parametrize(
     "graphs",
     [
@@ -552,7 +563,8 @@ CHAIN_TO_K7 = CHAIN + [(i, j) for i in range(10, 17) for j in range(i + 1, 17)]
     ids=["K7", "C8", "K4,5", "star", "n=3", "split", "far-from-anchor"],
 )
 def test_top3_falls_back_to_eigh_where_nothing_is_proved(graphs, dense_calls):
-    # one evaluator scores the graphs in turn. On the symmetric graphs the
+    # one evaluator scores one state, flipped to each graph in turn, so the
+    # first dense solve anchors the second call. On the symmetric graphs the
     # second call starts from the exact leading vector, yet a tie between
     # the 3rd and 4th entries, or n <= 3, leaves the set to the dense
     # solve. "split" drops the bridge: power iteration would settle on the
@@ -560,11 +572,10 @@ def test_top3_falls_back_to_eigh_where_nothing_is_proved(graphs, dense_calls):
     # makes the second cluster dominant: the start vector is nearly an
     # eigenvector of the second eigenvalue, and only the drift term of the
     # eigenvalue bound keeps that from passing as the leading one.
-    roster = tuple(sorted(graphs[0].nodes))
-    idx = {v: i for i, v in enumerate(roster)}
-    evaluator = _candidate(graphs[0], top3_target(graphs[0]))[1]
+    idx = {v: i for i, v in enumerate(sorted(graphs[0].nodes))}
+    state, evaluator = _candidate(graphs[0], top3_target(graphs[0]))
     for k, g in enumerate(graphs, 1):
-        state = _State(len(roster), _index_pairs(idx, g.edges()))
+        flip_to(state, g, idx)
         assert certified_top3(evaluator, state) == dense_top3(state)
         assert len(dense_calls) == k
 
@@ -605,11 +616,12 @@ def test_drift_bounds_the_second_eigenvalue_on_swap_walks():
         state = _candidate(g, top3_target(g))[0]
         anchor = state.a.copy()
         second = np.linalg.eigvalsh(anchor)[-2]
+        state.reanchor(second)
         hub = rng.randrange(n) if walk % 2 else None
         for _ in range(8):
             swap_walk(rng, state, rng.randrange(1, 4), hub)
             moved = np.count_nonzero(state.a != anchor, axis=1)
-            drift = synthesis._drift(state.a, anchor)
+            drift = synthesis._drift(state)
             assert np.linalg.norm(state.a - anchor, 2) <= drift + 1e-12
             assert np.linalg.eigvalsh(state.a)[-2] <= second + drift + 1e-9
             by_row += moved.max() < math.sqrt(moved.sum())
@@ -688,6 +700,158 @@ def test_dense_solves_stay_rare_on_sparse_and_default_targets(target, most, dens
     # (870 on the default target's 1 500-proposal prefix) are certified
     synthesize_reference(target)
     assert len(dense_calls) <= most
+
+
+def test_anchor_counts_equal_the_moved_mask_on_swap_walks():
+    # each node's count is the entries of its row that differ from the
+    # anchor's, through swaps, swaps undone and moves of the anchor
+    rng = random.Random(23)
+    for walk in range(60):
+        n = rng.randrange(2, 30)
+        g = gnm_graph(rng, n, rng.randrange(n * (n - 1) // 2 + 1))
+        state = _candidate(g, top3_target(g))[0]
+        anchor = state.a.copy()
+        for _ in range(30):
+            if rng.random() < 0.1:
+                state.reanchor(0.0)
+                anchor = state.a.copy()
+            swap_walk(rng, state, 1, rng.randrange(n) if walk % 2 else None)
+            assert state.moved == np.count_nonzero(state.a != anchor, axis=1).tolist()
+        if state.edges and state.non_edges:
+            out_pair, in_pair = state.edges[0], state.non_edges[0]
+            before = list(state.moved)
+            state.swap(out_pair, in_pair)
+            state.swap(in_pair, out_pair)
+            assert state.moved == before
+
+
+def test_score_brackets_the_exact_objective_on_random_states():
+    # lo <= objective <= hi on random states of random targets, disconnected
+    # ones included. A mean betweenness entry valued at the graph's own mean
+    # makes its bracket straddle the value, where the low end scores 0.
+    rng = random.Random(71)
+    opened = straddled = split = 0
+    for _ in range(150):
+        n = rng.randrange(3, 16)
+        g = gnm_graph(rng, n, rng.randrange(n * (n - 1) // 2 + 1))
+        target = random_soft_target(rng, g)
+        value = mean_betweenness(g) if rng.random() < 0.5 else rng.uniform(0.0, 0.3)
+        extra = SoftTarget(metric="mean_betweenness", value=value, weight=rng.uniform(0.5, 4.0))
+        target = replace(target, soft=target.soft + (extra,))
+        state, evaluator = _candidate(g, target)
+        for _ in range(4):
+            score = evaluator.score(state)
+            exact = evaluator.objective(state)
+            assert score.lo <= exact <= score.hi
+            opened += score.lo < score.hi
+            straddled += any(
+                type(got) is tuple and got[0] < t.value < got[1]
+                for t, (_metric, got, _c) in zip(target.soft, score.rows)
+            )
+            split += state.component_count() > 1
+            assert score.exact() == exact
+            assert score.rows == evaluator.contributions(state)
+            swap_walk(rng, state, 1)
+    assert opened >= 400 and straddled >= 100 and split >= 100
+
+
+def test_bracket_decisions_equal_the_exact_comparisons():
+    # the annealer's comparisons on brackets must equal the comparisons of
+    # the exact values inside them, also for u just either side of the
+    # acceptance probability, where only the exact values can decide
+    rng = random.Random(61)
+    pinned = []
+
+    def score(x):
+        lo = x - rng.choice([0.0, 1e-12, 1e-9, 1e-6, 1e-3]) * rng.random()
+        hi = x + rng.choice([0.0, 1e-12, 1e-9, 1e-6, 1e-3]) * rng.random()
+        return synthesis._Score(lo, hi, [], lambda: pinned.append(x) or [("x", x, x)])
+
+    settled = 0
+    for _ in range(4000):
+        x_cur = rng.choice([0.0, rng.random()])
+        step = rng.choice([1e-13, 1e-10, 1e-7, 1e-4, 0.1]) * rng.random()
+        x_new = rng.choice([x_cur, x_cur + step])
+        if rng.random() < 0.5:
+            x_cur, x_new = x_new, x_cur
+        cur, new = score(x_cur), score(x_new)
+        before = len(pinned)
+        assert synthesis._at_most(cur, synthesis._ZERO) == (x_cur <= 0.0)
+        assert synthesis._at_most(new, cur) == (x_new <= x_cur)
+        assert synthesis._at_most(cur, new) == (x_cur <= x_new)
+        if x_new > x_cur:
+            t = 10.0 ** rng.uniform(-6.0, 0.0)
+            p = math.exp(-(x_new - x_cur) / t)
+            nudge = rng.choice([-1.0, 1.0]) * rng.choice([0.0, 1e-15, 1e-13, 1e-11, 1e-8])
+            u = min(p * (1.0 + nudge), 1.0 - 2.0**-53)
+            u = rng.choice([u, rng.random()])
+            assert synthesis._coin(u, score(x_new), score(x_cur), t) == (u < p)
+        settled += len(pinned) == before
+    assert min(settled, 4000 - settled) >= 500
+
+
+def betweenness_target(n, m, seed, connected, value, extra=()):
+    """A target that scores mean betweenness, alone or with `extra` soft
+    entries, cooled from a low temperature so that runs settle on it."""
+    return SynthesisTarget(
+        nodes=tuple(labels(n)),
+        edge_count=m,
+        hard=HardConstraints(connected=connected),
+        soft=(SoftTarget(metric="mean_betweenness", value=value, weight=5.0), *extra),
+        schedule=AnnealingSchedule(
+            initial_temperature=0.01, cooling_factor=0.998, iterations=1500, rng_seed=seed
+        ),
+    )
+
+
+@pytest.mark.parametrize(
+    "target",
+    [
+        betweenness_target(10, 14, 1, True, 0.1),
+        betweenness_target(12, 16, 2, False, 0.05),
+        betweenness_target(14, 30, 3, True, 0.04),
+        betweenness_target(
+            11, 20, 4, True, 0.06, (SoftTarget(metric="average_clustering", value=0.2, weight=0.1),)
+        ),
+    ],
+    ids=["n10-hits-zero", "n12-split", "n14", "n11-with-clustering"],
+)
+def test_bracketed_annealer_replays_the_eager_loop(target, monkeypatch):
+    # the eager loop scores every candidate exactly with the oracle
+    # evaluator; the bracketed loop must take the same path, so it ends
+    # on equal edges with the RNG in an equal state. Betweenness-led
+    # targets leave many decisions open, so the kernel runs to pin them.
+    order = tuple(sorted(target.nodes))
+    check = _HardCheck(target, order)
+    sched = target.schedule
+    seed_rng = random.Random(sched.rng_seed)
+    n, m = len(order), target.edge_count
+    if target.hard.connected:
+        g = random_connected_graph(seed_rng, n, m - (n - 1))
+    else:
+        g = gnm_graph(seed_rng, n, m)
+    kernel_calls = []
+
+    def counted(a, sweep):
+        kernel_calls.append(a.shape[0])
+        return _raw_betweenness(a, sweep)
+
+    monkeypatch.setattr(synthesis, "_raw_betweenness", counted)
+    runs = []
+    for anneal in (eager_anneal, synthesis._anneal):
+        state, evaluator = _candidate(g, target)
+        if anneal is eager_anneal:
+            score = MetricDictEvaluator(target, order).objective
+        else:
+            score = evaluator.score
+        rng = random.Random(sched.rng_seed)
+        result = anneal(
+            state, rng, sched.iterations, sched.initial_temperature, sched.cooling_factor,
+            score, check.ok, check.required,
+        )
+        runs.append((result, rng.getstate()))
+    assert runs[0] == runs[1]
+    assert len(kernel_calls) >= 20
 
 
 def test_missing_metric_draws_the_penalty():
