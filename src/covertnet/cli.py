@@ -338,9 +338,13 @@ def cmd_synthesize(args) -> int:
         _write_text(roles_path, dump_roles(graph.with_roles(reference.chiapas_roster())))
         written.append(roles_path)
     print(f"wrote {', '.join(written)}")
-    print(f"objective: {synthesis.objective(graph, target)!r}")
+    rows = synthesis.soft_report(graph, target)
+    total = 0.0
+    for row in rows:  # left to right from 0.0, as `objective` sums them
+        total += row["contribution"]
+    print(f"objective: {total!r}")
     print(f"{'metric':<24}{'target':>12}{'achieved':>14}{'weight':>8}")
-    for row in synthesis.soft_report(graph, target):
+    for row in rows:
         achieved = "n/a" if row["achieved"] is None else f"{row['achieved']:.6f}"
         print(
             f"{row['metric']:<24}{row['target']:>12.6f}{achieved:>14}{row['weight']:>8.1f}"

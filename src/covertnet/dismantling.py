@@ -395,7 +395,7 @@ def run_strategies(g: LabeledGraph, specs: list[StrategySpec]) -> list[Dismantli
         steps, full = _residual_steps(a, index, run)
         if not traces:
             try:
-                initial_metrics = metrics._report(g, order, a, full)
+                initial_metrics = metrics._report(g, order, a, full, metrics._closed(a))
             except PreconditionError:
                 initial_metrics = None
         traces.append(

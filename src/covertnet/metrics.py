@@ -8,13 +8,16 @@ Each metric has one implementation: a dense numpy kernel over the
 adjacency matrix in sorted label order, shared with the annealer in
 `synthesis`. One BFS sweep from every source (`_paths`) is the only
 all-pairs search. In O(n^2) memory it hands back the hop distances, the
-shortest-path counts, the mask of pairs it did not reach and its depth.
-Diameter, mean betweenness, eigenvector centrality and dismantling's
-logged runs read the distances. Per-node betweenness and the annealer's
-Brandes sum read the distances, counts, mask and depth, deriving each
-hop level's pairs from the distances as the backward pass reaches it.
+mask of pairs it did not reach, their count, its depth and, from its
+first product, each node's closed walks of length 3; it forms no path
+counts. Diameter, mean betweenness, eigenvector centrality and
+dismantling's logged runs read the distances, and clustering reads the
+closed walks. Only per-node betweenness and the annealer's Brandes sum
+need the shortest-path counts: `_raw_betweenness` forms them in one
+forward pass over the sweep's levels, then walks the levels back,
+deriving each level's pairs from the distances as each pass reaches it.
 The annealer also takes its diameter from the depth and its
-connectivity from the unreached mask. Mean betweenness is read from the
+connectivity from the unreached count. Mean betweenness is read from the
 distances alone, so unlike per-node betweenness it never needs a path
 count past the largest float. The annealer's mean betweenness is the
 per-node kernel's float sum, so that the bundled network rebuilds bit
@@ -66,34 +69,35 @@ def average_degree(g: LabeledGraph) -> float:
 
 
 class _Sweep(NamedTuple):
-    """What one `_paths` sweep computes; the arrays are n x n."""
+    """What one `_paths` sweep computes; `dist` and `unreached` are n x n."""
 
     dist: np.ndarray  # hop distances, -1 if unreachable
-    sigma: np.ndarray  # shortest-path counts, capped at the largest float; 0 if unreachable
     unreached: np.ndarray  # dist < 0
     depth: int  # the largest finite hop distance
+    left: int  # the ordered pairs not reached, so 0 iff the graph is connected
+    closed: np.ndarray  # per node: twice its triangle count, from the first product
 
 
 def _paths(a: np.ndarray) -> _Sweep:
-    """All-pairs hop distances and shortest-path counts, level by level.
+    """All-pairs hop distances, level by level; no path counts.
 
-    One BFS sweep, started at level 1: the counts reaching level 1 are `a`
-    itself, and those reaching level k are the level k-1 counts times `a`,
-    each an exact integer in float. A count past the largest float is
-    carried as that float, so an overflow never turns into inf * 0 = NaN
-    and the distances stay exact whatever the counts do. Level k's counts
-    are zero off its pairs, so `sigma` is the sum of every level's, and
-    `depth` is the diameter of a connected graph. Only two levels' counts
-    are held at a time, so memory is O(n^2) whatever the diameter.
+    One BFS sweep, started at level 1: level 1 is `a` itself, and the
+    pairs reaching level k are the unreached ones that the boolean level
+    k-1 frontier times `a` makes positive. The frontier is boolean, so
+    nothing is carried from level to level but which pairs it holds, and
+    `depth` is the diameter of a connected graph. The first product,
+    a @ a, also gives each node's closed walks of length 3 (`closed`),
+    which clustering reads. Only one level's product is held at a time,
+    so memory is O(n^2) whatever the diameter.
     """
-    big = np.finfo(float).max
+    n = a.shape[0]
     dist = np.where(a > 0, 1.0, -1.0)
-    np.fill_diagonal(dist, 0.0)
+    dist.flat[:: n + 1] = 0.0
     unreached = dist < 0
     left = np.count_nonzero(unreached)
-    sigma = a + np.eye(a.shape[0])
-    depth = int(a.any())  # level 1 is empty without an edge
+    depth = int(left < n * (n - 1))  # level 1 is empty without an edge
     counts = a @ a
+    closed = np.einsum("ij,ij->i", counts, a)
     while left:
         nxt = counts > 0
         nxt &= unreached
@@ -104,13 +108,9 @@ def _paths(a: np.ndarray) -> _Sweep:
         depth += 1
         unreached ^= nxt
         np.putmask(dist, nxt, depth)
-        # an overflow is carried as the largest float
-        front = np.minimum(counts, big, out=counts)
-        front *= nxt  # capped counts are finite, so this zeroes exactly
-        sigma += front
         if left:  # else every pair is reached, and a further level would be empty
-            counts = front @ a
-    return _Sweep(dist, sigma, unreached, depth)
+            counts = nxt @ a
+    return _Sweep(dist, unreached, depth, left, closed)
 
 
 def _largest_component(dist: np.ndarray) -> np.ndarray:
@@ -119,26 +119,55 @@ def _largest_component(dist: np.ndarray) -> np.ndarray:
     return np.flatnonzero(dist[root] >= 0)
 
 
-def _clustering(a: np.ndarray) -> np.ndarray:
-    """Per-node local clustering; a node of degree below 2 closes no
-    triangle, so it scores 0 / 1 = 0."""
-    deg = a.sum(axis=1)
-    closed = ((a @ a) * a).sum(axis=1)  # per node: twice its triangle count
+def _closed(a: np.ndarray) -> np.ndarray:
+    """Per node: twice its triangle count, the row sums of a @ a * a, as
+    `_paths` forms it. Each is an exact integer, whatever the order of
+    the sum."""
+    return np.einsum("ij,ij->i", a @ a, a)
+
+
+def _clustering(deg: np.ndarray, closed: np.ndarray) -> np.ndarray:
+    """Per-node local clustering from the degrees and `closed`; a node of
+    degree below 2 closes no triangle, so it scores 0 / 1 = 0."""
     return closed / np.maximum(deg * (deg - 1.0), 1.0)
+
+
+def _path_counts(a: np.ndarray, sweep: _Sweep) -> np.ndarray:
+    """Shortest-path counts of a `_paths(a)` sweep's pairs, 0 if unreachable.
+
+    A forward pass over the sweep's levels: the counts reaching level 1
+    are `a` itself, and those reaching level k are the level k-1 counts
+    times `a`, kept on level k's pairs, each an exact integer in float. A
+    count past the largest float is carried as that float, so an overflow
+    never turns into inf * 0 = NaN. Only two levels' counts are held at a
+    time, so memory is O(n^2) whatever the diameter.
+    """
+    big = np.finfo(float).max
+    sigma = a + np.eye(a.shape[0])
+    front = a
+    for k in range(2, sweep.depth + 1):
+        counts = front @ a
+        np.minimum(counts, big, out=counts)  # an overflow is carried as the largest float
+        counts *= sweep.dist == k  # capped counts are finite, so this zeroes exactly
+        sigma += counts
+        front = counts
+    return sigma
 
 
 def _raw_betweenness(a: np.ndarray, sweep: _Sweep) -> np.ndarray:
     """Per-node Brandes dependency sums over ordered pairs, from a
     `_paths(a)` sweep whose rows are the sources.
 
-    The backward pass walks the hop levels from the sweep's depth: the
-    dependency of level k's pairs flows through `a` to the pairs of level
-    k-1, weighted by their path counts. Each level's pairs are derived
-    from `dist` as the pass reaches them, two levels at a time, so memory
-    stays O(n^2) whatever the diameter.
+    The path counts come from `_path_counts`. The backward pass walks the
+    hop levels from the sweep's depth: the dependency of level k's pairs
+    flows through `a` to the pairs of level k-1, weighted by their path
+    counts. Each level's pairs are derived from `dist` as the pass
+    reaches them, two levels at a time, so memory stays O(n^2) whatever
+    the diameter.
     """
-    dist, sigma = sweep.dist, sweep.sigma
-    if sigma.max() >= np.finfo(float).max:  # a count `_paths` saturated is not exact
+    dist = sweep.dist
+    sigma = _path_counts(a, sweep)
+    if sigma.max() >= np.finfo(float).max:  # a saturated count is not exact
         raise PreconditionError("a shortest-path count overflows a float")
     safe = sigma + sweep.unreached  # 1 where no path, so the ratio stays finite
     delta = np.zeros(sigma.shape)
@@ -174,10 +203,10 @@ def _leading_vector(a: np.ndarray, dist: np.ndarray) -> tuple[np.ndarray, float]
     return scores, float(vals[-2]) if members.size > 1 else -np.inf
 
 
-def _matrices(g: LabeledGraph) -> tuple[tuple[str, ...], np.ndarray, np.ndarray]:
-    """Sorted label order, adjacency matrix and hop distances of g."""
+def _matrices(g: LabeledGraph) -> tuple[tuple[str, ...], np.ndarray, _Sweep]:
+    """Sorted label order, adjacency matrix and `_paths` sweep of g."""
     a = adjacency_matrix(g)
-    return node_order(g), a, _paths(a).dist
+    return node_order(g), a, _paths(a)
 
 
 def _require_edge(g: LabeledGraph) -> None:
@@ -198,21 +227,23 @@ def _diameter(dist: np.ndarray) -> int:
 def diameter_lcc(g: LabeledGraph) -> int:
     """Longest shortest path within the largest connected component."""
     _require_edge(g)
-    return _diameter(_matrices(g)[2])
+    return _diameter(_matrices(g)[2].dist)
 
 
 def local_clustering(g: LabeledGraph, v: str) -> float:
     """Fraction of the node's neighbor pairs that are themselves linked."""
     if not g.has_node(v):
         raise GraphError(f"unknown node {v!r}")
-    return float(_clustering(adjacency_matrix(g))[node_order(g).index(v)])
+    a = adjacency_matrix(g)
+    return float(_clustering(a.sum(axis=1), _closed(a))[node_order(g).index(v)])
 
 
 def average_clustering(g: LabeledGraph) -> float:
     if g.node_count == 0:
         raise PreconditionError("average clustering of an empty graph")
+    a = adjacency_matrix(g)
     # sum / n is np.mean's own reduction and division, so the bits are its
-    return float(_clustering(adjacency_matrix(g)).sum() / g.node_count)
+    return float(_clustering(a.sum(axis=1), _closed(a)).sum() / g.node_count)
 
 
 def betweenness(g: LabeledGraph) -> dict[str, float]:
@@ -235,10 +266,11 @@ def _distance_sums(dist: np.ndarray) -> tuple[float, int]:
     and I the sum of d(s, t) - 1 over them, the betweenness summed over
     every node (Barthelemy, EPJ B 38:163, 2004). I comes from the positive
     finite entries of `dist` (an unreachable pair may be -1 or inf), an
-    exact integer in float."""
-    reach = (dist > 0) & (dist < np.inf)
+    exact integer in float whatever the order of the sum."""
+    reach = dist > 0
+    reach &= dist < np.inf
     pairs = np.count_nonzero(reach)
-    return float(dist[reach].sum() - pairs), pairs
+    return float(dist.sum(where=reach) - pairs), pairs
 
 
 def _mean_betweenness(dist: np.ndarray, n: int) -> float:
@@ -251,7 +283,7 @@ def _mean_betweenness(dist: np.ndarray, n: int) -> float:
 def mean_betweenness(g: LabeledGraph) -> float:
     """Mean normalized betweenness, from hop distances alone (no path counts)."""
     _require_three(g)
-    return _mean_betweenness(_matrices(g)[2], g.node_count)
+    return _mean_betweenness(_matrices(g)[2].dist, g.node_count)
 
 
 def _eigenvector_scores(
@@ -271,20 +303,23 @@ def eigenvector_centrality(g: LabeledGraph) -> dict[str, float]:
     """
     if g.node_count == 0:
         raise PreconditionError("eigenvector centrality of an empty graph")
-    return _eigenvector_scores(*_matrices(g))
+    order, a, sweep = _matrices(g)
+    return _eigenvector_scores(order, a, sweep.dist)
 
 
-def _degree_centralization(deg: np.ndarray) -> float:
-    """Freeman centralization of an integer degree vector (n >= 3), rounded once."""
+def _degree_centralization(deg: np.ndarray, top: int) -> float:
+    """Freeman centralization of an integer degree vector (n >= 3) whose
+    largest entry is `top`, rounded once."""
     n = deg.shape[0]
-    return float(deg.max() * n - deg.sum()) / ((n - 1) * (n - 2))
+    return float(top * n - int(deg.sum())) / ((n - 1) * (n - 2))
 
 
 def degree_centralization(g: LabeledGraph) -> float:
     """Freeman centralization: star graphs score 1, regular graphs 0."""
     if g.node_count < 3:
         raise PreconditionError("degree centralization needs at least 3 nodes")
-    return _degree_centralization(np.array([g.degree(v) for v in g.nodes]))
+    deg = np.array([g.degree(v) for v in g.nodes])
+    return _degree_centralization(deg, int(deg.max()))
 
 
 @dataclass(frozen=True)
@@ -312,10 +347,12 @@ class MetricsReport:
 
 
 def _report(
-    g: LabeledGraph, order: tuple[str, ...], a: np.ndarray, dist: np.ndarray
+    g: LabeledGraph, order: tuple[str, ...], a: np.ndarray, dist: np.ndarray,
+    closed: np.ndarray,
 ) -> MetricsReport:
-    """The report of g from its sorted label order, adjacency matrix and
-    hop distances (-1 if unreachable), whoever computed them."""
+    """The report of g from its sorted label order, adjacency matrix, hop
+    distances (-1 if unreachable) and `closed` counts, whoever computed
+    them."""
     dens, frag, avg_deg = density(g), fragmentation(g), average_degree(g)
     _require_edge(g)
     _require_three(g)
@@ -326,7 +363,7 @@ def _report(
         fragmentation=frag,
         average_degree=avg_deg,
         diameter_lcc=_diameter(dist),
-        average_clustering=float(_clustering(a).sum() / g.node_count),
+        average_clustering=float(_clustering(a.sum(axis=1), closed).sum() / g.node_count),
         mean_betweenness=_mean_betweenness(dist, g.node_count),
         degree_centralization=degree_centralization(g),
         eigenvector_centrality=_eigenvector_scores(order, a, dist),
@@ -336,7 +373,9 @@ def _report(
 def report(g: LabeledGraph) -> MetricsReport:
     """Compute every metric at once; needs n >= 3 and at least one edge.
 
-    The adjacency and distance matrices are built once and shared by the
-    metrics that need them; each field equals its standalone function.
+    The adjacency matrix and one `_paths` sweep are built once and shared
+    by the metrics that need them; each field equals its standalone
+    function.
     """
-    return _report(g, *_matrices(g))
+    order, a, sweep = _matrices(g)
+    return _report(g, order, a, sweep.dist, sweep.closed)

@@ -28,14 +28,19 @@ apart from subtracting the diagonal, so |S - I| <= gamma_K (I + 2R) for
 K = D(n + 2) + 2n + 2 roundings at depth D, gamma_K = Ku / (1 - Ku) and
 u = 2**-53 (Higham, Accuracy and Stability of Numerical Algorithms, 2002,
 section 3). With D < n <= 1930, gamma_K < 1e-9, so S lies within
-1e-9 (I + 2R) of I while the path counts, below 2**53, are exact. Float
-division, subtraction and products are monotone on either side of the
-target value, and so is a left-to-right sum, so scoring both ends of the
-bracket as the exact value is scored gives lo <= objective <= hi. A
-comparison the brackets settle is settled. One they leave open runs the
-kernel on the compared states' own sweeps, so the walk is the one the
-exact scores take. Past 1930 nodes or 2**53 paths the kernel runs on
-every candidate.
+1e-9 (I + 2R) of I while the path counts, below 2**53, are exact. The
+sweep forms no counts, so that is proved from the largest degree dmax:
+each of a shortest path's d - 1 inner nodes is one of at most dmax
+neighbours of the node before it, so every count is at most
+dmax ** (D - 1), and dmax ** (D - 1) < 2**53, an exact integer test,
+proves every count exact. Float division, subtraction and products are
+monotone on either side of the target value, and so is a left-to-right
+sum, so scoring both ends of the bracket as the exact value is scored
+gives lo <= objective <= hi. A comparison the brackets settle is settled.
+One they leave open runs the kernel on the compared states' own sweeps,
+so the walk is the one the exact scores take. Past 1930 nodes, or where
+the degree test fails, the kernel runs on every candidate; a bracket
+never changes a decision, so the walk is the same either way.
 
 Every run is driven by one seeded RNG, so a target synthesizes to the
 same graph on every run. Across machines that is checked, not proved:
@@ -64,7 +69,7 @@ from .errors import (
     _set_real,
 )
 from .graph import LabeledGraph, _check_label
-from .metrics import _clustering, _degree_centralization, _density, _leading_vector
+from .metrics import _closed, _clustering, _degree_centralization, _density, _leading_vector
 from .metrics import _distance_sums, _paths, _raw_betweenness
 
 SOFT_METRICS = (
@@ -490,16 +495,17 @@ def _drift(state: _State) -> float:
 
 
 _BRACKET_MAX_N = 1930  # gamma_K < 1e-9 up to this n (module docstring)
-_EXACT_COUNT = 2.0**53  # path counts below this are exact integers in float
+_EXACT_COUNT = 2**53  # path counts below this are exact integers in float
 
 
-def _brandes(a: np.ndarray, sweep) -> float | tuple[float, float]:
+def _brandes(a: np.ndarray, sweep, dmax: int) -> float | tuple[float, float]:
     """The Brandes sum S, `_raw_betweenness(a, sweep)` summed in float, or
     a bracket (lo, hi) around it: I -+ 1e-9 (I + 2R), for I and R from
-    `_distance_sums`. The bracket holds while every path count is exact
-    and n <= 1930 (module docstring); otherwise S is computed at once, so
-    a saturated count raises here as the kernel does."""
-    if a.shape[0] <= _BRACKET_MAX_N and sweep.sigma.max() < _EXACT_COUNT:
+    `_distance_sums`. The bracket holds while n <= 1930 and every path
+    count is exact, which dmax ** (depth - 1) < 2**53 proves for `dmax`
+    the largest degree (module docstring); otherwise S is computed at
+    once, so a saturated count raises here as the kernel does."""
+    if a.shape[0] <= _BRACKET_MAX_N and dmax ** max(sweep.depth - 1, 0) < _EXACT_COUNT:
         excess, pairs = _distance_sums(sweep.dist)
         slack = 1e-9 * (excess + 2 * pairs)
         return excess - slack, excess + slack
@@ -573,7 +579,7 @@ class _Evaluator:
         self.need_dist = bool(wanted & {"diameter_lcc", "mean_betweenness", "eigenvector_top3"})
         self.lead = None  # the last leading vector (unit, >= 0), where power iteration starts
 
-    def _top3(self, state: _State, dist: np.ndarray, connected: bool) -> set[int]:
+    def _top3(self, state: _State, dist: np.ndarray, connected: bool, dmax: int) -> set[int]:
         """The indexes of the three largest entries of `_leading_vector`,
         the lowest index first among equal entries.
 
@@ -591,13 +597,14 @@ class _Evaluator:
         2e-9 d apart (eigh's own 1e-9 per entry, times lambda <= d), the
         dense solve's top three are x's. Otherwise, on a disconnected
         candidate and without an anchor, one dense solve decides, and on a
-        connected candidate it becomes the state's new anchor.
+        connected candidate it becomes the state's new anchor. `dmax` is
+        the state's largest degree d.
         """
         a = state.a
         certifiable = connected and state.n > 3
         if certifiable and state.second is not None and self.lead is not None:
             bound = state.second + _drift(state) + 1e-9
-            d = float(state.deg.max())
+            d = float(dmax)
             spread, slack = math.sqrt(2.0 * d), 2e-9 * d
             w = self.lead
             for _ in range(_POWER_STEPS):
@@ -633,7 +640,8 @@ class _Evaluator:
         m = len(state.edges)
         a = state.a
         sweep = _paths(a) if self.need_dist else None
-        connected = sweep is not None and not sweep.unreached.any()
+        connected = sweep is not None and sweep.left == 0
+        dmax = int(state.deg.max()) if n else 0
         top = None
         brandes = None
         rows = []
@@ -649,7 +657,8 @@ class _Evaluator:
                 got = float(sweep.depth) if m and connected else None
             elif metric == "average_clustering":
                 # sum / n is np.mean's own reduction and division
-                got = float(_clustering(a).sum() / n) if n >= 1 else None
+                closed = sweep.closed if sweep is not None else _closed(a)
+                got = float(_clustering(state.deg, closed).sum() / n) if n >= 1 else None
             elif metric == "mean_betweenness":
                 # the Brandes kernel's sum, not `metrics.mean_betweenness`'s
                 # distance identity: the annealer's path depends on every
@@ -657,19 +666,19 @@ class _Evaluator:
                 got = None
                 if n >= 3:
                     if brandes is None:
-                        brandes = _brandes(a, sweep)
+                        brandes = _brandes(a, sweep, dmax)
                     scale = n * (n - 1) * (n - 2)
                     if type(brandes) is tuple:
                         got = (brandes[0] / scale, brandes[1] / scale)
                     else:
                         got = brandes / scale
             elif metric == "degree_centralization":
-                got = _degree_centralization(state.deg) if n >= 3 else None
+                got = _degree_centralization(state.deg, dmax) if n >= 3 else None
             else:
                 # eigenvector_top3: the fraction of `nodes` (on the roster,
                 # so n >= 1) in the top-3 eigenvector ranking
                 if top is None:
-                    top = self._top3(state, sweep.dist, connected)
+                    top = self._top3(state, sweep.dist, connected, dmax)
                 got = len(top.intersection(nodes)) / len(nodes)
             if got is None:
                 rows.append((metric, None, weight * self.penalty))

@@ -19,8 +19,9 @@ metric once into a dict keyed by metric name and then scores the
 targets from that dict, instead of scoring each target in one pass; so
 it scores every `eigenvector_top3` entry with the first entry's node
 list. It takes distances, clustering and betweenness from the frozen
-kernels below, as first written, instead of from `_clustering` and the
-counts, depth and unreached mask of one `_paths` sweep. It ranks that term's
+kernels below, as first written, instead of from `_clustering`, the
+closed-walk counts, depth and distances of one `_paths` sweep and the path
+counts `_raw_betweenness` forms from them. It ranks that term's
 nodes by a bare dense eigensolve of the largest component on every
 call, instead of through `_leading_vector` and the annealer's certified
 power iteration. The eager annealing loop scores every candidate exactly
@@ -59,10 +60,15 @@ from covertnet.synthesis import _Score
 # kernels as first written, before one BFS sweep gave distances, path
 # counts, the unreached mask and the depth. They are kept verbatim so the
 # sweep and the kernels that read it can be held to the same bits.
+def frozen_closed(a):
+    """Per node: twice its triangle count, as first written."""
+    return ((a @ a) * a).sum(axis=1)
+
+
 def frozen_clustering(a):
     """The per-node clustering formula as first written, with two np.where."""
     deg = a.sum(axis=1)
-    closed = ((a @ a) * a).sum(axis=1)
+    closed = frozen_closed(a)
     pairs = deg * (deg - 1.0)
     safe = np.where(pairs > 0.0, pairs, 1.0)
     return np.where(pairs > 0.0, closed / safe, 0.0)
@@ -510,7 +516,8 @@ class MetricDictEvaluator:
                     else None
                 )
             elif metric == "degree_centralization":
-                out[metric] = _degree_centralization(state.deg) if n >= 3 else None
+                deg = state.deg
+                out[metric] = _degree_centralization(deg, int(deg.max())) if n >= 3 else None
             elif metric == "eigenvector_top3":
                 # the largest component, a size tie going to the lowest index
                 reach = dist >= 0

@@ -28,18 +28,22 @@ from covertnet import (
     report,
 )
 from covertnet.metrics import (
+    _closed,
     _clustering,
     _diameter,
     _distance_sums,
     _largest_component,
     _mean_betweenness,
+    _path_counts,
     _paths,
     _raw_betweenness,
+    _Sweep,
 )
 
 from oracles import (
     brute_diameter,
     enumerate_betweenness,
+    frozen_closed,
     frozen_clustering,
     frozen_distances,
     frozen_raw_betweenness,
@@ -50,6 +54,7 @@ from util import (
     cycle_graph,
     gnp_graph,
     labels,
+    layered_graph,
     path_graph,
     random_connected_graph,
     star_graph,
@@ -142,8 +147,11 @@ def test_clustering_kernel_is_bit_identical_to_the_frozen_formula():
     isolated = pendant = 0
     for _ in range(200):
         a = adjacency_matrix(gnp_graph(rng, rng.randrange(1, 45), rng.uniform(0.0, 0.4)))
-        assert _clustering(a).tobytes() == frozen_clustering(a).tobytes()
+        want = frozen_clustering(a).tobytes()
         deg = a.sum(axis=1)
+        assert _clustering(deg, _closed(a)).tobytes() == want
+        # the annealer's form: integer degrees and the sweep's closed walks
+        assert _clustering(deg.astype(np.int64), _paths(a).closed).tobytes() == want
         isolated += int((deg == 0).sum())
         pendant += int((deg == 1).sum())
     assert min(isolated, pendant) >= 100
@@ -363,7 +371,8 @@ def test_paths_match_a_per_source_bfs():
     disconnected = 0
     for g in graphs:
         order, a = _kernel_input(g)
-        dist, sigma = _paths(a)[:2]
+        sweep = _paths(a)
+        dist, sigma = sweep.dist, _path_counts(a, sweep)
         want_dist, want_sigma = _bfs_paths(g, order)
         assert dist.tolist() == want_dist
         assert sigma.tolist() == want_sigma
@@ -387,6 +396,31 @@ def test_sweep_hands_back_its_mask_and_depth():
         assert sweep.unreached.tolist() == (dist < 0).tolist()
         disconnected += bool(sweep.unreached.any())
     assert disconnected >= 10
+
+
+def test_sweep_equals_the_frozen_kernels_byte_for_byte():
+    # the distances-only sweep hands back what the frozen kernels give:
+    # distances, their mask, depth and unreached count, and the closed
+    # walks of clustering; it holds no path counts
+    assert "sigma" not in _Sweep._fields
+    rng = random.Random(53)
+    graphs = [LabeledGraph(labels(n)) for n in (0, 1, 2, 6)]  # n <= 2 and edgeless
+    graphs += [path_graph(2), barbell_graph(4), layered_graph(5, extra=["lone"])]
+    graphs += [gnp_graph(rng, rng.randrange(1, 40), rng.uniform(0.0, 0.3)) for _ in range(60)]
+    graphs += [random_connected_graph(rng, rng.randrange(1, 40), rng.randrange(0, 40))
+               for _ in range(30)]
+    disconnected = 0
+    for g in graphs:
+        _order, a = _kernel_input(g)
+        sweep = _paths(a)
+        dist = frozen_distances(a)
+        assert sweep.dist.tobytes() == dist.tobytes()
+        assert sweep.unreached.tobytes() == (dist < 0).tobytes()
+        assert sweep.depth == (int(dist.max()) if g.node_count else 0)
+        assert sweep.left == np.count_nonzero(dist < 0)
+        assert sweep.closed.tobytes() == frozen_closed(a).tobytes()
+        disconnected += sweep.left > 0
+    assert disconnected >= 30
 
 
 def test_betweenness_memory_does_not_grow_with_the_diameter():
@@ -429,22 +463,17 @@ def test_paths_kernel_is_bit_identical_to_the_frozen_reference():
     assert 60 <= connected <= 160
 
 
-def _layered_graph(layers, width=3, extra=()):
-    """Chain of `width`-node layers, every edge between neighbouring layers."""
-    names = [[f"l{i:02d}_{j}" for j in range(width)] for i in range(layers)]
-    edges = [(u, v) for left, right in zip(names, names[1:]) for u in left for v in right]
-    return LabeledGraph([v for layer in names for v in layer] + list(extra), edges)
-
-
 def test_paths_distances_survive_overflowing_counts():
     # A graph needs about 1 940 nodes before its path counts pass the
     # largest float; scaling every edge to 1e100 overflows the counts of
     # a 30-node layered graph within four levels instead. The distances
     # depend only on which entries are nonzero, so they must not move.
-    g = _layered_graph(10, extra=["lone"])
+    g = layered_graph(10, extra=["lone"])
     _order, a = _kernel_input(g)
+    sweep = _paths(a * 1e100)
     with np.errstate(over="ignore"):
-        dist, sigma = _paths(a * 1e100)[:2]
+        sigma = _path_counts(a * 1e100, sweep)
+    dist = sweep.dist
     assert dist.tobytes() == _paths(a)[0].tobytes()
     assert (sigma == np.finfo(float).max).any()
     assert _largest_component(dist).tolist() == list(range(30))
@@ -455,12 +484,11 @@ def test_betweenness_rejects_saturated_counts():
     # a saturated count is no longer exact, so dividing by it would give
     # a wrong per-node betweenness; the mean reads only the distances
     # (test above), so it keeps its value
-    g = _layered_graph(10, extra=["lone"])
+    g = layered_graph(10, extra=["lone"])
     _order, a = _kernel_input(g)
-    with np.errstate(over="ignore"):
-        sweep = _paths(a * 1e100)
+    sweep = _paths(a * 1e100)
     dist = sweep.dist
-    with pytest.raises(PreconditionError, match="overflows a float"):
+    with np.errstate(over="ignore"), pytest.raises(PreconditionError, match="overflows a float"):
         _raw_betweenness(a * 1e100, sweep)
     assert _mean_betweenness(dist, 31) == _mean_betweenness(_paths(a)[0], 31)
     assert _mean_betweenness(dist, 31) == mean_betweenness(g)
@@ -474,7 +502,7 @@ def test_mean_betweenness_equals_the_path_enumeration_mean_exactly():
     # the distance identity sums exact integers and divides once, so it
     # lands on the correctly rounded value of the exact Fraction mean
     rng = random.Random(43)
-    graphs = [reference_network(), _layered_graph(4, extra=["lone"])]
+    graphs = [reference_network(), layered_graph(4, extra=["lone"])]
     graphs += [random_connected_graph(rng, rng.randrange(3, 14), rng.randrange(0, 20))
                for _ in range(25)]
     graphs += [gnp_graph(rng, rng.randrange(3, 14), rng.uniform(0.05, 0.4)) for _ in range(25)]

@@ -36,7 +36,8 @@ from covertnet import (
     synthesize_reference,
 )
 from covertnet import synthesis
-from covertnet.metrics import _leading_vector, _paths, _raw_betweenness
+from covertnet.metrics import _distance_sums, _leading_vector, _path_counts, _paths
+from covertnet.metrics import _raw_betweenness
 from covertnet.synthesis import SOFT_METRICS, _candidate, _HardCheck, _index_pairs, _State
 
 from oracles import MetricDictEvaluator, eager_anneal
@@ -45,6 +46,7 @@ from util import (
     cycle_graph,
     gnm_graph,
     labels,
+    layered_graph,
     path_graph,
     random_connected_graph,
     star_graph,
@@ -478,7 +480,7 @@ def dense_calls(monkeypatch):
 def certified_top3(evaluator, state):
     """The evaluator's top-3 set for state, with connectivity decided as `contributions` does."""
     dist = _paths(state.a)[0]
-    return evaluator._top3(state, dist, bool((dist >= 0).all()))
+    return evaluator._top3(state, dist, bool((dist >= 0).all()), int(state.deg.max()))
 
 
 def dense_top3_scores(state):
@@ -802,6 +804,43 @@ def betweenness_target(n, m, seed, connected, value, extra=()):
             initial_temperature=0.01, cooling_factor=0.998, iterations=1500, rng_seed=seed
         ),
     )
+
+
+def test_largest_degree_bounds_every_path_count():
+    # the d - 1 inner nodes of a shortest path are each one of at most
+    # dmax neighbours, so dmax ** (depth - 1) bounds every count; a
+    # layered graph of width w meets it within a factor 2 per level
+    rng = random.Random(83)
+    graphs = [layered_graph(k, w) for k in (2, 3, 6, 12) for w in (1, 2, 4)]
+    graphs += [LabeledGraph(labels(n)) for n in (1, 3)] + [complete_graph(5), star_graph(6)]
+    graphs += [gnm_graph(rng, n, rng.randrange(n * (n - 1) // 2 + 1))
+               for n in (rng.randrange(1, 30) for _ in range(40))]
+    graphs += [random_connected_graph(rng, rng.randrange(2, 40), rng.randrange(0, 60))
+               for _ in range(40)]
+    tight = 0
+    for g in graphs:
+        a = adjacency_matrix(g)
+        sweep = _paths(a)
+        dmax = int(a.sum(axis=1).max())
+        top = float(_path_counts(a, sweep).max())
+        assert dmax ** max(sweep.depth - 1, 0) >= top
+        tight += sweep.depth > 2 and top * 2 ** (sweep.depth - 1) >= dmax ** (sweep.depth - 1)
+    assert tight >= 6
+
+
+def test_brandes_sums_at_once_where_the_degree_bound_fails():
+    # width-3 layers: dmax = 6 and depth 23 put the bound at 6**22 > 2**53,
+    # while the counts themselves stay below 3**22, so the kernel's own sum
+    # comes back, and it lies within the bracket the bound could not grant
+    a = adjacency_matrix(layered_graph(24, 3, extra=["lone"]))
+    sweep = _paths(a)
+    assert (sweep.depth, int(a.sum(axis=1).max())) == (23, 6)
+    got = synthesis._brandes(a, sweep, 6)
+    assert type(got) is float
+    assert got == float(_raw_betweenness(a, sweep).sum())
+    excess, pairs = _distance_sums(sweep.dist)
+    assert abs(got - excess) <= 1e-9 * (excess + 2 * pairs)
+    assert type(synthesis._brandes(a[:66, :66], _paths(a[:66, :66]), 6)) is tuple
 
 
 @pytest.mark.parametrize(

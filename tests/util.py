@@ -45,6 +45,13 @@ def barbell_graph(k: int = 4) -> LabeledGraph:
     return LabeledGraph(left + right, edges)
 
 
+def layered_graph(layers: int, width: int = 3, extra=()) -> LabeledGraph:
+    """Chain of `width`-node layers, every edge between neighbouring layers."""
+    names = [[f"l{i:02d}_{j}" for j in range(width)] for i in range(layers)]
+    edges = [(u, v) for left, right in zip(names, names[1:]) for u in left for v in right]
+    return LabeledGraph([v for layer in names for v in layer] + list(extra), edges)
+
+
 def sign_split(g: LabeledGraph, vector: dict[str, float]) -> SpectralBisection | None:
     """Split g's nodes by the sign of `vector` (v >= 0 to part_m); None if a side is empty."""
     part_m = frozenset(v for v in g.nodes if vector[v] >= 0.0)
