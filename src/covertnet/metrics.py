@@ -8,16 +8,19 @@ Each metric has one implementation: a dense numpy kernel over the
 adjacency matrix in sorted label order, shared with the annealer in
 `synthesis`. One BFS sweep from every source (`_paths`) is the only
 all-pairs search. In O(n^2) memory it hands back the hop distances, the
-mask of pairs it did not reach, their count, its depth and, from its
-first product, each node's closed walks of length 3; it forms no path
-counts. Diameter, mean betweenness, eigenvector centrality and
-dismantling's logged runs read the distances, and clustering reads the
-closed walks. Only per-node betweenness and the annealer's Brandes sum
+mask of pairs it did not reach, their count, its depth, the sum of the
+distances less one over the pairs it reached and, from its first
+product, each node's closed walks of length 3 and the closed walks of
+length 4 in all, tr(A^4); it forms no path counts. Diameter, mean
+betweenness, eigenvector centrality and dismantling's logged runs read
+the distances, and clustering reads the closed walks. Only per-node
+betweenness and the annealer's Brandes sum
 need the shortest-path counts: `_raw_betweenness` forms them in one
 forward pass over the sweep's levels, then walks the levels back,
 deriving each level's pairs from the distances as each pass reaches it.
-The annealer also takes its diameter from the depth and its
-connectivity from the unreached count. Mean betweenness is read from the
+The annealer also takes its diameter from the depth, its connectivity
+from the unreached count, its Brandes bracket from the distance sum and
+its bound on the second eigenvalue from tr(A^4). Mean betweenness is read from the
 distances alone, so unlike per-node betweenness it never needs a path
 count past the largest float. The annealer's mean betweenness is the
 per-node kernel's float sum, so that the bundled network rebuilds bit
@@ -76,6 +79,8 @@ class _Sweep(NamedTuple):
     depth: int  # the largest finite hop distance
     left: int  # the ordered pairs not reached, so 0 iff the graph is connected
     closed: np.ndarray  # per node: twice its triangle count, from the first product
+    walks4: float  # tr(A^4) = |a @ a|_F^2, an exact integer while n^2 (n - 1)^2 < 2**53
+    excess: int  # sum of d(s, t) - 1 over the ordered pairs s != t with a path
 
 
 def _paths(a: np.ndarray) -> _Sweep:
@@ -85,10 +90,13 @@ def _paths(a: np.ndarray) -> _Sweep:
     pairs reaching level k are the unreached ones that the boolean level
     k-1 frontier times `a` makes positive. The frontier is boolean, so
     nothing is carried from level to level but which pairs it holds, and
-    `depth` is the diameter of a connected graph. The first product,
-    a @ a, also gives each node's closed walks of length 3 (`closed`),
-    which clustering reads. Only one level's product is held at a time,
-    so memory is O(n^2) whatever the diameter.
+    `depth` is the diameter of a connected graph, and `excess` adds each
+    level's pair count times its distance less one as the level is found.
+    The first product, a @ a, also gives each node's closed walks of
+    length 3 (`closed`), which clustering reads, and its squared
+    Frobenius norm, tr(A^4) (`walks4`), a sum of exact integers in any
+    order. Only one level's product is held at a time, so memory is
+    O(n^2) whatever the diameter.
     """
     n = a.shape[0]
     dist = np.where(a > 0, 1.0, -1.0)
@@ -96,8 +104,10 @@ def _paths(a: np.ndarray) -> _Sweep:
     unreached = dist < 0
     left = np.count_nonzero(unreached)
     depth = int(left < n * (n - 1))  # level 1 is empty without an edge
+    excess = 0
     counts = a @ a
     closed = np.einsum("ij,ij->i", counts, a)
+    walks4 = float(np.vdot(counts, counts))
     while left:
         nxt = counts > 0
         nxt &= unreached
@@ -105,12 +115,13 @@ def _paths(a: np.ndarray) -> _Sweep:
         if not found:
             break
         left -= found
+        excess += depth * found  # the new level's pairs lie depth + 1 apart
         depth += 1
         unreached ^= nxt
         np.putmask(dist, nxt, depth)
         if left:  # else every pair is reached, and a further level would be empty
             counts = nxt @ a
-    return _Sweep(dist, unreached, depth, left, closed)
+    return _Sweep(dist, unreached, depth, left, closed, walks4, excess)
 
 
 def _largest_component(dist: np.ndarray) -> np.ndarray:
@@ -189,18 +200,16 @@ def _raw_betweenness(a: np.ndarray, sweep: _Sweep) -> np.ndarray:
     return delta.sum(axis=0) - np.diag(delta)
 
 
-def _leading_vector(a: np.ndarray, dist: np.ndarray) -> tuple[np.ndarray, float]:
-    """Leading eigenvector of the largest component, 0 elsewhere, and the
-    component's second eigenvalue (-inf for a single node); the vector's
+def _leading_vector(a: np.ndarray, dist: np.ndarray) -> np.ndarray:
+    """Leading eigenvector of the largest component, 0 elsewhere; its
     largest |entry| is > 0."""
     members = _largest_component(dist)
-    vals, vecs = np.linalg.eigh(a[np.ix_(members, members)])
-    vec = vecs[:, -1]
+    vec = np.linalg.eigh(a[np.ix_(members, members)])[1][:, -1]
     if vec[int(np.abs(vec).argmax())] < 0:
         vec = -vec
     scores = np.zeros(a.shape[0])
     scores[members] = vec
-    return scores, float(vals[-2]) if members.size > 1 else -np.inf
+    return scores
 
 
 def _matrices(g: LabeledGraph) -> tuple[tuple[str, ...], np.ndarray, _Sweep]:
@@ -266,7 +275,9 @@ def _distance_sums(dist: np.ndarray) -> tuple[float, int]:
     and I the sum of d(s, t) - 1 over them, the betweenness summed over
     every node (Barthelemy, EPJ B 38:163, 2004). I comes from the positive
     finite entries of `dist` (an unreachable pair may be -1 or inf), an
-    exact integer in float whatever the order of the sum."""
+    exact integer in float whatever the order of the sum. A `_paths`
+    sweep holds them already: I is its `excess`, R is n(n - 1) less its
+    `left`."""
     reach = dist > 0
     reach &= dist < np.inf
     pairs = np.count_nonzero(reach)
@@ -291,7 +302,7 @@ def _eigenvector_scores(
 ) -> dict[str, float]:
     # the component's leading eigenvector is positive; abs clears the
     # rounding-level negatives eigh can leave on near-zero entries
-    vec = np.abs(_leading_vector(a, dist)[0])
+    vec = np.abs(_leading_vector(a, dist))
     return {v: float(x) for v, x in zip(order, vec / vec.max())}
 
 

@@ -11,20 +11,22 @@ swaps, keeping the best-scoring graph it visits.
 
 The eigenvector_top3 term needs only the set of the three largest
 leading-eigenvector entries. The annealer proves that set by a short
-power iteration from the previous candidate's leading vector: the second
-eigenvalue is bounded by the last dense solve's plus min(sqrt(c), r), for
-c the adjacency entries changed since and r the most in one row, and the
-three largest entries of x = Aw must clear the fourth by more than x's
-entrywise distance from the scaled leading vector. It falls back to one
-dense eigensolve whenever the proof fails, so the set always equals the
-dense ranking's and no score depends on which path decided it.
+power iteration from the previous candidate's leading vector. The fourth
+powers of the eigenvalues add up to tr(A^4), an exact integer of the
+candidate's own sweep, so for any rho <= lambda_1, such as an iterate's
+Rayleigh quotient, every other eigenvalue is at most (tr(A^4) - rho^4)^(1/4)
+in absolute value; and the three largest entries of x = Aw must clear the
+fourth by more than x's entrywise distance from the scaled leading
+vector. It falls back to one dense eigensolve whenever the proof fails,
+so the set always equals the dense ranking's and no score depends on
+which path decided it.
 
 The mean_betweenness term is the per-node Brandes kernel's float sum S,
 whose last bits decide some moves, but the annealer decides each move on
 a bracket of it. S approximates the integer I = sum (d(s, t) - 1) over the
-R ordered pairs with a path, which the distances give at once
-(`metrics._distance_sums`). The kernel rounds non-negative terms only,
-apart from subtracting the diagonal, so |S - I| <= gamma_K (I + 2R) for
+R ordered pairs with a path, which the sweep adds up as it finds the
+distances. The kernel rounds non-negative terms only, apart from
+subtracting the diagonal, so |S - I| <= gamma_K (I + 2R) for
 K = D(n + 2) + 2n + 2 roundings at depth D, gamma_K = Ku / (1 - Ku) and
 u = 2**-53 (Higham, Accuracy and Stability of Numerical Algorithms, 2002,
 section 3). With D < n <= 1930, gamma_K < 1e-9, so S lies within
@@ -70,7 +72,7 @@ from .errors import (
 )
 from .graph import LabeledGraph, _check_label
 from .metrics import _closed, _clustering, _degree_centralization, _density, _leading_vector
-from .metrics import _distance_sums, _paths, _raw_betweenness
+from .metrics import _paths, _raw_betweenness
 
 SOFT_METRICS = (
     "density",
@@ -86,6 +88,9 @@ SOFT_METRICS = (
 _REPAIR_ATTEMPTS = 8
 _REPAIR_ITERATIONS = 50_000
 _POWER_STEPS = 16  # power iterations tried before eigenvector_top3 falls back to eigh
+_TRACE_MAX_N = 9742  # n^2 (n - 1)^2 < 2**53, so a sweep's tr(A^4) is exact
+_DOWN = 1.0 - 2.0**-51  # 1 - 4u and 1 + 4u, u = 2**-53 the unit roundoff
+_UP = 1.0 + 2.0**-51
 
 
 def _entries(value, size: int, what: str) -> tuple:
@@ -353,20 +358,15 @@ def _pop(items: list, pos: dict, pair: tuple[int, int]) -> None:
 
 
 class _State:
-    """Mutable adjacency state with O(1) edge/non-edge sampling.
-
-    It also keeps the anchor of `_Evaluator._top3`'s certificate: the
-    second eigenvalue of the adjacency at the last `reanchor` (None
-    before), and per node the entries of its row that differ from that
-    adjacency, counted as each flip moves one off it or back."""
+    """Mutable adjacency state with O(1) edge/non-edge sampling: the
+    matrix, degrees and per-node neighbour bitsets of one graph, and its
+    edges and non-edges in the order the annealer samples them."""
 
     def __init__(self, n: int, edges: list[tuple[int, int]]):
         self.n = n
         self.a = np.zeros((n, n))
         self.deg = np.zeros(n, dtype=np.int64)
         self.bits = [0] * n
-        self.anchor_bits = [0] * n
-        self.moved = [0] * n
         self.edges: list[tuple[int, int]] = []
         self.edge_pos: dict[tuple[int, int], int] = {}
         self.non_edges: list[tuple[int, int]] = []
@@ -380,13 +380,6 @@ class _State:
                     _push(self.edges, self.edge_pos, pair)
                 else:
                     _push(self.non_edges, self.non_edge_pos, pair)
-        self.reanchor(None)
-
-    def reanchor(self, second: float | None) -> None:
-        """Make the adjacency as it is now the anchor, `second` its second eigenvalue."""
-        self.second = second
-        self.anchor_bits = self.bits.copy()
-        self.moved = [0] * self.n
 
     def _link(self, pair: tuple[int, int], on: bool) -> None:
         """Flip `pair` in the matrix, degrees and bitsets: add it (on) or drop it."""
@@ -397,9 +390,6 @@ class _State:
         self.deg[j] += step
         self.bits[i] ^= 1 << j
         self.bits[j] ^= 1 << i
-        off = 1 if (self.bits[i] ^ self.anchor_bits[i]) >> j & 1 else -1  # now off the anchor
-        self.moved[i] += off
-        self.moved[j] += off
 
     def swap(self, out_pair: tuple[int, int], in_pair: tuple[int, int]) -> None:
         """Replace edge `out_pair` with non-edge `in_pair`."""
@@ -409,6 +399,14 @@ class _State:
         _pop(self.non_edges, self.non_edge_pos, in_pair)
         self._link(in_pair, True)
         _push(self.edges, self.edge_pos, in_pair)
+
+    def decline(self, out_pair: tuple[int, int]) -> None:
+        """Leave the state as swapping edge `out_pair` out and back would:
+        the same graph, with `out_pair` moved to the end of the edge list.
+        The annealer samples by position, so a proposal refused unmade
+        must leave this order for the RNG path to stay the same."""
+        _pop(self.edges, self.edge_pos, out_pair)
+        _push(self.edges, self.edge_pos, out_pair)
 
     def has(self, i: int, j: int) -> bool:
         return bool(self.bits[i] >> j & 1)
@@ -446,7 +444,7 @@ class _HardCheck:
         self.pair_cov = None
         if hc.pair_coverage is not None:
             u, v, count = hc.pair_coverage
-            self.pair_cov = (idx[u], idx[v], count)
+            self.pair_cov = (idx[u], idx[v], count, tuple(sorted((idx[u], idx[v]))))
         self.top_pair = None
         # with two nodes or fewer there is no other node to outrank
         if hc.top_degree_pair is not None and len(order) > 2:
@@ -468,7 +466,7 @@ class _HardCheck:
         for i, j in self.required:
             yield 1 - state.has(i, j)
         if self.pair_cov is not None:
-            i, j, count = self.pair_cov
+            i, j, count, _pair = self.pair_cov
             yield abs(int(deg[i]) + int(deg[j]) - state.has(i, j) - count)
         if self.top_pair is not None:
             i, j, margin, others = self.top_pair
@@ -485,13 +483,119 @@ class _HardCheck:
         """Integer-valued distance from feasibility; zero means feasible."""
         return float(sum(self._excess(state)))
 
+    def _verdict(
+        self, state: _State, out_pair: tuple[int, int], in_pair: tuple[int, int]
+    ) -> bool | None:
+        """Whether swapping edge `out_pair` for non-edge `in_pair` keeps
+        every rule of a state that keeps them all, read off the degree
+        changes and bitsets before the swap; None where they cannot tell.
 
-def _drift(state: _State) -> float:
-    """A bound on the 2-norm of E = a - anchor, two symmetric 0/1 matrices:
-    min(sqrt(c), r) for c the entries that differ and r the most in one
-    row, since |E|_2 <= |E|_F and, E being symmetric, |E|_2 <= |E|_inf.
-    Both are read off the state's per-node counts."""
-    return min(math.sqrt(sum(state.moved)), float(max(state.moved)))
+        Pins, required pairs and pair coverage keep holding iff their
+        degrees, adjacencies and sums do not move. The top pair keeps its
+        lead when neither of its nodes loses degree and each other node
+        that gains one stays within the pair's new limit; if one of them
+        loses degree, this is None. The state stays connected when
+        out_pair's ends still share a neighbour after the swap: one they
+        share now, or the other end of an in_pair that touches one of
+        them, if it neighbours the other. Without one, this is None."""
+        if out_pair in self.required:
+            return False
+        i, j = out_pair
+        k, l = in_pair
+        step = {i: -1, j: -1}
+        step[k] = step.get(k, 0) + 1
+        step[l] = step.get(l, 0) + 1
+        for v, _want in self.pins:
+            if step.get(v):
+                return False
+        if self.pair_cov is not None:
+            u, v, _count, pair = self.pair_cov
+            if step.get(u, 0) + step.get(v, 0) != (in_pair == pair) - (out_pair == pair):
+                return False
+        if self.top_pair is not None:
+            u, v, margin, _others = self.top_pair
+            du, dv = step.get(u, 0), step.get(v, 0)
+            if du < 0 or dv < 0:
+                return None
+            deg = state.deg
+            lim = min(int(deg[u]) + du, int(deg[v]) + dv) - margin
+            for w, dw in step.items():
+                if dw > 0 and w != u and w != v and int(deg[w]) + dw > lim:
+                    return False
+        if self.connected:
+            bits = state.bits
+            if not bits[i] & bits[j]:
+                if i == k or i == l:
+                    witness = bits[j] >> (k + l - i) & 1
+                else:
+                    witness = (j == k or j == l) and bits[i] >> (k + l - j) & 1
+                if not witness:
+                    return None
+        return True
+
+    def propose(
+        self, state: _State, out_pair: tuple[int, int], in_pair: tuple[int, int]
+    ) -> bool:
+        """Swap edge `out_pair` for non-edge `in_pair` if every rule holds
+        after, and say whether it did; a refused proposal leaves the state
+        as the swap and its undo would (`_State.decline`).
+
+        `state` must keep every rule. The annealer's walk after repair
+        does: it starts feasible, and every swap it keeps passed here. So
+        `_verdict` decides most proposals before they are made; where it
+        cannot, the swap is made and `ok` decides."""
+        verdict = self._verdict(state, out_pair, in_pair)
+        if verdict is False:
+            state.decline(out_pair)
+            return False
+        state.swap(out_pair, in_pair)
+        if verdict is None and not self.ok(state, out_pair):
+            state.swap(in_pair, out_pair)
+            return False
+        return True
+
+
+def _second_bound(walks4: float, rho: float, n: int) -> float:
+    """An upper bound on |lambda_i|, i >= 2, for the eigenvalues of a
+    symmetric non-negative n x n matrix A whose tr(A^4) is the exact
+    `walks4`, given rho, the float w . (A @ w) of a float w = x / |x|
+    for some x >= 0, as `_top3` computes it.
+
+    For any 0 <= low <= lambda_1 the lambda_i^4 add up to tr(A^4), so the
+    others' add up to at most walks4 - low^4. Each float operation rounds
+    to nearest, within a factor 1 -+ u, u = 2**-53, and k of them within
+    1 -+ gamma_k, gamma_k = ku / (1 - ku) (Higham, Accuracy and Stability
+    of Numerical Algorithms, 2002, section 3). The sums of rho and |x|^2
+    add non-negative terms only, so rho exceeds the Rayleigh quotient of
+    w, at most lambda_1, by a factor 1 + gamma_(3n+4) at most, which
+    low = rho (1 - 4(n + 2)u), rounded, undoes. The computed low^4 is at
+    most low^4 (1 + u)^3, and times 1 - 4u, rounded, it is at most low^4,
+    so walks4 less that is at least walks4 - low^4. The difference,
+    rounded and times 1 + 4u, rounded, is at least the exact one, since
+    (1 - u)^2 (1 + 4u) > 1; each square root loses at most a factor
+    1 - u, and the root times 1 + 4u, rounded, makes up
+    (1 - u)^(5/2) (1 + 4u) > 1."""
+    low = rho * (1.0 - (n + 2) * 2.0**-51)
+    low *= low
+    low *= low
+    return math.sqrt(math.sqrt((walks4 - low * _DOWN) * _UP)) * _UP
+
+
+def _residual_square(xx: float, rho: float, n: int) -> float:
+    """An upper bound on |Az - rho z|^2 for z = w / |w|, from the floats
+    xx = x . x and rho = w . x of x = A @ w, w as in `_second_bound`.
+
+    For R the Rayleigh quotient of z, |Az - rho z|^2 = |Az|^2 - R^2 +
+    (R - rho)^2. The sums of xx and rho add non-negative terms only, and
+    |w|^2 is 1 within gamma_(n+4), so |Az|^2 is at most
+    xx (1 + gamma_(4n+4)), R^2 at least rho^2 (1 - 2 gamma_(3n+4)) and
+    R - rho at most gamma_(3n+4) rho: the exact square is within
+    (6n + 8)u (xx + rho^2), plus terms of order u^2, of xx - rho^2, and
+    computing xx - rho^2 adds 2u (xx + rho^2) more. The slack
+    8(n + 2)u (xx + rho^2) covers both and the rounding of the last
+    sum."""
+    sq = rho * rho
+    return xx - sq + (n + 2) * 2.0**-50 * (xx + sq)
 
 
 _BRACKET_MAX_N = 1930  # gamma_K < 1e-9 up to this n (module docstring)
@@ -500,13 +604,15 @@ _EXACT_COUNT = 2**53  # path counts below this are exact integers in float
 
 def _brandes(a: np.ndarray, sweep, dmax: int) -> float | tuple[float, float]:
     """The Brandes sum S, `_raw_betweenness(a, sweep)` summed in float, or
-    a bracket (lo, hi) around it: I -+ 1e-9 (I + 2R), for I and R from
-    `_distance_sums`. The bracket holds while n <= 1930 and every path
-    count is exact, which dmax ** (depth - 1) < 2**53 proves for `dmax`
-    the largest degree (module docstring); otherwise S is computed at
-    once, so a saturated count raises here as the kernel does."""
-    if a.shape[0] <= _BRACKET_MAX_N and dmax ** max(sweep.depth - 1, 0) < _EXACT_COUNT:
-        excess, pairs = _distance_sums(sweep.dist)
+    a bracket (lo, hi) around it: I -+ 1e-9 (I + 2R), for I the sweep's
+    `excess` and R = n(n - 1) less its `left`. The bracket holds while
+    n <= 1930 and every path count is exact, which dmax ** (depth - 1) <
+    2**53 proves for `dmax` the largest degree (module docstring);
+    otherwise S is computed at once, so a saturated count raises here as
+    the kernel does."""
+    n = a.shape[0]
+    if n <= _BRACKET_MAX_N and dmax ** max(sweep.depth - 1, 0) < _EXACT_COUNT:
+        excess, pairs = sweep.excess, n * (n - 1) - sweep.left
         slack = 1e-9 * (excess + 2 * pairs)
         return excess - slack, excess + slack
     return float(_raw_betweenness(a, sweep).sum())
@@ -579,50 +685,52 @@ class _Evaluator:
         self.need_dist = bool(wanted & {"diameter_lcc", "mean_betweenness", "eigenvector_top3"})
         self.lead = None  # the last leading vector (unit, >= 0), where power iteration starts
 
-    def _top3(self, state: _State, dist: np.ndarray, connected: bool, dmax: int) -> set[int]:
+    def _top3(self, state: _State, sweep, connected: bool, dmax: int) -> set[int]:
         """The indexes of the three largest entries of `_leading_vector`,
         the lowest index first among equal entries.
 
-        On a connected candidate with n > 3 whose state holds an anchor,
-        power iteration from the last (unit) leading vector w tries to
-        prove the set. Weyl's inequality bounds the candidate's second
-        eigenvalue by the anchor's plus `_drift`, a bound on the 2-norm of
-        their difference. With rho = w'Aw above that bound, Davis-Kahan
+        On a connected candidate with 3 < n <= 9742, power iteration from
+        the last leading vector w (unit, >= 0) tries to prove the set.
+        Each step bounds every eigenvalue of the candidate but the first by
+        `_second_bound` of the sweep's tr(A^4) and rho = w'Aw, so no
+        earlier solve is trusted. With rho above the bound, Davis-Kahan
         (SIAM J. Numer. Anal. 7:1, 1970) puts w within
         delta = sqrt(2) |Aw - rho w| / (rho - bound) of the unit leading
-        vector v. Then x = Aw is entrywise close to lambda v: the rows of a
-        0/1 matrix of largest degree d differ by at most sqrt(2d), so
-        lambda (v_i - v_j) >= x_i - x_j - sqrt(2d) delta. When x's third
-        and fourth largest entries are more than sqrt(2d) delta +
+        vector v, the residual's square bounded from x . x and rho by
+        `_residual_square`. Then x = Aw is entrywise close to lambda v:
+        the rows of a 0/1 matrix of largest degree d differ by at most
+        sqrt(2d), so lambda (v_i - v_j) >= x_i - x_j - sqrt(2d) delta. When
+        x's third and fourth largest entries are more than sqrt(2d) delta +
         2e-9 d apart (eigh's own 1e-9 per entry, times lambda <= d), the
         dense solve's top three are x's. Otherwise, on a disconnected
-        candidate and without an anchor, one dense solve decides, and on a
-        connected candidate it becomes the state's new anchor. `dmax` is
-        the state's largest degree d.
+        candidate and before the first dense solve, one dense solve
+        decides, and on a connected candidate its vector is the next
+        start. `dmax` is the state's largest degree d.
         """
         a = state.a
-        certifiable = connected and state.n > 3
-        if certifiable and state.second is not None and self.lead is not None:
-            bound = state.second + _drift(state) + 1e-9
+        n = state.n
+        certifiable = connected and 3 < n <= _TRACE_MAX_N
+        if certifiable and self.lead is not None:
             d = float(dmax)
             spread, slack = math.sqrt(2.0 * d), 2e-9 * d
             w = self.lead
             for _ in range(_POWER_STEPS):
                 x = a @ w
                 rho = float(w.dot(x))
-                if rho <= bound:  # w is near the leading vector, so rho cannot rise much
+                bound = _second_bound(sweep.walks4, rho, n)
+                if rho <= bound:  # rho starts near lambda_1, so more steps barely lower the bound
                     break
-                resid = x - rho * w
-                delta = math.sqrt(2.0 * float(resid.dot(resid))) / (rho - bound)
+                xx = float(x.dot(x))
+                delta = math.sqrt(2.0 * _residual_square(xx, rho, n)) / (rho - bound)
                 rank = x.argsort()
-                w = x / math.sqrt(float(x.dot(x)))
+                w = x / math.sqrt(xx)
                 if x[rank[-3]] - x[rank[-4]] > spread * delta + slack:
                     self.lead = w
                     return set(rank[-3:].tolist())
-        scores, second = _leading_vector(a, dist)
+        scores = _leading_vector(a, sweep.dist)
         if certifiable:
-            state.reanchor(second)
-            self.lead = np.abs(scores)  # abs clears the rounding-level negatives eigh can leave
+            lead = np.abs(scores)  # abs clears the rounding-level negatives eigh can leave
+            self.lead = lead / math.sqrt(float(lead.dot(lead)))
         return set(np.argsort(-scores, kind="stable")[:3].tolist())
 
     def score(self, state: _State) -> _Score:
@@ -678,7 +786,7 @@ class _Evaluator:
                 # eigenvector_top3: the fraction of `nodes` (on the roster,
                 # so n >= 1) in the top-3 eigenvector ranking
                 if top is None:
-                    top = self._top3(state, sweep.dist, connected, dmax)
+                    top = self._top3(state, sweep, connected, dmax)
                 got = len(top.intersection(nodes)) / len(nodes)
             if got is None:
                 rows.append((metric, None, weight * self.penalty))
@@ -795,10 +903,13 @@ def _anneal(
     settle it and on the exact scores otherwise, so the path is that of
     the exact scores. Scores are non-negative, so the loop stops early at
     0.0. Temperature cools every proposal; the acceptance coin is only
-    flipped for uphill moves, so the RNG sequence is reproducible. A
-    `guard` sees each swapped state with the edge swapped out, and a swap
-    it refuses is undone, so from a state the guard accepts every state
-    it sees is one swap from an accepted one.
+    flipped for uphill moves, so the RNG sequence is reproducible.
+    Without a `guard` every proposal is swapped in. A guard, called as
+    guard(state, out_pair, in_pair), makes the swaps it accepts and
+    leaves the state of a refused one as the swap and its undo would
+    (`_HardCheck.propose`). A swap the score rejects is undone, so every
+    current state is the start or one the guard accepted: from a start
+    that keeps every rule, each state the guard sees keeps them all.
     """
     cur = score(state)
     best = cur
@@ -812,9 +923,9 @@ def _anneal(
         t *= cooling
         if out_pair in protected:
             continue
-        state.swap(out_pair, in_pair)
-        if guard is not None and not guard(state, out_pair):
-            state.swap(in_pair, out_pair)
+        if guard is None:
+            state.swap(out_pair, in_pair)
+        elif not guard(state, out_pair, in_pair):
             continue
         new = score(state)
         # new <= cur is the sign of the float difference new - cur
@@ -869,7 +980,7 @@ def synthesize_reference(target: SynthesisTarget) -> LabeledGraph:
         t0=sched.initial_temperature,
         cooling=sched.cooling_factor,
         score=evaluator.score,
-        guard=check.ok,
+        guard=check.propose,
         protected=check.required,
     )
     return LabeledGraph(order, [(order[i], order[j]) for i, j in sorted(best_edges)])

@@ -423,6 +423,30 @@ def test_sweep_equals_the_frozen_kernels_byte_for_byte():
     assert disconnected >= 30
 
 
+def test_sweep_sums_equal_the_distance_sums_and_the_trace_byte_for_byte():
+    # the annealer reads its Brandes bracket and its eigenvalue bound off
+    # the sweep: `excess` and n(n - 1) - `left` are `_distance_sums` of
+    # the distances, and `walks4` is tr(A^4) = |a @ a|_F^2, exact integers
+    rng = random.Random(59)
+    graphs = [LabeledGraph(labels(n)) for n in (0, 1, 2, 7)]  # n <= 2 and edgeless
+    graphs += [path_graph(2), path_graph(30), barbell_graph(4), layered_graph(5, extra=["lone"])]
+    graphs += [gnp_graph(rng, rng.randrange(1, 40), rng.uniform(0.0, 0.3)) for _ in range(40)]
+    graphs += [random_connected_graph(rng, rng.randrange(1, 40), rng.randrange(0, 40))
+               for _ in range(30)]
+    disconnected = 0
+    for g in graphs:
+        _order, a = _kernel_input(g)
+        n = g.node_count
+        sweep = _paths(a)
+        excess, pairs = _distance_sums(sweep.dist)
+        assert float(sweep.excess) == excess and n * (n - 1) - sweep.left == pairs
+        squares = a @ a
+        assert sweep.walks4 == float((squares * squares).sum())
+        assert sweep.walks4 == float(np.trace(np.linalg.matrix_power(a, 4)))
+        disconnected += sweep.left > 0
+    assert disconnected >= 20
+
+
 def test_betweenness_memory_does_not_grow_with_the_diameter():
     # the backward pass derives each hop level from `dist` as it goes, so
     # a 300-node path (diameter 299) peaks at a few n x n arrays; keeping

@@ -1,7 +1,10 @@
+import copy
 import json
 import math
 import random
+from collections import Counter
 from dataclasses import replace
+from fractions import Fraction
 from importlib import resources
 
 import numpy as np
@@ -479,12 +482,12 @@ def dense_calls(monkeypatch):
 
 def certified_top3(evaluator, state):
     """The evaluator's top-3 set for state, with connectivity decided as `contributions` does."""
-    dist = _paths(state.a)[0]
-    return evaluator._top3(state, dist, bool((dist >= 0).all()), int(state.deg.max()))
+    sweep = _paths(state.a)
+    return evaluator._top3(state, sweep, sweep.left == 0, int(state.deg.max()))
 
 
 def dense_top3_scores(state):
-    return _leading_vector(state.a, _paths(state.a)[0])[0]
+    return _leading_vector(state.a, _paths(state.a).dist)
 
 
 def dense_top3(state):
@@ -541,9 +544,8 @@ CHAIN_TO_K7 = CHAIN + [(i, j) for i in range(10, 17) for j in range(i + 1, 17)]
 
 
 def flip_to(state, g, idx):
-    """Flip the state's pairs one at a time until its matrix is g's, so
-    the anchor's counts see every flip as they see a swap's. The edge
-    lists are left as they were: `_top3` does not read them."""
+    """Flip the state's pairs one at a time until its matrix is g's. The
+    edge lists are left as they were: `_top3` does not read them."""
     want = set(_index_pairs(idx, g.edges()))
     for i in range(state.n):
         for j in range(i + 1, state.n):
@@ -562,18 +564,20 @@ def flip_to(state, g, idx):
         [lopsided_pair(PATH_TAIL, True), lopsided_pair(PATH_TAIL, False)],
         [lopsided_pair(CHAIN_TO_PATH, True), lopsided_pair(CHAIN_TO_K7, True)],
     ],
-    ids=["K7", "C8", "K4,5", "star", "n=3", "split", "far-from-anchor"],
+    ids=["K7", "C8", "K4,5", "star", "n=3", "split", "second-eigenvector-start"],
 )
 def test_top3_falls_back_to_eigh_where_nothing_is_proved(graphs, dense_calls):
     # one evaluator scores one state, flipped to each graph in turn, so the
-    # first dense solve anchors the second call. On the symmetric graphs the
-    # second call starts from the exact leading vector, yet a tie between
-    # the 3rd and 4th entries, or n <= 3, leaves the set to the dense
-    # solve. "split" drops the bridge: power iteration would settle on the
-    # cluster, the dense solve ranks the larger component. "far-from-anchor"
-    # makes the second cluster dominant: the start vector is nearly an
-    # eigenvector of the second eigenvalue, and only the drift term of the
-    # eigenvalue bound keeps that from passing as the leading one.
+    # first dense solve gives the second call its start. On the symmetric
+    # graphs the second call starts from the exact leading vector, yet a
+    # tie between the 3rd and 4th entries, or n <= 3, leaves the set to the
+    # dense solve; K4,5 is bipartite as well, so lambda_n = -lambda_1 keeps
+    # the trace bound at rho or above. "split" drops the bridge: power
+    # iteration would settle on the cluster, the dense solve ranks the
+    # larger component. "second-eigenvector-start" makes the second cluster
+    # dominant: the start vector is nearly an eigenvector of the second
+    # eigenvalue, so rho is near lambda_2 and tr(A^4) - rho^4 still holds
+    # lambda_1^4, which keeps it from passing as the leading one.
     idx = {v: i for i, v in enumerate(sorted(graphs[0].nodes))}
     state, evaluator = _candidate(graphs[0], top3_target(graphs[0]))
     for k, g in enumerate(graphs, 1):
@@ -605,30 +609,95 @@ def swap_walk(rng, state, steps, hub=None):
             state.swap(out_pair, state.non_edges[rng.randrange(len(state.non_edges))])
 
 
-def test_drift_bounds_the_second_eigenvalue_on_swap_walks():
-    # drift bounds |a - anchor|_2, so by Weyl
-    # lambda2(a) <= lambda2(anchor) + |a - anchor|_2 <= lambda2(anchor) + drift.
-    # Swaps spread over the graph make the row bound r the smaller one;
-    # swaps concentrated on one node make sqrt(c) the smaller one.
+def unit_iterates(a, w, steps):
+    """The float Rayleigh quotients w . (a @ w) of `steps` power iterates
+    from w >= 0, each w = x / |x| as the certificate forms it."""
+    w = w / math.sqrt(float(w.dot(w)))
+    for _ in range(steps):
+        x = a @ w
+        yield float(w.dot(x))
+        w = x / math.sqrt(float(x.dot(x)))
+
+
+def test_trace_bound_covers_every_other_eigenvalue():
+    # (tr A^4 - rho^4)^(1/4), rounded as `_second_bound` rounds it, is at
+    # least |lambda_i| for every i >= 2, for the Rayleigh quotients of
+    # power iterates from eigh's leading vector (as the annealer starts)
+    # and of random non-negative unit vectors, on random graphs, swap
+    # walks and graphs whose |lambda_n| equals lambda_1 or comes close.
+    # eigvalsh's own error is allowed for, at 1e-13 lambda_1.
     rng = random.Random(19)
-    by_row = by_count = 0
-    for walk in range(120):
+    np_rng = np.random.default_rng(19)
+    graphs = [complete_bipartite(4, 5), cycle_graph(8), star_graph(6), complete_graph(5)]
+    for _ in range(60):
         n = rng.randrange(5, 36)
-        g = random_connected_graph(rng, n, rng.randrange(3 * n))
+        graphs.append(random_connected_graph(rng, n, rng.randrange(3 * n)))
+    tight = useful = checked = 0
+    for k, g in enumerate(graphs):
         state = _candidate(g, top3_target(g))[0]
-        anchor = state.a.copy()
-        second = np.linalg.eigvalsh(anchor)[-2]
-        state.reanchor(second)
-        hub = rng.randrange(n) if walk % 2 else None
-        for _ in range(8):
+        hub = rng.randrange(state.n) if k % 2 else None
+        for _ in range(6):
+            a = state.a
+            vals = np.linalg.eigvalsh(a)
+            lam1 = vals[-1]
+            others = float(np.abs(vals[:-1]).max())
+            sweep = _paths(a)
+            starts = [np.abs(np.linalg.eigh(a)[1][:, -1])]
+            starts += [np_rng.random(state.n) ** 3 for _ in range(3)]
+            for w in starts:
+                for rho in unit_iterates(a, w, 4):
+                    bound = synthesis._second_bound(sweep.walks4, rho, state.n)
+                    assert bound >= others - 1e-13 * lam1
+                    checked += 1
+                    tight += bool(bound - others < 1e-12 * lam1)
+                    useful += bound < rho
             swap_walk(rng, state, rng.randrange(1, 4), hub)
-            moved = np.count_nonzero(state.a != anchor, axis=1)
-            drift = synthesis._drift(state)
-            assert np.linalg.norm(state.a - anchor, 2) <= drift + 1e-12
-            assert np.linalg.eigvalsh(state.a)[-2] <= second + drift + 1e-9
-            by_row += moved.max() < math.sqrt(moved.sum())
-            by_count += math.sqrt(moved.sum()) < moved.max()
-    assert min(by_row, by_count) >= 100
+    assert checked >= 4000 and tight >= 5 and useful >= 500
+
+
+def exact_residual(a, w, rho):
+    """(|Az - rho z|^2, z'Az) for z = w / |w|, in exact rational arithmetic."""
+    w = [Fraction(float(v)) for v in w]
+    rows = [[j for j in range(len(w)) if a[i, j]] for i in range(len(w))]
+    aw = [sum((w[j] for j in row), Fraction(0)) for row in rows]
+    norm = sum(v * v for v in w)
+    rho = Fraction(rho)
+    square = sum((y - rho * v) ** 2 for y, v in zip(aw, w)) / norm
+    return square, sum(y * v for y, v in zip(aw, w)) / norm
+
+
+def test_certificate_bounds_hold_in_exact_arithmetic():
+    # for the power iterates of random non-negative starts and of eigh's
+    # leading vector, where the iterates converge and the residual is all
+    # rounding: the eigenvalue bound's fourth power plus that of the exact
+    # Rayleigh quotient R (at most lambda_1) is at least tr(A^4), and the
+    # certificate's |Az - rho z|^2, x . x - rho^2 plus a slack, is at
+    # least the exact value; the slack stays of the order of the
+    # rounding, so the bound is not vacuous
+    rng = random.Random(67)
+    np_rng = np.random.default_rng(67)
+    converged = 0
+    for walk in range(24):
+        n = rng.randrange(4, 21)
+        g = random_connected_graph(rng, n, rng.randrange(2 * n))
+        a = _candidate(g, top3_target(g))[0].a
+        walks4 = int(_paths(a).walks4)
+        starts = [np.abs(np.linalg.eigh(a)[1][:, -1]), np_rng.random(n) ** 3]
+        for w in starts:
+            w = w / math.sqrt(float(w.dot(w)))
+            for _ in range(6):
+                x = a @ w
+                rho = float(w.dot(x))
+                xx = float(x.dot(x))
+                got = synthesis._residual_square(xx, rho, n)
+                want, quotient = exact_residual(a, w, rho)
+                bound = synthesis._second_bound(walks4, rho, n)
+                assert Fraction(bound) ** 4 + quotient**4 >= walks4
+                assert Fraction(got) >= want
+                assert got - float(want) <= 64 * (n + 2) * 2.0**-53 * (xx + rho * rho)
+                converged += float(want) < 1e-20
+                w = x / math.sqrt(xx)
+    assert converged >= 20
 
 
 def test_every_certified_top3_set_clears_the_dense_vector_by_its_slack(dense_calls):
@@ -673,6 +742,7 @@ def replay_target(n, m, seed):
 
 
 REPLAYS = [(12, 26, 1), (16, 40, 2), (20, 52, 3)]
+REPLAY_DENSE_CAPS = [60, 25, 35]  # 33, 10 and 17 dense solves measured
 
 
 @pytest.mark.parametrize("n, m, seed", REPLAYS)
@@ -693,38 +763,17 @@ def chiapas_prefix():
 
 @pytest.mark.parametrize(
     "target, most",
-    [(replay_target(*args), 400) for args in REPLAYS] + [(chiapas_prefix(), 20)],
+    [(replay_target(*args), cap) for args, cap in zip(REPLAYS, REPLAY_DENSE_CAPS)]
+    + [(chiapas_prefix(), 3)],
     ids=[f"replay-n{n}" for n, _m, _seed in REPLAYS] + ["chiapas-prefix"],
 )
 def test_dense_solves_stay_rare_on_sparse_and_default_targets(target, most, dense_calls):
-    # the drift bound grows with the swaps since the last dense solve; the
-    # row bound keeps it small enough that most of about 2 000 evaluations
-    # (870 on the default target's 1 500-proposal prefix) are certified
+    # each candidate bounds its own second eigenvalue by its tr(A^4), so
+    # the bound does not grow with the swaps since a dense solve: of about
+    # 2 000 evaluations (870 on the default target's 1 500-proposal
+    # prefix, which needs its first solve only) almost all are certified
     synthesize_reference(target)
     assert len(dense_calls) <= most
-
-
-def test_anchor_counts_equal_the_moved_mask_on_swap_walks():
-    # each node's count is the entries of its row that differ from the
-    # anchor's, through swaps, swaps undone and moves of the anchor
-    rng = random.Random(23)
-    for walk in range(60):
-        n = rng.randrange(2, 30)
-        g = gnm_graph(rng, n, rng.randrange(n * (n - 1) // 2 + 1))
-        state = _candidate(g, top3_target(g))[0]
-        anchor = state.a.copy()
-        for _ in range(30):
-            if rng.random() < 0.1:
-                state.reanchor(0.0)
-                anchor = state.a.copy()
-            swap_walk(rng, state, 1, rng.randrange(n) if walk % 2 else None)
-            assert state.moved == np.count_nonzero(state.a != anchor, axis=1).tolist()
-        if state.edges and state.non_edges:
-            out_pair, in_pair = state.edges[0], state.non_edges[0]
-            before = list(state.moved)
-            state.swap(out_pair, in_pair)
-            state.swap(in_pair, out_pair)
-            assert state.moved == before
 
 
 def test_score_brackets_the_exact_objective_on_random_states():
@@ -857,9 +906,11 @@ def test_brandes_sums_at_once_where_the_degree_bound_fails():
 )
 def test_bracketed_annealer_replays_the_eager_loop(target, monkeypatch):
     # the eager loop scores every candidate exactly with the oracle
-    # evaluator; the bracketed loop must take the same path, so it ends
-    # on equal edges with the RNG in an equal state. Betweenness-led
-    # targets leave many decisions open, so the kernel runs to pin them.
+    # evaluator and guards each swapped state with `ok`; the bracketed
+    # loop, guarded by `propose` before the swap, must take the same path,
+    # so it ends on equal edges with the RNG in an equal state.
+    # Betweenness-led targets leave many decisions open, so the kernel
+    # runs to pin them.
     order = tuple(sorted(target.nodes))
     check = _HardCheck(target, order)
     sched = target.schedule
@@ -880,13 +931,13 @@ def test_bracketed_annealer_replays_the_eager_loop(target, monkeypatch):
     for anneal in (eager_anneal, synthesis._anneal):
         state, evaluator = _candidate(g, target)
         if anneal is eager_anneal:
-            score = MetricDictEvaluator(target, order).objective
+            score, guard = MetricDictEvaluator(target, order).objective, check.ok
         else:
-            score = evaluator.score
+            score, guard = evaluator.score, check.propose
         rng = random.Random(sched.rng_seed)
         result = anneal(
             state, rng, sched.iterations, sched.initial_temperature, sched.cooling_factor,
-            score, check.ok, check.required,
+            score, guard, check.required,
         )
         runs.append((result, rng.getstate()))
     assert runs[0] == runs[1]
@@ -1127,6 +1178,107 @@ def test_guard_counts_components_when_a_bridge_has_no_witness(counted_components
     state.swap((1, 2), (2, 4))
     assert not check.ok(state, (1, 2))
     assert counted_components == [5]
+
+
+def feasible_hard_target(rng, g):
+    """A target whose every hard rule binds and holds on g: connected, a
+    few pinned degrees and required edges, pair coverage and the top
+    degree pair of g, at the largest margin g allows."""
+    order = sorted(g.nodes)
+    deg = {v: g.degree(v) for v in order}
+    top = sorted(order, key=lambda v: -deg[v])
+    u, v = top[0], top[1]
+    rest = max((deg[w] for w in top[2:]), default=0)
+    pair = rng.sample(order, 2)
+    return SynthesisTarget(
+        nodes=tuple(order),
+        edge_count=g.edge_count,
+        hard=HardConstraints(
+            connected=True,
+            degrees=tuple((w, deg[w]) for w in rng.sample(order, 2)),
+            adjacent=tuple(rng.sample(sorted(g.edges()), 2)),
+            pair_coverage=(*pair, deg[pair[0]] + deg[pair[1]] - g.has_edge(*pair)),
+            top_degree_pair=(u, v),
+            top_degree_margin=max(0, min(deg[u], deg[v]) - rest),
+        ),
+    )
+
+
+def test_proposal_verdict_equals_ok_on_the_swapped_state():
+    # from feasible states, every proposal's verdict, read before the swap,
+    # is what `ok` says of the swapped state, or None where it cannot
+    # tell; `propose` then equals `ok` on every proposal. The walk moves by
+    # accepted proposals, so each state it scores from keeps every rule.
+    rng = random.Random(37)
+    seen = Counter()
+    for _ in range(24):
+        n = rng.randrange(6, 13)
+        g = random_connected_graph(rng, n, rng.randrange(1, n * (n - 3) // 2))
+        target = feasible_hard_target(rng, g)
+        order = tuple(sorted(target.nodes))
+        check = _HardCheck(target, order)
+        state = _State(n, _index_pairs({v: i for i, v in enumerate(order)}, g.edges()))
+        u, v = (order.index(w) for w in target.hard.top_degree_pair)
+        for _ in range(6):
+            assert check.ok(state)
+            for out_pair in list(state.edges):
+                for in_pair in list(state.non_edges):
+                    verdict = check._verdict(state, out_pair, in_pair)
+                    shared = state.bits[out_pair[0]] & state.bits[out_pair[1]]
+                    seen["witness from in_pair"] += verdict is True and not shared
+                    state.swap(out_pair, in_pair)
+                    want = check.ok(state)
+                    state.swap(in_pair, out_pair)
+                    assert verdict is None or verdict == want
+                    seen[verdict] += 1
+                    seen["touching"] += verdict is not None and bool(set(out_pair) & set(in_pair))
+                    loses = (u in out_pair and u not in in_pair) or (
+                        v in out_pair and v not in in_pair)
+                    seen["top pair loses"] += loses
+                    seen["loses, refused"] += loses and verdict is False
+            for _ in range(40):
+                out_pair = state.edges[rng.randrange(len(state.edges))]
+                in_pair = state.non_edges[rng.randrange(len(state.non_edges))]
+                state.swap(out_pair, in_pair)
+                want = check.ok(state)
+                state.swap(in_pair, out_pair)
+                assert check.propose(state, out_pair, in_pair) == want
+    assert min(seen[True], seen[False], seen["touching"], seen["loses, refused"]) >= 500
+    assert seen["witness from in_pair"] >= 20
+    assert 0 < seen[None] < seen[True] + seen[False]
+
+
+def state_fields(state):
+    return (list(state.edges), dict(state.edge_pos), list(state.non_edges),
+            dict(state.non_edge_pos), state.a.tobytes(), state.deg.tobytes(), list(state.bits))
+
+
+def test_refused_proposal_leaves_the_state_of_swap_then_undo():
+    # the annealer samples edges and non-edges by position, so a proposal
+    # refused unmade must leave the lists as the swap and its undo would;
+    # an accepted one must leave the swapped state
+    rng = random.Random(43)
+    refused = accepted = 0
+    for _ in range(30):
+        n = rng.randrange(6, 15)
+        g = random_connected_graph(rng, n, rng.randrange(1, n * (n - 3) // 2))
+        target = feasible_hard_target(rng, g)
+        order = tuple(sorted(target.nodes))
+        check = _HardCheck(target, order)
+        state = _State(n, _index_pairs({v: i for i, v in enumerate(order)}, g.edges()))
+        for _ in range(40):
+            out_pair = state.edges[rng.randrange(len(state.edges))]
+            in_pair = state.non_edges[rng.randrange(len(state.non_edges))]
+            oracle = copy.deepcopy(state)
+            oracle.swap(out_pair, in_pair)
+            if check.ok(oracle, out_pair):
+                accepted += 1
+            else:
+                oracle.swap(in_pair, out_pair)
+                refused += 1
+            check.propose(state, out_pair, in_pair)
+            assert state_fields(state) == state_fields(oracle)
+    assert min(refused, accepted) >= 100
 
 
 def hard_rule_distances(g, hard):
