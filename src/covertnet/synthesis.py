@@ -453,85 +453,32 @@ class _HardCheck:
             others[idx[u]] = others[idx[v]] = 0
             self.top_pair = (idx[u], idx[v], hc.top_degree_margin, others)
 
-    def _excess(self, state: _State, cut: tuple[int, int] | None = None):
-        """Each rule's integer distance from holding, cheapest rules first.
-
-        `cut`, if given, is the edge a swap just removed from a connected
-        state. When its ends still share a neighbour, a path runs around
-        it, and the edge swapped in can only join components, so the
-        state is still connected and the component count is skipped."""
-        deg = state.deg
-        for i, want in self.pins:
-            yield abs(int(deg[i]) - want)
-        for i, j in self.required:
-            yield 1 - state.has(i, j)
-        if self.pair_cov is not None:
-            i, j, count, _pair = self.pair_cov
-            yield abs(int(deg[i]) + int(deg[j]) - state.has(i, j) - count)
-        if self.top_pair is not None:
-            i, j, margin, others = self.top_pair
-            lim = min(int(deg[i]), int(deg[j])) - margin
-            yield int(np.maximum(deg - lim, 0) @ others)
-        if self.connected and not (cut and state.bits[cut[0]] & state.bits[cut[1]]):
-            yield state.component_count() - 1
-
-    def ok(self, state: _State, cut: tuple[int, int] | None = None) -> bool:
-        """Whether every rule holds; `cut` as in `_excess`."""
-        return not any(self._excess(state, cut))
+    def _top_excess(self, deg: np.ndarray) -> int:
+        """How far, in all, the other nodes' degrees `deg` reach past the
+        top pair's lead."""
+        i, j, margin, others = self.top_pair
+        lim = min(int(deg[i]), int(deg[j])) - margin
+        return int(np.maximum(deg - lim, 0) @ others)
 
     def violations(self, state: _State) -> float:
-        """Integer-valued distance from feasibility; zero means feasible."""
-        return float(sum(self._excess(state)))
-
-    def _verdict(
-        self, state: _State, out_pair: tuple[int, int], in_pair: tuple[int, int]
-    ) -> bool | None:
-        """Whether swapping edge `out_pair` for non-edge `in_pair` keeps
-        every rule of a state that keeps them all, read off the degree
-        changes and bitsets before the swap; None where they cannot tell.
-
-        Pins, required pairs and pair coverage keep holding iff their
-        degrees, adjacencies and sums do not move. The top pair keeps its
-        lead when neither of its nodes loses degree and each other node
-        that gains one stays within the pair's new limit; if one of them
-        loses degree, this is None. The state stays connected when
-        out_pair's ends still share a neighbour after the swap: one they
-        share now, or the other end of an in_pair that touches one of
-        them, if it neighbours the other. Without one, this is None."""
-        if out_pair in self.required:
-            return False
-        i, j = out_pair
-        k, l = in_pair
-        step = {i: -1, j: -1}
-        step[k] = step.get(k, 0) + 1
-        step[l] = step.get(l, 0) + 1
-        for v, _want in self.pins:
-            if step.get(v):
-                return False
+        """Integer-valued distance from feasibility, each rule's distance
+        from holding summed in one pass; zero means feasible. Repair
+        scores every candidate by it; the walk after repair is guarded by
+        `propose`."""
+        deg = state.deg
+        total = 0
+        for i, want in self.pins:
+            total += abs(int(deg[i]) - want)
+        for i, j in self.required:
+            total += 1 - state.has(i, j)
         if self.pair_cov is not None:
-            u, v, _count, pair = self.pair_cov
-            if step.get(u, 0) + step.get(v, 0) != (in_pair == pair) - (out_pair == pair):
-                return False
+            i, j, count, _pair = self.pair_cov
+            total += abs(int(deg[i]) + int(deg[j]) - state.has(i, j) - count)
         if self.top_pair is not None:
-            u, v, margin, _others = self.top_pair
-            du, dv = step.get(u, 0), step.get(v, 0)
-            if du < 0 or dv < 0:
-                return None
-            deg = state.deg
-            lim = min(int(deg[u]) + du, int(deg[v]) + dv) - margin
-            for w, dw in step.items():
-                if dw > 0 and w != u and w != v and int(deg[w]) + dw > lim:
-                    return False
+            total += self._top_excess(deg)
         if self.connected:
-            bits = state.bits
-            if not bits[i] & bits[j]:
-                if i == k or i == l:
-                    witness = bits[j] >> (k + l - i) & 1
-                else:
-                    witness = (j == k or j == l) and bits[i] >> (k + l - j) & 1
-                if not witness:
-                    return None
-        return True
+            total += state.component_count() - 1
+        return float(total)
 
     def propose(
         self, state: _State, out_pair: tuple[int, int], in_pair: tuple[int, int]
@@ -542,17 +489,57 @@ class _HardCheck:
 
         `state` must keep every rule. The annealer's walk after repair
         does: it starts feasible, and every swap it keeps passed here. So
-        `_verdict` decides most proposals before they are made; where it
-        cannot, the swap is made and `ok` decides."""
-        verdict = self._verdict(state, out_pair, in_pair)
-        if verdict is False:
+        the rules are read off the degree changes and bitsets before the
+        swap. Pins, required pairs and pair coverage keep holding iff
+        their degrees, adjacencies and sums do not move. Where neither
+        top-pair node loses degree, the pair keeps its lead iff each other
+        node that gains one stays within the pair's new limit; where one
+        does, the top-pair excess is taken on the degrees after the swap.
+        The state stays connected when out_pair's ends still share a
+        neighbour after the swap: one they share now, or the other end of
+        an in_pair that touches one of them, if it neighbours the other.
+        Only a proposal without one is swapped before it is decided: its
+        components are counted, and a split is undone."""
+        i, j = out_pair
+        k, l = in_pair
+        step = {i: -1, j: -1}
+        step[k] = step.get(k, 0) + 1
+        step[l] = step.get(l, 0) + 1
+        keeps = out_pair not in self.required
+        for v, _want in self.pins:
+            if step.get(v):
+                keeps = False
+        if keeps and self.pair_cov is not None:
+            u, v, _count, pair = self.pair_cov
+            keeps = step.get(u, 0) + step.get(v, 0) == (in_pair == pair) - (out_pair == pair)
+        if keeps and self.top_pair is not None:
+            u, v, margin, _others = self.top_pair
+            du, dv = step.get(u, 0), step.get(v, 0)
+            deg = state.deg
+            if du < 0 or dv < 0:
+                moved = deg.copy()
+                moved[list(step)] += list(step.values())
+                keeps = not self._top_excess(moved)
+            else:
+                lim = min(int(deg[u]) + du, int(deg[v]) + dv) - margin
+                for w, dw in step.items():
+                    if dw > 0 and w != u and w != v and int(deg[w]) + dw > lim:
+                        keeps = False
+        if not keeps:
             state.decline(out_pair)
             return False
+        bits = state.bits
+        witness = not self.connected or bits[i] & bits[j]
+        if not witness:
+            if i == k or i == l:
+                witness = bits[j] >> (k + l - i) & 1
+            else:
+                witness = (j == k or j == l) and bits[i] >> (k + l - j) & 1
         state.swap(out_pair, in_pair)
-        if verdict is None and not self.ok(state, out_pair):
-            state.swap(in_pair, out_pair)
-            return False
-        return True
+        if witness or state.component_count() == 1:
+            return True
+        state.swap(in_pair, out_pair)
+        return False
 
 
 def _second_bound(walks4: float, rho: float, n: int) -> float:
@@ -687,7 +674,10 @@ class _Evaluator:
 
     def _top3(self, state: _State, sweep, connected: bool, dmax: int) -> set[int]:
         """The indexes of the three largest entries of `_leading_vector`,
-        the lowest index first among equal entries.
+        the lowest index first among float-equal entries. Entries equal in
+        exact arithmetic, as on a symmetric graph, are ordered by eigh's
+        rounding, not by index: K4's set is {1, 2, 3}, and K5 and C6 rank
+        [1, 0, 2] and [0, 5, 1].
 
         On a connected candidate with 3 < n <= 9742, power iteration from
         the last leading vector w (unit, >= 0) tries to prove the set.
@@ -904,12 +894,14 @@ def _anneal(
     the exact scores. Scores are non-negative, so the loop stops early at
     0.0. Temperature cools every proposal; the acceptance coin is only
     flipped for uphill moves, so the RNG sequence is reproducible.
-    Without a `guard` every proposal is swapped in. A guard, called as
-    guard(state, out_pair, in_pair), makes the swaps it accepts and
-    leaves the state of a refused one as the swap and its undo would
-    (`_HardCheck.propose`). A swap the score rejects is undone, so every
-    current state is the start or one the guard accepted: from a start
-    that keeps every rule, each state the guard sees keeps them all.
+    Without a `guard` every proposal is swapped in, as in repair, which
+    scores `_HardCheck.violations`. A guard, called as
+    guard(state, out_pair, in_pair) on the state before the swap, makes
+    the swaps it accepts and leaves the state of a refused one as the
+    swap and its undo would (`_HardCheck.propose`). A swap the score
+    rejects is undone, so every current state is the start or one the
+    guard accepted: from a start that keeps every rule, each state the
+    guard sees keeps them all, which `propose` relies on.
     """
     cur = score(state)
     best = cur

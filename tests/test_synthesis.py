@@ -906,9 +906,9 @@ def test_brandes_sums_at_once_where_the_degree_bound_fails():
 )
 def test_bracketed_annealer_replays_the_eager_loop(target, monkeypatch):
     # the eager loop scores every candidate exactly with the oracle
-    # evaluator and guards each swapped state with `ok`; the bracketed
-    # loop, guarded by `propose` before the swap, must take the same path,
-    # so it ends on equal edges with the RNG in an equal state.
+    # evaluator and keeps only swapped states without a violation; the
+    # bracketed loop, guarded by `propose` before the swap, must take the
+    # same path, so it ends on equal edges with the RNG in an equal state.
     # Betweenness-led targets leave many decisions open, so the kernel
     # runs to pin them.
     order = tuple(sorted(target.nodes))
@@ -931,7 +931,8 @@ def test_bracketed_annealer_replays_the_eager_loop(target, monkeypatch):
     for anneal in (eager_anneal, synthesis._anneal):
         state, evaluator = _candidate(g, target)
         if anneal is eager_anneal:
-            score, guard = MetricDictEvaluator(target, order).objective, check.ok
+            score = MetricDictEvaluator(target, order).objective
+            guard = lambda s, _cut: check.violations(s) == 0.0
         else:
             score, guard = evaluator.score, check.propose
         rng = random.Random(sched.rng_seed)
@@ -1147,10 +1148,10 @@ def connected_check(g):
 
 def test_guard_witness_agrees_with_the_full_component_count(counted_components):
     # from a connected state, the swapped-out edge's ends sharing a
-    # neighbour proves the swap kept it connected; without a witness the
-    # guard counts components, so its verdict equals the full check's.
-    # A refused swap is undone, as in the annealer, so every walk state
-    # the guard sees is one swap from a connected state.
+    # neighbour after the swap proves the swap keeps it connected, and
+    # `propose` counts no component; without a witness it counts once, so
+    # its answer equals the full check's. The walk moves by accepted
+    # proposals, so every state it proposes from is connected.
     rng = random.Random(29)
     witnessed = counted = refused = 0
     for _ in range(60):
@@ -1159,25 +1160,31 @@ def test_guard_witness_agrees_with_the_full_component_count(counted_components):
         for _ in range(30):
             out_pair = state.edges[rng.randrange(len(state.edges))]
             in_pair = state.non_edges[rng.randrange(len(state.non_edges))]
-            state.swap(out_pair, in_pair)
+            oracle = copy.deepcopy(state)
+            oracle.swap(out_pair, in_pair)
+            witness = oracle.bits[out_pair[0]] & oracle.bits[out_pair[1]]
+            want = check.violations(oracle) == 0.0
             before = len(counted_components)
-            verdict = check.ok(state, out_pair)
-            witnessed += len(counted_components) == before
-            counted += len(counted_components) > before
-            assert verdict == check.ok(state)
-            if not verdict:
-                refused += 1
-                state.swap(in_pair, out_pair)
+            verdict = check.propose(state, out_pair, in_pair)
+            assert len(counted_components) - before == (0 if witness else 1)
+            assert verdict == want
+            witnessed += bool(witness)
+            counted += not witness
+            refused += not verdict
     assert min(witnessed, counted, refused) >= 150
 
 
 def test_guard_counts_components_when_a_bridge_has_no_witness(counted_components):
     # v1-v2 is a bridge of the path v0-...-v4 whose ends share no
-    # neighbour, and the edge swapped in (v2-v4) stays on one side
+    # neighbour, and the edge swapped in (v2-v4) stays on one side: the
+    # components are counted once, and the split is refused and undone
     state, check = connected_check(path_graph(5))
-    state.swap((1, 2), (2, 4))
-    assert not check.ok(state, (1, 2))
+    oracle = copy.deepcopy(state)
+    oracle.swap((1, 2), (2, 4))
+    oracle.swap((2, 4), (1, 2))
+    assert not check.propose(state, (1, 2), (2, 4))
     assert counted_components == [5]
+    assert state_fields(state) == state_fields(oracle)
 
 
 def feasible_hard_target(rng, g):
@@ -1204,48 +1211,75 @@ def feasible_hard_target(rng, g):
     )
 
 
-def test_proposal_verdict_equals_ok_on_the_swapped_state():
-    # from feasible states, every proposal's verdict, read before the swap,
-    # is what `ok` says of the swapped state, or None where it cannot
-    # tell; `propose` then equals `ok` on every proposal. The walk moves by
-    # accepted proposals, so each state it scores from keeps every rule.
+def feasible_state(rng, low, high):
+    """A random connected graph on low to high - 1 nodes as a state, a
+    hard check whose every rule binds and holds on it, and its top pair."""
+    n = rng.randrange(low, high)
+    g = random_connected_graph(rng, n, rng.randrange(1, n * (n - 3) // 2))
+    target = feasible_hard_target(rng, g)
+    order = tuple(sorted(target.nodes))
+    state = _State(n, _index_pairs({v: i for i, v in enumerate(order)}, g.edges()))
+    top = tuple(order.index(w) for w in target.hard.top_degree_pair)
+    return state, _HardCheck(target, order), top
+
+
+def test_proposal_equals_violations_on_the_swapped_state(monkeypatch):
+    # from feasible states, every proposal is accepted iff the swapped
+    # state has no violation, and it is decided before the swap unless
+    # out_pair's ends keep no shared neighbour: an accepted proposal swaps
+    # once, a refused one with a witness not at all, and one refused for
+    # a split alone swaps and undoes. The walk moves by accepted
+    # proposals, so each state it proposes from keeps every rule.
+    swaps = []
+    full = _State.swap
+
+    def counted(state, out_pair, in_pair):
+        swaps.append(out_pair)
+        full(state, out_pair, in_pair)
+
+    monkeypatch.setattr(_State, "swap", counted)
     rng = random.Random(37)
     seen = Counter()
     for _ in range(24):
-        n = rng.randrange(6, 13)
-        g = random_connected_graph(rng, n, rng.randrange(1, n * (n - 3) // 2))
-        target = feasible_hard_target(rng, g)
-        order = tuple(sorted(target.nodes))
-        check = _HardCheck(target, order)
-        state = _State(n, _index_pairs({v: i for i, v in enumerate(order)}, g.edges()))
-        u, v = (order.index(w) for w in target.hard.top_degree_pair)
+        state, check, (u, v) = feasible_state(rng, 6, 13)
         for _ in range(6):
-            assert check.ok(state)
+            assert check.violations(state) == 0.0
             for out_pair in list(state.edges):
                 for in_pair in list(state.non_edges):
-                    verdict = check._verdict(state, out_pair, in_pair)
-                    shared = state.bits[out_pair[0]] & state.bits[out_pair[1]]
-                    seen["witness from in_pair"] += verdict is True and not shared
+                    i, j = out_pair
+                    shared = state.bits[i] & state.bits[j]
                     state.swap(out_pair, in_pair)
-                    want = check.ok(state)
+                    want = check.violations(state)
+                    split = state.component_count() - 1
+                    witness = state.bits[i] & state.bits[j]
                     state.swap(in_pair, out_pair)
-                    assert verdict is None or verdict == want
+                    before = len(swaps)
+                    verdict = check.propose(state, out_pair, in_pair)
+                    made = len(swaps) - before
+                    if verdict:
+                        state.swap(in_pair, out_pair)
+                    assert verdict == (want == 0.0)
+                    undecided = not witness and want == split
+                    assert made == (1 if verdict else 2 if undecided else 0)
                     seen[verdict] += 1
-                    seen["touching"] += verdict is not None and bool(set(out_pair) & set(in_pair))
+                    seen["undecided"] += undecided
+                    seen["witness from in_pair"] += verdict and not shared and bool(witness)
+                    seen["touching"] += bool(set(out_pair) & set(in_pair))
                     loses = (u in out_pair and u not in in_pair) or (
                         v in out_pair and v not in in_pair)
-                    seen["top pair loses"] += loses
-                    seen["loses, refused"] += loses and verdict is False
+                    seen["loses, accepted"] += loses and verdict
+                    seen["loses, refused"] += loses and not verdict
             for _ in range(40):
                 out_pair = state.edges[rng.randrange(len(state.edges))]
                 in_pair = state.non_edges[rng.randrange(len(state.non_edges))]
                 state.swap(out_pair, in_pair)
-                want = check.ok(state)
+                want = check.violations(state) == 0.0
                 state.swap(in_pair, out_pair)
                 assert check.propose(state, out_pair, in_pair) == want
     assert min(seen[True], seen[False], seen["touching"], seen["loses, refused"]) >= 500
+    assert seen["loses, accepted"] >= 500
     assert seen["witness from in_pair"] >= 20
-    assert 0 < seen[None] < seen[True] + seen[False]
+    assert 0 < seen["undecided"] < seen[True] + seen[False] - seen["undecided"]
 
 
 def state_fields(state):
@@ -1260,18 +1294,13 @@ def test_refused_proposal_leaves_the_state_of_swap_then_undo():
     rng = random.Random(43)
     refused = accepted = 0
     for _ in range(30):
-        n = rng.randrange(6, 15)
-        g = random_connected_graph(rng, n, rng.randrange(1, n * (n - 3) // 2))
-        target = feasible_hard_target(rng, g)
-        order = tuple(sorted(target.nodes))
-        check = _HardCheck(target, order)
-        state = _State(n, _index_pairs({v: i for i, v in enumerate(order)}, g.edges()))
+        state, check, _top = feasible_state(rng, 6, 15)
         for _ in range(40):
             out_pair = state.edges[rng.randrange(len(state.edges))]
             in_pair = state.non_edges[rng.randrange(len(state.non_edges))]
             oracle = copy.deepcopy(state)
             oracle.swap(out_pair, in_pair)
-            if check.ok(oracle, out_pair):
+            if check.violations(oracle) == 0.0:
                 accepted += 1
             else:
                 oracle.swap(in_pair, out_pair)
@@ -1340,8 +1369,7 @@ def test_hard_check_matches_graph_queries_on_swap_walks(which):
         assert all(state.has(i, j) == g.has_edge(order[i], order[j]) for i, j in every_pair)
         distances = hard_rule_distances(g, target.hard)
         assert check.violations(state) == float(sum(distances))
-        assert check.ok(state) == (not any(distances))
-        return check.ok(state)
+        return not any(distances)
 
     rng = random.Random(17)
     verdicts = [compared()]
