@@ -47,12 +47,14 @@ def _read_text(path: str) -> str:
 
 def _check_writable(path: str | None) -> None:
     """Raise now the error that opening `path` for writing would raise
-    after the work: it is a directory, or its directory is missing or is
-    not a directory."""
+    after the work: it is empty or a directory, or its directory is
+    missing or is not a directory."""
     if path is None:
         return
     parent = os.path.dirname(path) or "."
-    if os.path.isdir(path):
+    if not path:  # "" has no directory part either, but it cannot be opened
+        code = errno.ENOENT
+    elif os.path.isdir(path):
         code = errno.EISDIR
     elif os.path.isdir(parent):
         return

@@ -336,13 +336,13 @@ def _residual_steps(
     a: np.ndarray, index: dict[str, int], run: Removals
 ) -> tuple[list[RemovalStep], np.ndarray]:
     """The logged steps of `run` on the graph with adjacency matrix `a`
-    (rows in `index` order), and the whole graph's hop distances, -1 if
+    (rows in `index` order), and the whole graph's hop distances, inf if
     unreachable.
 
     The adjacency matrix is permuted once into insertion order: the nodes
     never removed, then the removals reversed, so the residual graph of
     every step is the leading p x p block. One `_paths` sweep gives the
-    hop distances of the last residual graph, unreachable pairs as inf.
+    hop distances of the last residual graph.
     The steps are then walked backwards, putting each removed node back
     as `removals` does: its distance row is 1 + the minimum over its
     present neighbours' rows, and one relaxation through it updates the
@@ -359,8 +359,7 @@ def _residual_steps(
     p = a.shape[0] - len(removed)
     m = int(b[:p, :p].sum()) // 2
     dist = np.full(a.shape, np.inf)
-    reached = metrics._paths(b[:p, :p]).dist
-    dist[:p, :p] = np.where(reached < 0, np.inf, reached)
+    dist[:p, :p] = metrics._paths(b[:p, :p]).dist
     steps: list[RemovalStep] = []
     for s in reversed(run.steps):
         density = metrics._density(p, m) if p >= 2 else 0.0
@@ -375,7 +374,6 @@ def _residual_steps(
         p, m = p + 1, m + linked.size
     full = np.empty_like(dist)
     full[np.ix_(perm, perm)] = dist
-    full[full == np.inf] = -1.0  # `metrics` marks an unreachable pair -1
     return steps[::-1], full
 
 

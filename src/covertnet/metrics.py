@@ -7,9 +7,9 @@ PreconditionError rather than guessing a value.
 Each metric has one implementation: a dense numpy kernel over the
 adjacency matrix in sorted label order, shared with the annealer in
 `synthesis`. One BFS sweep from every source (`_paths`) is the only
-all-pairs search. In O(n^2) memory it hands back the hop distances, the
-mask of pairs it did not reach, their count, its depth, the sum of the
-distances less one over the pairs it reached and, from its first
+all-pairs search. In O(n^2) memory it hands back the hop distances, inf
+for a pair it did not reach, the count of such pairs, its depth, the sum
+of the distances less one over the pairs it reached and, from its first
 product, each node's closed walks of length 3 and the closed walks of
 length 4 in all, tr(A^4); it forms no path counts. Diameter, mean
 betweenness, eigenvector centrality and dismantling's logged runs read
@@ -72,10 +72,9 @@ def average_degree(g: LabeledGraph) -> float:
 
 
 class _Sweep(NamedTuple):
-    """What one `_paths` sweep computes; `dist` and `unreached` are n x n."""
+    """What one `_paths` sweep computes; `dist` is n x n."""
 
-    dist: np.ndarray  # hop distances, -1 if unreachable
-    unreached: np.ndarray  # dist < 0
+    dist: np.ndarray  # hop distances, inf if unreachable
     depth: int  # the largest finite hop distance
     left: int  # the ordered pairs not reached, so 0 iff the graph is connected
     closed: np.ndarray  # per node: twice its triangle count, from the first product
@@ -84,7 +83,7 @@ class _Sweep(NamedTuple):
 
 
 def _paths(a: np.ndarray) -> _Sweep:
-    """All-pairs hop distances, level by level; no path counts.
+    """All-pairs hop distances level by level, inf if unreachable; no path counts.
 
     One BFS sweep, started at level 1: level 1 is `a` itself, and the
     pairs reaching level k are the unreached ones that the boolean level
@@ -99,9 +98,9 @@ def _paths(a: np.ndarray) -> _Sweep:
     O(n^2) whatever the diameter.
     """
     n = a.shape[0]
-    dist = np.where(a > 0, 1.0, -1.0)
+    dist = np.where(a > 0, 1.0, np.inf)
     dist.flat[:: n + 1] = 0.0
-    unreached = dist < 0
+    unreached = dist == np.inf
     left = np.count_nonzero(unreached)
     depth = int(left < n * (n - 1))  # level 1 is empty without an edge
     excess = 0
@@ -121,13 +120,13 @@ def _paths(a: np.ndarray) -> _Sweep:
         np.putmask(dist, nxt, depth)
         if left:  # else every pair is reached, and a further level would be empty
             counts = nxt @ a
-    return _Sweep(dist, unreached, depth, left, closed, walks4, excess)
+    return _Sweep(dist, depth, left, closed, walks4, excess)
 
 
 def _largest_component(dist: np.ndarray) -> np.ndarray:
     """Indexes of the largest component; ties go to the smallest index."""
-    root = int((dist >= 0).sum(axis=1).argmax())
-    return np.flatnonzero(dist[root] >= 0)
+    root = int((dist < np.inf).sum(axis=1).argmax())
+    return np.flatnonzero(dist[root] < np.inf)
 
 
 def _closed(a: np.ndarray) -> np.ndarray:
@@ -180,7 +179,7 @@ def _raw_betweenness(a: np.ndarray, sweep: _Sweep) -> np.ndarray:
     sigma = _path_counts(a, sweep)
     if sigma.max() >= np.finfo(float).max:  # a saturated count is not exact
         raise PreconditionError("a shortest-path count overflows a float")
-    safe = sigma + sweep.unreached  # 1 where no path, so the ratio stays finite
+    safe = np.maximum(sigma, 1.0)  # 1 where no path, so the ratio stays finite
     delta = np.zeros(sigma.shape)
     step = np.empty(sigma.shape)
     ratio = 1.0 / safe  # the deepest level carries no dependency yet
@@ -273,14 +272,13 @@ def betweenness(g: LabeledGraph) -> dict[str, float]:
 def _distance_sums(dist: np.ndarray) -> tuple[float, int]:
     """(I, R) from hop distances: R the ordered pairs s != t with a path,
     and I the sum of d(s, t) - 1 over them, the betweenness summed over
-    every node (Barthelemy, EPJ B 38:163, 2004). I comes from the positive
-    finite entries of `dist` (an unreachable pair may be -1 or inf), an
-    exact integer in float whatever the order of the sum. A `_paths`
-    sweep holds them already: I is its `excess`, R is n(n - 1) less its
-    `left`."""
-    reach = dist > 0
-    reach &= dist < np.inf
-    pairs = np.count_nonzero(reach)
+    every node (Barthelemy, EPJ B 38:163, 2004). R is the count of finite
+    entries of `dist` (inf if unreachable) less its n zeros, and I their
+    sum less R, an exact integer in float whatever the order of the sum.
+    A `_paths` sweep holds them already: I is its `excess`, R is n(n - 1)
+    less its `left`."""
+    reach = dist < np.inf
+    pairs = np.count_nonzero(reach) - dist.shape[0]
     return float(dist.sum(where=reach) - pairs), pairs
 
 
@@ -362,7 +360,7 @@ def _report(
     closed: np.ndarray,
 ) -> MetricsReport:
     """The report of g from its sorted label order, adjacency matrix, hop
-    distances (-1 if unreachable) and `closed` counts, whoever computed
+    distances (inf if unreachable) and `closed` counts, whoever computed
     them."""
     dens, frag, avg_deg = density(g), fragmentation(g), average_degree(g)
     _require_edge(g)

@@ -297,6 +297,23 @@ def test_unwritable_output_fails_before_any_work(parent, tmp_path, capsys, monke
     assert capsys.readouterr().err == _late_open_error(out_path)
 
 
+@pytest.mark.parametrize(
+    "argv, slow",
+    [
+        (["synthesize", "--output", ""], "covertnet.synthesis.synthesize_reference"),
+        (["compare", "--curves", ""], "covertnet.cli.build_comparison"),
+        (["compare", "--output", ""], "covertnet.cli.build_comparison"),
+    ],
+    ids=["synthesize-output", "compare-curves", "compare-output"],
+)
+def test_empty_output_path_fails_before_any_work(argv, slow, capsys, monkeypatch):
+    # "" has no directory part, as a bare file name has none, but unlike
+    # one it cannot be opened; the late open's error comes first
+    monkeypatch.setattr(slow, _never)
+    assert main(argv) == 1
+    assert capsys.readouterr().err == _late_open_error("")
+
+
 def test_compare_with_unwritable_curves_writes_nothing(tmp_path, capsys):
     ok = tmp_path / "ok.json"
     curves = tmp_path / "missing" / "c.csv"

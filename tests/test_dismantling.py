@@ -12,12 +12,14 @@ from covertnet import (
     LabeledGraph,
     PreconditionError,
     StrategySpec,
+    adjacency_matrix,
     crossing_subgraph,
     density,
     fragmentation,
     induced_subgraph,
     largest_connected_component,
     mean_betweenness,
+    node_order,
     reference_network,
     removals,
     report,
@@ -25,7 +27,14 @@ from covertnet import (
     threshold_cost,
     wvc,
 )
-from covertnet.dismantling import COST_MODELS, STRATEGY_KINDS, Removals, run_strategies
+from covertnet.dismantling import (
+    COST_MODELS,
+    STRATEGY_KINDS,
+    Removals,
+    _residual_steps,
+    run_strategies,
+)
+from covertnet.metrics import _distance_sums, _paths
 from oracles import greedy_cover_order, lazy_trace, report_dict, spec_dict, trace_csv, trace_json
 from util import (
     barbell_graph,
@@ -370,7 +379,9 @@ def test_initial_metrics_missing_on_tiny_graphs():
 @pytest.mark.parametrize("kind", STRATEGY_KINDS)
 def test_initial_metrics_equal_the_report(kind):
     # the report built from the logged run's final distances equals a
-    # fresh `report`, every field and floats exactly, whatever was removed
+    # fresh `report`, every field and floats exactly, whatever was removed;
+    # those distances are one `_paths` sweep's byte for byte, inf where
+    # unreachable, with the sweep's distance sums
     rng = random.Random(407)
     graphs = [reference_network(), barbell_graph(4)]
     graphs += [random_connected_graph(rng, rng.randrange(3, 40), rng.randrange(0, 60))
@@ -380,17 +391,26 @@ def test_initial_metrics_equal_the_report(kind):
         core = random_connected_graph(rng, rng.randrange(3, 20), rng.randrange(0, 20))
         loners = [f"z{i}" for i in range(rng.randrange(1, 6))]
         graphs.append(LabeledGraph(core.nodes + tuple(loners), core.edges()))
-    compared = emptied = 0
+    graphs += [LabeledGraph([f"x{i}" for i in range(n)]) for n in (0, 1, 2, 5)]  # edgeless
+    compared = emptied = disconnected = 0
     for g in graphs:
         expected = report(g) if g.edge_count else None
+        n = g.node_count
+        a = adjacency_matrix(g)
+        index = {v: i for i, v in enumerate(node_order(g))}
+        sweep = _paths(a)
         for target in (0.01, 0.2, 0.5, 1.0):  # 0.01 removes every node
             seed = rng.randrange(10**6) if kind == "random" else None
             spec = StrategySpec(kind=kind, target_lcc_fraction=target, rng_seed=seed)
             trace = run_strategy(g, spec)
             assert trace.initial_metrics == expected
+            full = _residual_steps(a, index, removals(g, spec))[1]
+            assert full.tobytes() == sweep.dist.tobytes()
+            assert _distance_sums(full) == (sweep.excess, n * (n - 1) - sweep.left)
             compared += expected is not None
-            emptied += len(trace.steps) == g.node_count
-    assert compared >= 250 and emptied >= 60
+            emptied += len(trace.steps) == n
+        disconnected += sweep.left > 0
+    assert compared >= 250 and emptied >= 60 and disconnected >= 30
 
 
 def test_runs_logged_together_share_one_initial_report():

@@ -1,4 +1,5 @@
 import json
+import math
 import random
 import tracemalloc
 from collections import deque
@@ -334,9 +335,10 @@ def test_report_equals_the_standalone_functions():
 
 
 def _bfs_paths(g, order):
-    """Hop distances and shortest-path counts from a plain per-source BFS."""
+    """Hop distances (inf if unreachable) and shortest-path counts from a
+    plain per-source BFS."""
     n = len(order)
-    dist = [[-1] * n for _ in range(n)]
+    dist = [[math.inf] * n for _ in range(n)]
     sigma = [[0] * n for _ in range(n)]
     for s, source in enumerate(order):
         seen = {source: 0}
@@ -376,7 +378,7 @@ def test_paths_match_a_per_source_bfs():
         want_dist, want_sigma = _bfs_paths(g, order)
         assert dist.tolist() == want_dist
         assert sigma.tolist() == want_sigma
-        disconnected += bool((dist < 0).any())
+        disconnected += bool((dist == np.inf).any())
     assert disconnected >= 5
 
 
@@ -392,17 +394,19 @@ def test_sweep_hands_back_its_mask_and_depth():
         _order, a = _kernel_input(g)
         sweep = _paths(a)
         dist = sweep.dist
-        assert sweep.depth == int(dist.max())
-        assert sweep.unreached.tolist() == (dist < 0).tolist()
-        disconnected += bool(sweep.unreached.any())
+        assert sweep.depth == int(dist.max(initial=0.0, where=dist < np.inf))
+        assert sweep.left == np.count_nonzero(dist == np.inf)
+        disconnected += sweep.left > 0
     assert disconnected >= 10
 
 
 def test_sweep_equals_the_frozen_kernels_byte_for_byte():
     # the distances-only sweep hands back what the frozen kernels give:
-    # distances, their mask, depth and unreached count, and the closed
-    # walks of clustering; it holds no path counts
+    # distances (the frozen -1 read as inf), depth and unreached count,
+    # and the closed walks of clustering; it holds no path counts and no
+    # mask that only restates the distances
     assert "sigma" not in _Sweep._fields
+    assert "unreached" not in _Sweep._fields
     rng = random.Random(53)
     graphs = [LabeledGraph(labels(n)) for n in (0, 1, 2, 6)]  # n <= 2 and edgeless
     graphs += [path_graph(2), barbell_graph(4), layered_graph(5, extra=["lone"])]
@@ -413,11 +417,11 @@ def test_sweep_equals_the_frozen_kernels_byte_for_byte():
     for g in graphs:
         _order, a = _kernel_input(g)
         sweep = _paths(a)
-        dist = frozen_distances(a)
+        frozen = frozen_distances(a)
+        dist = np.where(frozen < 0, np.inf, frozen)
         assert sweep.dist.tobytes() == dist.tobytes()
-        assert sweep.unreached.tobytes() == (dist < 0).tobytes()
-        assert sweep.depth == (int(dist.max()) if g.node_count else 0)
-        assert sweep.left == np.count_nonzero(dist < 0)
+        assert sweep.depth == (int(frozen.max()) if g.node_count else 0)
+        assert sweep.left == np.count_nonzero(dist == np.inf)
         assert sweep.closed.tobytes() == frozen_closed(a).tobytes()
         disconnected += sweep.left > 0
     assert disconnected >= 30
@@ -480,10 +484,10 @@ def test_paths_kernel_is_bit_identical_to_the_frozen_reference():
         sweep = _paths(a)
         dist = sweep.dist
         frozen = frozen_distances(a)
-        assert dist.tobytes() == frozen.tobytes()
+        assert dist.tobytes() == np.where(frozen < 0, np.inf, frozen).tobytes()
         got = _raw_betweenness(a, sweep)
         assert got.tobytes() == frozen_raw_betweenness(a, frozen).tobytes()
-        connected += bool((dist >= 0).all())
+        connected += bool((dist < np.inf).all())
     assert 60 <= connected <= 160
 
 
