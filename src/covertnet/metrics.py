@@ -20,12 +20,13 @@ forward pass over the sweep's levels, then walks the levels back,
 deriving each level's pairs from the distances as each pass reaches it.
 The annealer also takes its diameter from the depth, its connectivity
 from the unreached count, its Brandes bracket from the distance sum and
-its bound on the second eigenvalue from tr(A^4). Mean betweenness is read from the
-distances alone, so unlike per-node betweenness it never needs a path
-count past the largest float. The annealer's mean betweenness is the
-per-node kernel's float sum, so that the bundled network rebuilds bit
-for bit; it brackets that sum by the same distance sums and runs the
-kernel only where the bracket leaves a decision open.
+its bound on the second eigenvalue from tr(A^4), so its sweeps fill no
+distance matrix until the kernel needs one. Mean betweenness is read from the distances alone,
+so unlike per-node betweenness it never needs a path count past the
+largest float. The annealer's mean betweenness is the per-node kernel's
+float sum, so that the bundled network rebuilds bit for bit; it brackets
+that sum by the same distance sums and runs the kernel only where the
+bracket leaves a decision open.
 Eigenvector centrality is the leading eigenvector of one dense `eigh` on
 the largest connected component, a size tie going to the component
 holding the smallest label as in `graph.largest_connected_component`; it
@@ -72,9 +73,10 @@ def average_degree(g: LabeledGraph) -> float:
 
 
 class _Sweep(NamedTuple):
-    """What one `_paths` sweep computes; `dist` is n x n."""
+    """What one `_paths` sweep computes; `dist` is n x n, or None from a
+    sweep told to fill no distances."""
 
-    dist: np.ndarray  # hop distances, inf if unreachable
+    dist: np.ndarray | None  # hop distances, inf if unreachable
     depth: int  # the largest finite hop distance
     left: int  # the ordered pairs not reached, so 0 iff the graph is connected
     closed: np.ndarray  # per node: twice its triangle count, from the first product
@@ -82,7 +84,7 @@ class _Sweep(NamedTuple):
     excess: int  # sum of d(s, t) - 1 over the ordered pairs s != t with a path
 
 
-def _paths(a: np.ndarray) -> _Sweep:
+def _paths(a: np.ndarray, distances: bool = True) -> _Sweep:
     """All-pairs hop distances level by level, inf if unreachable; no path counts.
 
     One BFS sweep, started at level 1: level 1 is `a` itself, and the
@@ -95,12 +97,17 @@ def _paths(a: np.ndarray) -> _Sweep:
     length 3 (`closed`), which clustering reads, and its squared
     Frobenius norm, tr(A^4) (`walks4`), a sum of exact integers in any
     order. Only one level's product is held at a time, so memory is
-    O(n^2) whatever the diameter.
+    O(n^2) whatever the diameter. Without `distances` no distance matrix
+    is filled and `dist` is None; every other field is the same, for a
+    caller that reads only those, as the annealer does.
     """
     n = a.shape[0]
-    dist = np.where(a > 0, 1.0, np.inf)
-    dist.flat[:: n + 1] = 0.0
-    unreached = dist == np.inf
+    unreached = a <= 0.0
+    unreached.flat[:: n + 1] = False
+    dist = None
+    if distances:
+        dist = np.where(unreached, np.inf, 1.0)
+        dist.flat[:: n + 1] = 0.0
     left = np.count_nonzero(unreached)
     depth = int(left < n * (n - 1))  # level 1 is empty without an edge
     excess = 0
@@ -117,7 +124,8 @@ def _paths(a: np.ndarray) -> _Sweep:
         excess += depth * found  # the new level's pairs lie depth + 1 apart
         depth += 1
         unreached ^= nxt
-        np.putmask(dist, nxt, depth)
+        if dist is not None:
+            np.putmask(dist, nxt, depth)
         if left:  # else every pair is reached, and a further level would be empty
             counts = nxt @ a
     return _Sweep(dist, depth, left, closed, walks4, excess)
@@ -143,7 +151,8 @@ def _clustering(deg: np.ndarray, closed: np.ndarray) -> np.ndarray:
 
 
 def _path_counts(a: np.ndarray, sweep: _Sweep) -> np.ndarray:
-    """Shortest-path counts of a `_paths(a)` sweep's pairs, 0 if unreachable.
+    """Shortest-path counts of a `_paths(a)` sweep's pairs, 0 if unreachable;
+    the sweep must hold its distances.
 
     A forward pass over the sweep's levels: the counts reaching level 1
     are `a` itself, and those reaching level k are the level k-1 counts
@@ -166,7 +175,7 @@ def _path_counts(a: np.ndarray, sweep: _Sweep) -> np.ndarray:
 
 def _raw_betweenness(a: np.ndarray, sweep: _Sweep) -> np.ndarray:
     """Per-node Brandes dependency sums over ordered pairs, from a
-    `_paths(a)` sweep whose rows are the sources.
+    `_paths(a)` sweep, with its distances, whose rows are the sources.
 
     The path counts come from `_path_counts`. The backward pass walks the
     hop levels from the sweep's depth: the dependency of level k's pairs
@@ -199,10 +208,9 @@ def _raw_betweenness(a: np.ndarray, sweep: _Sweep) -> np.ndarray:
     return delta.sum(axis=0) - np.diag(delta)
 
 
-def _leading_vector(a: np.ndarray, dist: np.ndarray) -> np.ndarray:
-    """Leading eigenvector of the largest component, 0 elsewhere; its
-    largest |entry| is > 0."""
-    members = _largest_component(dist)
+def _leading_vector(a: np.ndarray, members: np.ndarray) -> np.ndarray:
+    """Leading eigenvector of the component `members`, the largest one
+    (`_largest_component`), 0 elsewhere; its largest |entry| is > 0."""
     vec = np.linalg.eigh(a[np.ix_(members, members)])[1][:, -1]
     if vec[int(np.abs(vec).argmax())] < 0:
         vec = -vec
@@ -300,7 +308,7 @@ def _eigenvector_scores(
 ) -> dict[str, float]:
     # the component's leading eigenvector is positive; abs clears the
     # rounding-level negatives eigh can leave on near-zero entries
-    vec = np.abs(_leading_vector(a, dist))
+    vec = np.abs(_leading_vector(a, _largest_component(dist)))
     return {v: float(x) for v, x in zip(order, vec / vec.max())}
 
 

@@ -92,7 +92,7 @@ def default_chiapas_target() -> SynthesisTarget:
 
 
 def build_reference_network() -> LabeledGraph:
-    """Synthesize the reference network from scratch (about 10 s on a 2-core VM)."""
+    """Synthesize the reference network from scratch (about 8 s on a 2-core VM)."""
     graph = synthesize_reference(default_chiapas_target())
     return graph.with_roles(chiapas_roster())
 

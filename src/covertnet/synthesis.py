@@ -411,14 +411,13 @@ class _State:
     def has(self, i: int, j: int) -> bool:
         return bool(self.bits[i] >> j & 1)
 
-    def component_count(self) -> int:
-        """Bitset BFS from each lowest unseen node."""
+    def _components(self):
+        """Each component's node bitset, by bitset BFS from each lowest unseen node."""
         unseen = (1 << self.n) - 1
-        count = 0
         while unseen:
-            count += 1
             frontier = unseen & -unseen
             unseen ^= frontier
+            reached = frontier
             while frontier:
                 grown = 0
                 f = frontier
@@ -428,7 +427,32 @@ class _State:
                     f ^= low
                 frontier = grown & unseen
                 unseen ^= frontier
-        return count
+                reached |= frontier
+            yield reached
+
+    def component_count(self) -> int:
+        return sum(1 for _ in self._components())
+
+    def largest_component(self) -> np.ndarray:
+        """Indexes of the largest component, a size tie going to the one
+        holding the smallest index, as in `metrics._largest_component`."""
+        members = max(self._components(), key=int.bit_count)  # the first of equal sizes
+        return np.array([i for i in range(self.n) if members >> i & 1])
+
+
+def _keeps_link(bits: list[int], out_pair: tuple[int, int], in_pair: tuple[int, int]) -> bool:
+    """Whether the ends of edge `out_pair` still share a neighbour once it
+    is swapped for non-edge `in_pair`, read off the bitsets before the
+    swap: one they share now, or the other end of an in_pair that touches
+    one of them, if it neighbours the other. A swap that keeps one keeps a
+    connected graph connected."""
+    i, j = out_pair
+    k, l = in_pair
+    if bits[i] & bits[j]:
+        return True
+    if i == k or i == l:
+        return bool(bits[j] >> (k + l - i) & 1)
+    return (j == k or j == l) and bool(bits[i] >> (k + l - j) & 1)
 
 
 class _HardCheck:
@@ -462,9 +486,15 @@ class _HardCheck:
 
     def violations(self, state: _State) -> float:
         """Integer-valued distance from feasibility, each rule's distance
-        from holding summed in one pass; zero means feasible. Repair
-        scores every candidate by it; the walk after repair is guarded by
-        `propose`."""
+        from holding summed in one pass; zero means feasible. `repair`
+        anneals it to zero, and `propose` guards the walk after."""
+        total = self._rules(state)
+        if self.connected:
+            total += state.component_count() - 1
+        return float(total)
+
+    def _rules(self, state: _State) -> int:
+        """`violations` less its component term."""
         deg = state.deg
         total = 0
         for i, want in self.pins:
@@ -476,9 +506,39 @@ class _HardCheck:
             total += abs(int(deg[i]) + int(deg[j]) - state.has(i, j) - count)
         if self.top_pair is not None:
             total += self._top_excess(deg)
-        if self.connected:
-            total += state.component_count() - 1
-        return float(total)
+        return total
+
+    def repair(
+        self, state: _State, rng: random.Random, iterations: int, t0: float, cooling: float
+    ) -> int:
+        """Anneal `state`, a random fill holding every required pair,
+        toward `violations` zero, and return the final count: `_anneal`'s
+        loop with `violations` as the score, `required` protected and
+        every proposal swapped in, a rejected one undone. The component
+        term is kept as a running count: a connected state whose out_pair
+        keeps a shared neighbour (`_keeps_link`) stays connected, so only
+        a split state or a swap without one is counted."""
+        comps = state.component_count() if self.connected else 1
+        cur = self._rules(state) + comps - 1
+        t = t0
+        for _ in range(iterations):
+            if cur <= 0 or not state.edges or not state.non_edges:
+                break
+            out_pair = state.edges[rng.randrange(len(state.edges))]
+            in_pair = state.non_edges[rng.randrange(len(state.non_edges))]
+            t *= cooling
+            if out_pair in self.required:
+                continue
+            kept = not self.connected or comps == 1 and _keeps_link(state.bits, out_pair, in_pair)
+            state.swap(out_pair, in_pair)
+            counted = comps if kept else state.component_count()
+            new = self._rules(state) + counted - 1
+            # `_anneal`'s test, as `_at_most` and `_coin` decide it on exact scores
+            if new <= cur or (t > 0.0 and rng.random() < math.exp(-(new - cur) / t)):
+                cur, comps = new, counted
+            else:
+                state.swap(in_pair, out_pair)
+        return cur
 
     def propose(
         self, state: _State, out_pair: tuple[int, int], in_pair: tuple[int, int]
@@ -496,10 +556,9 @@ class _HardCheck:
         node that gains one stays within the pair's new limit; where one
         does, the top-pair excess is taken on the degrees after the swap.
         The state stays connected when out_pair's ends still share a
-        neighbour after the swap: one they share now, or the other end of
-        an in_pair that touches one of them, if it neighbours the other.
-        Only a proposal without one is swapped before it is decided: its
-        components are counted, and a split is undone."""
+        neighbour after the swap (`_keeps_link`). Only a proposal without
+        one is swapped before it is decided: its components are counted,
+        and a split is undone."""
         i, j = out_pair
         k, l = in_pair
         step = {i: -1, j: -1}
@@ -528,13 +587,7 @@ class _HardCheck:
         if not keeps:
             state.decline(out_pair)
             return False
-        bits = state.bits
-        witness = not self.connected or bits[i] & bits[j]
-        if not witness:
-            if i == k or i == l:
-                witness = bits[j] >> (k + l - i) & 1
-            else:
-                witness = (j == k or j == l) and bits[i] >> (k + l - j) & 1
+        witness = not self.connected or _keeps_link(state.bits, out_pair, in_pair)
         state.swap(out_pair, in_pair)
         if witness or state.component_count() == 1:
             return True
@@ -595,13 +648,21 @@ def _brandes(a: np.ndarray, sweep, dmax: int) -> float | tuple[float, float]:
     `excess` and R = n(n - 1) less its `left`. The bracket holds while
     n <= 1930 and every path count is exact, which dmax ** (depth - 1) <
     2**53 proves for `dmax` the largest degree (module docstring);
-    otherwise S is computed at once, so a saturated count raises here as
-    the kernel does."""
+    otherwise S is computed at once (`_kernel_sum`), so a saturated count
+    raises here as the kernel does."""
     n = a.shape[0]
     if n <= _BRACKET_MAX_N and dmax ** max(sweep.depth - 1, 0) < _EXACT_COUNT:
         excess, pairs = sweep.excess, n * (n - 1) - sweep.left
         slack = 1e-9 * (excess + 2 * pairs)
         return excess - slack, excess + slack
+    return _kernel_sum(a, sweep)
+
+
+def _kernel_sum(a: np.ndarray, sweep) -> float:
+    """`_raw_betweenness(a, sweep)` summed in float, on a full sweep of `a`
+    where `sweep` holds no distances."""
+    if sweep.dist is None:
+        sweep = _paths(a)
     return float(_raw_betweenness(a, sweep).sum())
 
 
@@ -669,7 +730,8 @@ class _Evaluator:
             (t.metric, t.value, t.weight, tuple(idx[v] for v in t.nodes)) for t in target.soft
         ]
         wanted = {t.metric for t in target.soft}
-        self.need_dist = bool(wanted & {"diameter_lcc", "mean_betweenness", "eigenvector_top3"})
+        self.need_sweep = bool(wanted & {"diameter_lcc", "mean_betweenness", "eigenvector_top3"})
+        self.unbracketed = False  # whether a candidate's Brandes sum has run unbracketed
         self.lead = None  # the last leading vector (unit, >= 0), where power iteration starts
 
     def _top3(self, state: _State, sweep, connected: bool, dmax: int) -> set[int]:
@@ -694,8 +756,9 @@ class _Evaluator:
         2e-9 d apart (eigh's own 1e-9 per entry, times lambda <= d), the
         dense solve's top three are x's. Otherwise, on a disconnected
         candidate and before the first dense solve, one dense solve
-        decides, and on a connected candidate its vector is the next
-        start. `dmax` is the state's largest degree d.
+        decides, on the largest component read off the state's bitsets,
+        and on a connected candidate its vector is the next start. `sweep`
+        needs no distances, and `dmax` is the state's largest degree d.
         """
         a = state.a
         n = state.n
@@ -717,7 +780,7 @@ class _Evaluator:
                 if x[rank[-3]] - x[rank[-4]] > spread * delta + slack:
                     self.lead = w
                     return set(rank[-3:].tolist())
-        scores = _leading_vector(a, sweep.dist)
+        scores = _leading_vector(a, np.arange(n) if connected else state.largest_component())
         if certifiable:
             lead = np.abs(scores)  # abs clears the rounding-level negatives eigh can leave
             self.lead = lead / math.sqrt(float(lead.dot(lead)))
@@ -732,12 +795,16 @@ class _Evaluator:
         scored by the same float operations as the exact value, and each
         is monotone on either side of the target value, so the ends bound
         the exact contribution: 0 at the low end if the bracket straddles
-        the target. `exact` runs the kernel on this state's own sweep.
+        the target. The sweep fills no distances until one candidate's
+        Brandes sum runs unbracketed; from then on, as such candidates
+        tend to recur, each sweep fills the distances the kernel reads.
+        `exact` runs the kernel on a copy of this state's adjacency taken
+        here and on its sweep.
         """
         n = state.n
         m = len(state.edges)
         a = state.a
-        sweep = _paths(a) if self.need_dist else None
+        sweep = _paths(a, distances=self.unbracketed) if self.need_sweep else None
         connected = sweep is not None and sweep.left == 0
         dmax = int(state.deg.max()) if n else 0
         top = None
@@ -765,6 +832,7 @@ class _Evaluator:
                 if n >= 3:
                     if brandes is None:
                         brandes = _brandes(a, sweep, dmax)
+                        self.unbracketed |= type(brandes) is not tuple
                     scale = n * (n - 1) * (n - 2)
                     if type(brandes) is tuple:
                         got = (brandes[0] / scale, brandes[1] / scale)
@@ -789,15 +857,14 @@ class _Evaluator:
         lo, hi = _bounds(rows)
         if type(brandes) is not tuple:
             return _Score(lo, hi, rows)
-        return _Score(lo, hi, rows, lambda: self._pinned(rows, sweep))
+        snapshot = a.copy()  # the state may have moved on when the kernel runs
+        return _Score(lo, hi, rows, lambda: self._pinned(rows, snapshot, sweep))
 
-    def _pinned(self, rows: list, sweep) -> list:
-        """`rows` with each bracketed row scored exactly, from the sweep of
-        the state they score; its adjacency is rebuilt from the distances,
-        because the state may have moved on since."""
-        n = sweep.dist.shape[0]
-        a = (sweep.dist == 1.0).astype(float)
-        got = float(_raw_betweenness(a, sweep).sum()) / (n * (n - 1) * (n - 2))
+    def _pinned(self, rows: list, a: np.ndarray, sweep) -> list:
+        """`rows` with each bracketed row scored exactly, from the
+        adjacency `a` of the state they score and its sweep."""
+        n = a.shape[0]
+        got = _kernel_sum(a, sweep) / (n * (n - 1) * (n - 2))
         pinned = []
         for (metric, value, weight, _nodes), row in zip(self.terms, rows):
             if type(row[1]) is tuple:
@@ -893,15 +960,14 @@ def _anneal(
     settle it and on the exact scores otherwise, so the path is that of
     the exact scores. Scores are non-negative, so the loop stops early at
     0.0. Temperature cools every proposal; the acceptance coin is only
-    flipped for uphill moves, so the RNG sequence is reproducible.
-    Without a `guard` every proposal is swapped in, as in repair, which
-    scores `_HardCheck.violations`. A guard, called as
-    guard(state, out_pair, in_pair) on the state before the swap, makes
-    the swaps it accepts and leaves the state of a refused one as the
-    swap and its undo would (`_HardCheck.propose`). A swap the score
-    rejects is undone, so every current state is the start or one the
-    guard accepted: from a start that keeps every rule, each state the
-    guard sees keeps them all, which `propose` relies on.
+    flipped for uphill moves, so the RNG sequence is reproducible. The
+    `guard`, called as guard(state, out_pair, in_pair) on the state before
+    the swap, makes the swaps it accepts and leaves the state of a refused
+    one as the swap and its undo would (`_HardCheck.propose`). A swap the
+    score rejects is undone, so every current state is the start or one
+    the guard accepted: from a start that keeps every rule, each state the
+    guard sees keeps them all, which `propose` relies on. Repair follows
+    the same rules on integers (`_HardCheck.repair`).
     """
     cur = score(state)
     best = cur
@@ -915,9 +981,7 @@ def _anneal(
         t *= cooling
         if out_pair in protected:
             continue
-        if guard is None:
-            state.swap(out_pair, in_pair)
-        elif not guard(state, out_pair, in_pair):
+        if not guard(state, out_pair, in_pair):
             continue
         new = score(state)
         # new <= cur is the sign of the float difference new - cur
@@ -947,22 +1011,19 @@ def synthesize_reference(target: SynthesisTarget) -> LabeledGraph:
 
     for _ in range(_REPAIR_ATTEMPTS):
         state = _State(n, _random_fill(rng, n, target.edge_count, check.required))
-        violations, _edges = _anneal(
+        violations = check.repair(
             state,
             rng,
             iterations=_REPAIR_ITERATIONS,
             t0=sched.initial_temperature,
             cooling=sched.cooling_factor,
-            score=lambda s: _Score(check.violations(s)),
-            guard=None,
-            protected=check.required,
         )
-        if violations == 0.0:
+        if violations == 0:
             break
     else:
         raise InfeasibleTargetError(
             "hard constraints not satisfied after "
-            f"{_REPAIR_ATTEMPTS} repair attempts (remaining violation score {violations})"
+            f"{_REPAIR_ATTEMPTS} repair attempts (remaining violation score {float(violations)})"
         )
 
     _final, best_edges = _anneal(

@@ -451,6 +451,29 @@ def test_sweep_sums_equal_the_distance_sums_and_the_trace_byte_for_byte():
     assert disconnected >= 20
 
 
+def test_distance_free_sweep_equals_the_full_sweep():
+    # the annealer's sweep fills no distance matrix; every field it reads
+    # must equal the full sweep's, disconnected and edgeless graphs included
+    rng = random.Random(67)
+    graphs = [LabeledGraph(labels(n)) for n in (1, 2, 9)]  # edgeless
+    graphs += [path_graph(40), cycle_graph(17), complete_graph(7)]
+    graphs.append(layered_graph(6, extra=["lone"]))
+    graphs += [gnp_graph(rng, rng.randrange(1, 41), rng.uniform(0.0, 0.3)) for _ in range(60)]
+    graphs += [random_connected_graph(rng, rng.randrange(1, 41), rng.randrange(0, 60))
+               for _ in range(40)]
+    disconnected = edgeless = 0
+    for g in graphs:
+        _order, a = _kernel_input(g)
+        full, lean = _paths(a), _paths(a, distances=False)
+        assert lean.dist is None
+        assert (lean.depth, lean.left, lean.walks4, lean.excess) == (
+            full.depth, full.left, full.walks4, full.excess)
+        assert lean.closed.tobytes() == full.closed.tobytes()
+        disconnected += full.left > 0
+        edgeless += g.edge_count == 0
+    assert disconnected >= 30 and edgeless >= 3
+
+
 def test_betweenness_memory_does_not_grow_with_the_diameter():
     # the backward pass derives each hop level from `dist` as it goes, so
     # a 300-node path (diameter 299) peaks at a few n x n arrays; keeping

@@ -39,7 +39,13 @@ from covertnet import (
     synthesize_reference,
 )
 from covertnet import synthesis
-from covertnet.metrics import _distance_sums, _leading_vector, _path_counts, _paths
+from covertnet.metrics import (
+    _distance_sums,
+    _largest_component,
+    _leading_vector,
+    _path_counts,
+    _paths,
+)
 from covertnet.metrics import _raw_betweenness
 from covertnet.synthesis import SOFT_METRICS, _candidate, _HardCheck, _index_pairs, _State
 
@@ -472,9 +478,9 @@ def dense_calls(monkeypatch):
     """A list that grows by one on every dense solve the annealer's evaluator makes."""
     calls = []
 
-    def counted(a, dist):
+    def counted(a, members):
         calls.append(a.shape[0])
-        return _leading_vector(a, dist)
+        return _leading_vector(a, members)
 
     monkeypatch.setattr(synthesis, "_leading_vector", counted)
     return calls
@@ -487,7 +493,7 @@ def certified_top3(evaluator, state):
 
 
 def dense_top3_scores(state):
-    return _leading_vector(state.a, _paths(state.a).dist)
+    return _leading_vector(state.a, _largest_component(_paths(state.a).dist))
 
 
 def dense_top3(state):
@@ -1385,3 +1391,130 @@ def test_hard_check_matches_graph_queries_on_swap_walks(which):
     for _ in range(20):
         state = _State(len(order), rng.sample(every_pair, target.edge_count))
         assert not compared()
+
+
+SPARSE_REPAIR = {"hard": {"nodes": 20, "edges": 22}, "schedule": {"rng_seed": 1}}
+HARD_REPAIR = {  # every hard rule binds, as in CI's hard.json synthesis
+    "hard": {"nodes": 14, "edges": 32, "degrees": {"n03": 5}, "adjacent": [["n01", "n04"]],
+             "pair_coverage": {"pair": ["n01", "n02"], "count": 14},
+             "top_degree_pair": {"pair": ["n01", "n02"], "margin": 1}},
+    "schedule": {"rng_seed": 4},
+}
+
+
+def repair_targets():
+    """Named targets whose repair binds every hard rule or starts split,
+    then random ones whose every rule binds, each with an iteration cap."""
+    rng = random.Random(89)
+    targets = [(default_chiapas_target(), synthesis._REPAIR_ITERATIONS)]
+    targets += [(load_synthesis_target(json.dumps(doc)), synthesis._REPAIR_ITERATIONS)
+                for doc in (SPARSE_REPAIR, HARD_REPAIR)]
+    for _ in range(24):
+        n = rng.randrange(6, 16)
+        g = random_connected_graph(rng, n, rng.randrange(0, n * (n - 3) // 2))
+        target = feasible_hard_target(rng, g)
+        targets.append((replace(target, schedule=quick_schedule(rng.randrange(100))), 3000))
+    return targets
+
+
+def test_repair_replays_the_swap_then_undo_loop(counted_components):
+    # repair keeps a running component count and scores the other rules
+    # on integers; the eager loop scores `violations` in full. From the
+    # same random fill both must end on the same state, edge and non-edge
+    # order included, with the RNG in an equal state, and repair counts
+    # components only while split or off the witness
+    starts = Counter()
+    counts = []
+    for target, iterations in repair_targets():
+        order = tuple(sorted(target.nodes))
+        n, m = len(order), target.edge_count
+        check = _HardCheck(target, order)
+        sched = target.schedule
+        runs = []
+        for loop in ("eager", "repair"):
+            rng = random.Random(sched.rng_seed)
+            state = _State(n, synthesis._random_fill(rng, n, m, check.required))
+            if loop == "eager":
+                starts[state.component_count()] += 1
+                final, _best = eager_anneal(
+                    state, rng, iterations, sched.initial_temperature, sched.cooling_factor,
+                    check.violations, None, check.required,
+                )
+            else:
+                before = len(counted_components)
+                final = check.repair(
+                    state, rng, iterations, sched.initial_temperature, sched.cooling_factor
+                )
+                counts.append(len(counted_components) - before)
+            runs.append((final, state_fields(state), rng.getstate()))
+        assert runs[0] == runs[1]
+        starts["feasible"] += runs[0][0] == 0.0
+    # the sparse fill starts with 4 components, and the chiapas repair,
+    # about 640 proposals, counts them a few times only
+    assert starts[4] >= 1 and starts["feasible"] >= 20
+    assert counts[0] <= 10 and counts[1] > counts[0]
+
+
+def test_state_largest_component_follows_the_distance_rule():
+    # the dense top-3 fallback reads the largest component off the state's
+    # bitsets; it must be `_largest_component`'s, a size tie going to the
+    # component that holds the smallest index
+    rng = random.Random(71)
+    names = labels(9)
+    tied = [(1, 4), (4, 7), (0, 3), (3, 8), (2, 5)]  # {0, 3, 8} beats {1, 4, 7}
+    graphs = [LabeledGraph(labels(n)) for n in (1, 5)]
+    graphs.append(LabeledGraph(names, [(names[i], names[j]) for i, j in tied]))
+    for _ in range(80):
+        n = rng.randrange(2, 41)
+        graphs.append(gnm_graph(rng, n, rng.randrange(n)))
+    ties = 0
+    for g in graphs:
+        order = tuple(sorted(g.nodes))
+        idx = {v: i for i, v in enumerate(order)}
+        state = _State(len(order), _index_pairs(idx, g.edges()))
+        got = state.largest_component().tolist()
+        assert got == _largest_component(_paths(state.a).dist).tolist()
+        sizes = sorted((c.bit_count() for c in state._components()), reverse=True)
+        ties += len(sizes) > 1 and sizes[0] == sizes[1]
+    assert ties >= 20
+
+
+@pytest.fixture
+def sweeps(monkeypatch):
+    """The annealer's sweeps with distances ("full") and without ("lean"),
+    and its Brandes kernel runs, counted."""
+    counts = Counter()
+
+    def paths(a, distances=True):
+        counts["full" if distances else "lean"] += 1
+        return _paths(a, distances)
+
+    def kernel(a, sweep):
+        counts["kernel"] += 1
+        return _raw_betweenness(a, sweep)
+
+    monkeypatch.setattr(synthesis, "_paths", paths)
+    monkeypatch.setattr(synthesis, "_raw_betweenness", kernel)
+    return counts
+
+
+def test_split_top3_fallback_takes_no_full_sweep(sweeps, dense_calls):
+    # on a disconnected candidate `_top3` solves on the largest component
+    # read off the bitsets, so no candidate's distances are formed
+    doc = {"hard": {"nodes": 30, "edges": 30, "connected": False},
+           "soft": [{"metric": "eigenvector_top3", "value": 1.0, "nodes": ["n01", "n02", "n03"]}],
+           "schedule": {"iterations": 200, "rng_seed": 1}}
+    synthesize_reference(load_synthesis_target(json.dumps(doc)))
+    assert sweeps["full"] == 0 and sweeps["lean"] >= 150
+    assert len(dense_calls) >= 150
+
+
+def test_unbracketed_candidates_take_one_sweep_each(sweeps):
+    # a long tree-like graph's path counts may pass 2**53, so no candidate
+    # is bracketed: the first one's kernel takes a full sweep of its own,
+    # and every sweep after it fills the distances the kernel reads
+    doc = {"hard": {"nodes": 250, "edges": 262},
+           "soft": [{"metric": "mean_betweenness", "value": 0.1}],
+           "schedule": {"iterations": 40, "rng_seed": 1}}
+    synthesize_reference(load_synthesis_target(json.dumps(doc)))
+    assert sweeps["lean"] == 1 and sweeps["full"] == sweeps["kernel"] >= 10
