@@ -6,27 +6,26 @@ PreconditionError rather than guessing a value.
 
 Each metric has one implementation: a dense numpy kernel over the
 adjacency matrix in sorted label order, shared with the annealer in
-`synthesis`. One BFS sweep from every source (`_paths`) is the only
-all-pairs search. In O(n^2) memory it hands back the hop distances, inf
-for a pair it did not reach, the count of such pairs, its depth, the sum
-of the distances less one over the pairs it reached and, from its first
-product, each node's closed walks of length 3 and the closed walks of
-length 4 in all, tr(A^4); it forms no path counts. Diameter, mean
-betweenness, eigenvector centrality and dismantling's logged runs read
-the distances, and clustering reads the closed walks. Only per-node
-betweenness and the annealer's Brandes sum
-need the shortest-path counts: `_raw_betweenness` forms them in one
-forward pass over the sweep's levels, then walks the levels back,
-deriving each level's pairs from the distances as each pass reaches it.
-The annealer also takes its diameter from the depth, its connectivity
-from the unreached count, its Brandes bracket from the distance sum and
-its bound on the second eigenvalue from tr(A^4), so its sweeps fill no
-distance matrix until the kernel needs one. Mean betweenness is read from the distances alone,
-so unlike per-node betweenness it never needs a path count past the
-largest float. The annealer's mean betweenness is the per-node kernel's
-float sum, so that the bundled network rebuilds bit for bit; it brackets
-that sum by the same distance sums and runs the kernel only where the
-bracket leaves a decision open.
+`synthesis`. One BFS sweep from every source (`_paths`) serves every
+metric but per-node betweenness. In O(n^2) memory it hands back the hop
+distances, inf for a pair it did not reach, the count of such pairs, its
+depth, the sum of the distances less one over the pairs it reached and,
+from its first product, each node's closed walks of length 3 and the
+closed walks of length 4 in all, tr(A^4); it forms no path counts.
+Diameter, mean betweenness, eigenvector centrality and dismantling's
+logged runs read the distances, and clustering reads the closed walks.
+Only per-node betweenness and the annealer's Brandes sum need the
+shortest-path counts, and `_raw_betweenness` is a sweep of its own: its
+forward pass finds each hop level and counts that level's paths with one
+product, then it walks the levels back. The annealer takes its diameter
+from the depth, its connectivity from the unreached count, its Brandes
+bracket from the distance sum and its bound on the second eigenvalue
+from tr(A^4), so its sweeps fill no distance matrix. Mean betweenness is
+read from the distances alone, so unlike per-node betweenness it never
+needs a path count past the largest float. The annealer's mean
+betweenness is the per-node kernel's float sum, so that the bundled
+network rebuilds bit for bit; it brackets that sum by the same distance
+sums and runs the kernel only where the bracket leaves a decision open.
 Eigenvector centrality is the leading eigenvector of one dense `eigh` on
 the largest connected component, a size tie going to the component
 holding the smallest label as in `graph.largest_connected_component`; it
@@ -150,50 +149,50 @@ def _clustering(deg: np.ndarray, closed: np.ndarray) -> np.ndarray:
     return closed / np.maximum(deg * (deg - 1.0), 1.0)
 
 
-def _path_counts(a: np.ndarray, sweep: _Sweep) -> np.ndarray:
-    """Shortest-path counts of a `_paths(a)` sweep's pairs, 0 if unreachable;
-    the sweep must hold its distances.
+def _raw_betweenness(a: np.ndarray) -> np.ndarray:
+    """Per-node Brandes dependency sums over the ordered pairs of `a`'s nodes.
 
-    A forward pass over the sweep's levels: the counts reaching level 1
-    are `a` itself, and those reaching level k are the level k-1 counts
-    times `a`, kept on level k's pairs, each an exact integer in float. A
-    count past the largest float is carried as that float, so an overflow
-    never turns into inf * 0 = NaN. Only two levels' counts are held at a
-    time, so memory is O(n^2) whatever the diameter.
+    The forward pass is a BFS sweep of its own from every source at once:
+    the counts reaching level 1 are `a` itself, and those reaching level k
+    are the level k-1 counts times `a`, one product per level, each an
+    exact integer in float. The pairs reaching level k are the unreached
+    ones that product makes positive. A count past the largest float is
+    carried as that float, so an overflow never turns into inf * 0 = NaN,
+    and a saturated count raises. The backward pass walks the hop levels
+    from the depth: the dependency of level k's pairs flows through `a` to
+    the pairs of level k-1, weighted by their path counts. Each level's
+    pairs are derived from the distances as the pass reaches them, two
+    levels at a time, so memory stays O(n^2) whatever the diameter.
     """
+    n = a.shape[0]
     big = np.finfo(float).max
-    sigma = a + np.eye(a.shape[0])
+    dist = np.where(a > 0.0, 1.0, np.inf)
+    dist.flat[:: n + 1] = 0.0
+    left = np.count_nonzero(dist == np.inf)
+    depth = int(left < n * (n - 1))  # level 1 is empty without an edge
+    sigma = a + np.eye(n)
     front = a
-    for k in range(2, sweep.depth + 1):
-        counts = front @ a
-        np.minimum(counts, big, out=counts)  # an overflow is carried as the largest float
-        counts *= sweep.dist == k  # capped counts are finite, so this zeroes exactly
-        sigma += counts
-        front = counts
-    return sigma
-
-
-def _raw_betweenness(a: np.ndarray, sweep: _Sweep) -> np.ndarray:
-    """Per-node Brandes dependency sums over ordered pairs, from a
-    `_paths(a)` sweep, with its distances, whose rows are the sources.
-
-    The path counts come from `_path_counts`. The backward pass walks the
-    hop levels from the sweep's depth: the dependency of level k's pairs
-    flows through `a` to the pairs of level k-1, weighted by their path
-    counts. Each level's pairs are derived from `dist` as the pass
-    reaches them, two levels at a time, so memory stays O(n^2) whatever
-    the diameter.
-    """
-    dist = sweep.dist
-    sigma = _path_counts(a, sweep)
-    if sigma.max() >= np.finfo(float).max:  # a saturated count is not exact
+    with np.errstate(over="ignore"):  # the cap below is how an overflow is handled
+        while left:
+            front = front @ a
+            np.minimum(front, big, out=front)  # an overflow is carried as the largest float
+            front *= dist == np.inf  # capped counts are finite, so this zeroes exactly
+            nxt = front > 0.0  # the new level's pairs
+            found = np.count_nonzero(nxt)
+            if not found:
+                break
+            left -= found
+            depth += 1
+            np.putmask(dist, nxt, depth)
+            sigma += front
+    if sigma.max(initial=0.0) >= big:  # a saturated count is not exact
         raise PreconditionError("a shortest-path count overflows a float")
     safe = np.maximum(sigma, 1.0)  # 1 where no path, so the ratio stays finite
     delta = np.zeros(sigma.shape)
     step = np.empty(sigma.shape)
     ratio = 1.0 / safe  # the deepest level carries no dependency yet
-    level = dist == sweep.depth
-    for k in range(sweep.depth, 0, -1):
+    level = dist == depth
+    for k in range(depth, 0, -1):
         below = dist == k - 1
         # in place, in the order of ((1 + delta) / safe * level) @ a * below * sigma
         ratio *= level
@@ -271,7 +270,7 @@ def betweenness(g: LabeledGraph) -> dict[str, float]:
     """
     _require_three(g)
     a = adjacency_matrix(g)
-    raw = _raw_betweenness(a, _paths(a))
+    raw = _raw_betweenness(a)
     n = g.node_count
     scale = 1.0 / ((n - 1) * (n - 2))
     return {v: float(x * scale) for v, x in zip(node_order(g), raw)}

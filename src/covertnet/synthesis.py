@@ -39,8 +39,8 @@ proves every count exact. Float division, subtraction and products are
 monotone on either side of the target value, and so is a left-to-right
 sum, so scoring both ends of the bracket as the exact value is scored
 gives lo <= objective <= hi. A comparison the brackets settle is settled.
-One they leave open runs the kernel on the compared states' own sweeps,
-so the walk is the one the exact scores take. Past 1930 nodes, or where
+One they leave open runs the kernel on the compared states' own
+adjacency, so the walk is the one the exact scores take. Past 1930 nodes, or where
 the degree test fails, the kernel runs on every candidate; a bracket
 never changes a decision, so the walk is the same either way.
 
@@ -643,27 +643,19 @@ _EXACT_COUNT = 2**53  # path counts below this are exact integers in float
 
 
 def _brandes(a: np.ndarray, sweep, dmax: int) -> float | tuple[float, float]:
-    """The Brandes sum S, `_raw_betweenness(a, sweep)` summed in float, or
-    a bracket (lo, hi) around it: I -+ 1e-9 (I + 2R), for I the sweep's
+    """The Brandes sum S, `_raw_betweenness(a)` summed in float, or a
+    bracket (lo, hi) around it: I -+ 1e-9 (I + 2R), for I the sweep's
     `excess` and R = n(n - 1) less its `left`. The bracket holds while
     n <= 1930 and every path count is exact, which dmax ** (depth - 1) <
     2**53 proves for `dmax` the largest degree (module docstring);
-    otherwise S is computed at once (`_kernel_sum`), so a saturated count
-    raises here as the kernel does."""
+    otherwise S is computed at once, so a saturated count raises here as
+    the kernel does."""
     n = a.shape[0]
     if n <= _BRACKET_MAX_N and dmax ** max(sweep.depth - 1, 0) < _EXACT_COUNT:
         excess, pairs = sweep.excess, n * (n - 1) - sweep.left
         slack = 1e-9 * (excess + 2 * pairs)
         return excess - slack, excess + slack
-    return _kernel_sum(a, sweep)
-
-
-def _kernel_sum(a: np.ndarray, sweep) -> float:
-    """`_raw_betweenness(a, sweep)` summed in float, on a full sweep of `a`
-    where `sweep` holds no distances."""
-    if sweep.dist is None:
-        sweep = _paths(a)
-    return float(_raw_betweenness(a, sweep).sum())
+    return float(_raw_betweenness(a).sum())
 
 
 def _deviation(got: float, value: float, weight: float) -> float:
@@ -731,7 +723,6 @@ class _Evaluator:
         ]
         wanted = {t.metric for t in target.soft}
         self.need_sweep = bool(wanted & {"diameter_lcc", "mean_betweenness", "eigenvector_top3"})
-        self.unbracketed = False  # whether a candidate's Brandes sum has run unbracketed
         self.lead = None  # the last leading vector (unit, >= 0), where power iteration starts
 
     def _top3(self, state: _State, sweep, connected: bool, dmax: int) -> set[int]:
@@ -795,16 +786,14 @@ class _Evaluator:
         scored by the same float operations as the exact value, and each
         is monotone on either side of the target value, so the ends bound
         the exact contribution: 0 at the low end if the bracket straddles
-        the target. The sweep fills no distances until one candidate's
-        Brandes sum runs unbracketed; from then on, as such candidates
-        tend to recur, each sweep fills the distances the kernel reads.
-        `exact` runs the kernel on a copy of this state's adjacency taken
-        here and on its sweep.
+        the target. The sweep fills no distance matrix, as no term reads
+        one. `exact` runs the kernel, which finds its own hop levels, on a
+        copy of this state's adjacency taken here.
         """
         n = state.n
         m = len(state.edges)
         a = state.a
-        sweep = _paths(a, distances=self.unbracketed) if self.need_sweep else None
+        sweep = _paths(a, distances=False) if self.need_sweep else None
         connected = sweep is not None and sweep.left == 0
         dmax = int(state.deg.max()) if n else 0
         top = None
@@ -832,7 +821,6 @@ class _Evaluator:
                 if n >= 3:
                     if brandes is None:
                         brandes = _brandes(a, sweep, dmax)
-                        self.unbracketed |= type(brandes) is not tuple
                     scale = n * (n - 1) * (n - 2)
                     if type(brandes) is tuple:
                         got = (brandes[0] / scale, brandes[1] / scale)
@@ -858,19 +846,15 @@ class _Evaluator:
         if type(brandes) is not tuple:
             return _Score(lo, hi, rows)
         snapshot = a.copy()  # the state may have moved on when the kernel runs
-        return _Score(lo, hi, rows, lambda: self._pinned(rows, snapshot, sweep))
+        return _Score(lo, hi, rows, lambda: self._pinned(rows, snapshot))
 
-    def _pinned(self, rows: list, a: np.ndarray, sweep) -> list:
+    def _pinned(self, rows: list, a: np.ndarray) -> list:
         """`rows` with each bracketed row scored exactly, from the
-        adjacency `a` of the state they score and its sweep."""
+        adjacency `a` of the state they score."""
         n = a.shape[0]
-        got = _kernel_sum(a, sweep) / (n * (n - 1) * (n - 2))
-        pinned = []
-        for (metric, value, weight, _nodes), row in zip(self.terms, rows):
-            if type(row[1]) is tuple:
-                row = (metric, got, _deviation(got, value, weight))
-            pinned.append(row)
-        return pinned
+        got = float(_raw_betweenness(a).sum()) / (n * (n - 1) * (n - 2))
+        return [(metric, got, _deviation(got, value, weight)) if type(row[1]) is tuple else row
+                for (metric, value, weight, _nodes), row in zip(self.terms, rows)]
 
     def contributions(self, state: _State) -> list:
         """The exact rows (metric, achieved, contribution) of `score`."""

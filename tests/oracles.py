@@ -12,6 +12,8 @@ removal order up front, inserting the nodes back with union-find and
 masking one adjacency matrix. The snowball oracle keeps every mention
 and confirmation and scans every pair of discovered actors, instead of
 recording a tie when its first-interviewed endpoint names it. The
+distance and path-count oracle walks a plain queue from each source,
+instead of multiplying every source's level by the adjacency matrix. The
 serialisation oracles write a trace, a strategy spec and a metrics
 report field by field, instead of from one row generator and
 `dataclasses.asdict`. The soft-score oracle computes each requested
@@ -20,13 +22,14 @@ targets from that dict, instead of scoring each target in one pass; so
 it scores every `eigenvector_top3` entry with the first entry's node
 list. It takes distances, clustering and betweenness from the frozen
 kernels below, as first written, instead of from `_clustering`, the
-closed-walk counts, depth and distances of one `_paths` sweep and the path
-counts `_raw_betweenness` forms from them. It ranks that term's
-nodes by a bare dense eigensolve of the largest component on every
-call, instead of through `_leading_vector` and the annealer's certified
-power iteration. The eager annealing loop scores every candidate exactly
-and decides on those floats, instead of on certified brackets of the
-objective that are pinned down only where they leave a decision open.
+closed-walk counts, depth and distances of one `_paths` sweep and the
+Brandes kernel `_raw_betweenness`, which finds its own hop levels and
+counts their paths. It ranks that term's nodes by a bare dense
+eigensolve of the largest component on every call, instead of through
+`_leading_vector` and the annealer's certified power iteration. The
+eager annealing loop scores every candidate exactly and decides on those
+floats, instead of on certified brackets of the objective that are
+pinned down only where they leave a decision open.
 """
 
 from __future__ import annotations
@@ -102,6 +105,30 @@ def frozen_raw_betweenness(a, dist):
         ratio = np.where(on_level, (1.0 + delta) / np.where(sigma > 0, sigma, 1.0), 0.0)
         delta += (ratio @ a) * (dist == k - 1) * sigma
     return delta.sum(axis=0) - np.diag(delta)
+
+
+def bfs_paths(g, order):
+    """Hop distances (inf if unreachable) and shortest-path counts from a
+    plain per-source BFS."""
+    n = len(order)
+    dist = [[math.inf] * n for _ in range(n)]
+    sigma = [[0] * n for _ in range(n)]
+    for s, source in enumerate(order):
+        seen = {source: 0}
+        counts = {source: 1}
+        queue = deque([source])
+        while queue:
+            v = queue.popleft()
+            for w in g.neighbors(v):
+                if w not in seen:
+                    seen[w] = seen[v] + 1
+                    queue.append(w)
+                if seen[w] == seen[v] + 1:
+                    counts[w] = counts.get(w, 0) + counts[v]
+        for t, target in enumerate(order):
+            if target in seen:
+                dist[s][t], sigma[s][t] = seen[target], counts[target]
+    return dist, sigma
 
 
 def enumerate_betweenness(g: LabeledGraph) -> dict[str, Fraction]:

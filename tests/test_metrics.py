@@ -1,8 +1,8 @@
 import json
-import math
 import random
+import sys
 import tracemalloc
-from collections import deque
+import warnings
 
 import numpy as np
 import pytest
@@ -35,13 +35,13 @@ from covertnet.metrics import (
     _distance_sums,
     _largest_component,
     _mean_betweenness,
-    _path_counts,
     _paths,
     _raw_betweenness,
     _Sweep,
 )
 
 from oracles import (
+    bfs_paths,
     brute_diameter,
     enumerate_betweenness,
     frozen_closed,
@@ -334,30 +334,6 @@ def test_report_equals_the_standalone_functions():
     assert disconnected >= 3
 
 
-def _bfs_paths(g, order):
-    """Hop distances (inf if unreachable) and shortest-path counts from a
-    plain per-source BFS."""
-    n = len(order)
-    dist = [[math.inf] * n for _ in range(n)]
-    sigma = [[0] * n for _ in range(n)]
-    for s, source in enumerate(order):
-        seen = {source: 0}
-        counts = {source: 1}
-        queue = deque([source])
-        while queue:
-            v = queue.popleft()
-            for w in g.neighbors(v):
-                if w not in seen:
-                    seen[w] = seen[v] + 1
-                    queue.append(w)
-                if seen[w] == seen[v] + 1:
-                    counts[w] = counts.get(w, 0) + counts[v]
-        for t, target in enumerate(order):
-            if target in seen:
-                dist[s][t], sigma[s][t] = seen[target], counts[target]
-    return dist, sigma
-
-
 def _kernel_input(g):
     order = node_order(g)
     return order, adjacency_matrix(g)
@@ -373,11 +349,16 @@ def test_paths_match_a_per_source_bfs():
     disconnected = 0
     for g in graphs:
         order, a = _kernel_input(g)
-        sweep = _paths(a)
-        dist, sigma = sweep.dist, _path_counts(a, sweep)
-        want_dist, want_sigma = _bfs_paths(g, order)
-        assert dist.tolist() == want_dist
-        assert sigma.tolist() == want_sigma
+        dist = _paths(a).dist
+        assert dist.tolist() == bfs_paths(g, order)[0]
+        # the kernel counts the paths in its own forward pass
+        raw = _raw_betweenness(a)
+        if g.node_count:
+            assert raw.tobytes() == frozen_raw_betweenness(a, frozen_distances(a)).tobytes()
+        oracle = enumerate_betweenness(g)
+        scale = max((g.node_count - 1) * (g.node_count - 2), 1)
+        assert raw.tolist() == pytest.approx([float(oracle[v] * scale) for v in order],
+                                             rel=1e-12, abs=1e-12)
         disconnected += bool((dist == np.inf).any())
     assert disconnected >= 5
 
@@ -508,7 +489,7 @@ def test_paths_kernel_is_bit_identical_to_the_frozen_reference():
         dist = sweep.dist
         frozen = frozen_distances(a)
         assert dist.tobytes() == np.where(frozen < 0, np.inf, frozen).tobytes()
-        got = _raw_betweenness(a, sweep)
+        got = _raw_betweenness(a)
         assert got.tobytes() == frozen_raw_betweenness(a, frozen).tobytes()
         connected += bool((dist < np.inf).all())
     assert 60 <= connected <= 160
@@ -520,13 +501,14 @@ def test_paths_distances_survive_overflowing_counts():
     # a 30-node layered graph within four levels instead. The distances
     # depend only on which entries are nonzero, so they must not move.
     g = layered_graph(10, extra=["lone"])
-    _order, a = _kernel_input(g)
-    sweep = _paths(a * 1e100)
-    with np.errstate(over="ignore"):
-        sigma = _path_counts(a * 1e100, sweep)
-    dist = sweep.dist
+    order, a = _kernel_input(g)
+    dist = _paths(a * 1e100).dist
     assert dist.tobytes() == _paths(a)[0].tobytes()
-    assert (sigma == np.finfo(float).max).any()
+    # the exact counts a level's product forms, scaled, pass the largest float
+    hops, counts = bfs_paths(g, order)
+    scaled = [c * 10 ** (100 * d) for row_d, row_c in zip(hops, counts)
+              for d, c in zip(row_d, row_c) if c]
+    assert max(scaled) > sys.float_info.max
     assert _largest_component(dist).tolist() == list(range(30))
     assert _diameter(dist) == brute_diameter(g) == 9
 
@@ -537,12 +519,21 @@ def test_betweenness_rejects_saturated_counts():
     # (test above), so it keeps its value
     g = layered_graph(10, extra=["lone"])
     _order, a = _kernel_input(g)
-    sweep = _paths(a * 1e100)
-    dist = sweep.dist
+    dist = _paths(a * 1e100).dist
     with np.errstate(over="ignore"), pytest.raises(PreconditionError, match="overflows a float"):
-        _raw_betweenness(a * 1e100, sweep)
+        _raw_betweenness(a * 1e100)
     assert _mean_betweenness(dist, 31) == _mean_betweenness(_paths(a)[0], 31)
     assert _mean_betweenness(dist, 31) == mean_betweenness(g)
+
+
+def test_overflowing_counts_raise_only_the_typed_error():
+    # the cap at the largest float is how the count pass handles an
+    # overflow, so no RuntimeWarning may escape ahead of PreconditionError
+    _order, a = _kernel_input(layered_graph(10, extra=["lone"]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(PreconditionError, match="overflows a float"):
+            _raw_betweenness(a * 1e100)
 
 
 def _oracle_mean(g):
@@ -606,7 +597,7 @@ def test_brandes_sum_stays_within_its_forward_error_bound():
     for g in graphs:
         a = adjacency_matrix(g)
         sweep = _paths(a)
-        total = float(_raw_betweenness(a, sweep).sum())
+        total = float(_raw_betweenness(a).sum())
         excess, pairs = _distance_sums(sweep.dist)
         n = g.node_count
         bound = gamma(sweep.depth * (n + 2) + 2 * n + 2) * (excess + 2 * pairs)

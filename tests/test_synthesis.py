@@ -43,13 +43,12 @@ from covertnet.metrics import (
     _distance_sums,
     _largest_component,
     _leading_vector,
-    _path_counts,
     _paths,
 )
 from covertnet.metrics import _raw_betweenness
 from covertnet.synthesis import SOFT_METRICS, _candidate, _HardCheck, _index_pairs, _State
 
-from oracles import MetricDictEvaluator, eager_anneal
+from oracles import MetricDictEvaluator, bfs_paths, eager_anneal
 from util import (
     complete_graph,
     cycle_graph,
@@ -322,7 +321,7 @@ def test_evaluator_agrees_with_plain_metrics():
         # distances alone and may differ from it in the last bits
         a = adjacency_matrix(g)
         n = g.node_count
-        kernel = float(_raw_betweenness(a, _paths(a)).sum()) / (n * (n - 1) * (n - 2))
+        kernel = float(_raw_betweenness(a).sum()) / (n * (n - 1) * (n - 2))
         assert rows["mean_betweenness"]["achieved"] == kernel
         assert kernel == pytest.approx(mean_betweenness(g), rel=1e-15, abs=0.0)
 
@@ -877,7 +876,7 @@ def test_largest_degree_bounds_every_path_count():
         a = adjacency_matrix(g)
         sweep = _paths(a)
         dmax = int(a.sum(axis=1).max())
-        top = float(_path_counts(a, sweep).max())
+        top = max(max(row) for row in bfs_paths(g, sorted(g.nodes))[1])
         assert dmax ** max(sweep.depth - 1, 0) >= top
         tight += sweep.depth > 2 and top * 2 ** (sweep.depth - 1) >= dmax ** (sweep.depth - 1)
     assert tight >= 6
@@ -890,9 +889,9 @@ def test_brandes_sums_at_once_where_the_degree_bound_fails():
     a = adjacency_matrix(layered_graph(24, 3, extra=["lone"]))
     sweep = _paths(a)
     assert (sweep.depth, int(a.sum(axis=1).max())) == (23, 6)
-    got = synthesis._brandes(a, sweep, 6)
+    got = synthesis._brandes(a, _paths(a, distances=False), 6)  # as the annealer sweeps
     assert type(got) is float
-    assert got == float(_raw_betweenness(a, sweep).sum())
+    assert got == float(_raw_betweenness(a).sum())
     excess, pairs = _distance_sums(sweep.dist)
     assert abs(got - excess) <= 1e-9 * (excess + 2 * pairs)
     assert type(synthesis._brandes(a[:66, :66], _paths(a[:66, :66]), 6)) is tuple
@@ -928,9 +927,9 @@ def test_bracketed_annealer_replays_the_eager_loop(target, monkeypatch):
         g = gnm_graph(seed_rng, n, m)
     kernel_calls = []
 
-    def counted(a, sweep):
+    def counted(a):
         kernel_calls.append(a.shape[0])
-        return _raw_betweenness(a, sweep)
+        return _raw_betweenness(a)
 
     monkeypatch.setattr(synthesis, "_raw_betweenness", counted)
     runs = []
@@ -1482,19 +1481,26 @@ def test_state_largest_component_follows_the_distance_rule():
 @pytest.fixture
 def sweeps(monkeypatch):
     """The annealer's sweeps with distances ("full") and without ("lean"),
-    and its Brandes kernel runs, counted."""
+    its Brandes kernel runs and the candidates it scores, counted."""
     counts = Counter()
 
     def paths(a, distances=True):
         counts["full" if distances else "lean"] += 1
         return _paths(a, distances)
 
-    def kernel(a, sweep):
+    def kernel(a):
         counts["kernel"] += 1
-        return _raw_betweenness(a, sweep)
+        return _raw_betweenness(a)
+
+    score = synthesis._Evaluator.score
+
+    def scored(self, state):
+        counts["scored"] += 1
+        return score(self, state)
 
     monkeypatch.setattr(synthesis, "_paths", paths)
     monkeypatch.setattr(synthesis, "_raw_betweenness", kernel)
+    monkeypatch.setattr(synthesis._Evaluator, "score", scored)
     return counts
 
 
@@ -1511,10 +1517,11 @@ def test_split_top3_fallback_takes_no_full_sweep(sweeps, dense_calls):
 
 def test_unbracketed_candidates_take_one_sweep_each(sweeps):
     # a long tree-like graph's path counts may pass 2**53, so no candidate
-    # is bracketed: the first one's kernel takes a full sweep of its own,
-    # and every sweep after it fills the distances the kernel reads
+    # is bracketed; the kernel finds its own hop levels, so every
+    # candidate takes one sweep without distances and none with
     doc = {"hard": {"nodes": 250, "edges": 262},
            "soft": [{"metric": "mean_betweenness", "value": 0.1}],
            "schedule": {"iterations": 40, "rng_seed": 1}}
     synthesize_reference(load_synthesis_target(json.dumps(doc)))
-    assert sweeps["lean"] == 1 and sweeps["full"] == sweeps["kernel"] >= 10
+    assert sweeps["full"] == 0 and sweeps["lean"] == sweeps["scored"]
+    assert sweeps["kernel"] >= 10
