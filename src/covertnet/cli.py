@@ -21,6 +21,8 @@ from dataclasses import dataclass
 from . import metrics as metrics_mod
 from . import reference, sampling, synthesis
 from .dismantling import (
+    COST_MODELS,
+    STRATEGY_KINDS,
     DismantlingTrace,
     StrategySpec,
     TRACE_CSV_HEADER,
@@ -377,10 +379,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("dismantle", help="run one dismantling strategy")
     add_input(p)
-    p.add_argument("--strategy", choices=("gnd", "hub", "random"), required=True)
+    p.add_argument("--strategy", choices=STRATEGY_KINDS, required=True)
     p.add_argument("--target-lcc", type=float, default=0.2, help="stop at this LCC fraction")
     p.add_argument("--seed", type=int, default=None, help="RNG seed (random strategy)")
-    p.add_argument("--cost-model", choices=("residual", "initial"), default="residual")
+    p.add_argument("--cost-model", choices=COST_MODELS, default="residual")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--output", default=None, help="trace file (default: stdout)")
     p.set_defaults(func=cmd_dismantle)

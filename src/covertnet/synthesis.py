@@ -509,24 +509,25 @@ class _HardCheck:
         return total
 
     def repair(
-        self, state: _State, rng: random.Random, iterations: int, t0: float, cooling: float
+        self, state: _State, rng: random.Random, iterations: int, sched: AnnealingSchedule
     ) -> int:
         """Anneal `state`, a random fill holding every required pair,
-        toward `violations` zero, and return the final count: `_anneal`'s
-        loop with `violations` as the score, `required` protected and
-        every proposal swapped in, a rejected one undone. The component
-        term is kept as a running count: a connected state whose out_pair
-        keeps a shared neighbour (`_keeps_link`) stays connected, so only
-        a split state or a swap without one is counted."""
+        toward `violations` zero for at most `iterations` proposals, cooled
+        as `sched` says, and return the final count: `_anneal`'s loop with
+        `violations` as the score, `required` protected and every proposal
+        swapped in, a rejected one undone. The component term is kept as a
+        running count: a connected state whose out_pair keeps a shared
+        neighbour (`_keeps_link`) stays connected, so only a split state or
+        a swap without one is counted."""
         comps = state.component_count() if self.connected else 1
         cur = self._rules(state) + comps - 1
-        t = t0
+        t = sched.initial_temperature
         for _ in range(iterations):
             if cur <= 0 or not state.edges or not state.non_edges:
                 break
             out_pair = state.edges[rng.randrange(len(state.edges))]
             in_pair = state.non_edges[rng.randrange(len(state.non_edges))]
-            t *= cooling
+            t *= sched.cooling_factor
             if out_pair in self.required:
                 continue
             kept = not self.connected or comps == 1 and _keeps_link(state.bits, out_pair, in_pair)
@@ -722,6 +723,7 @@ class _Evaluator:
             (t.metric, t.value, t.weight, tuple(idx[v] for v in t.nodes)) for t in target.soft
         ]
         wanted = {t.metric for t in target.soft}
+        # sweeping always took a clustering and centralization build from 0.43 to 0.75 s
         self.need_sweep = bool(wanted & {"diameter_lcc", "mean_betweenness", "eigenvector_top3"})
         self.lead = None  # the last leading vector (unit, >= 0), where power iteration starts
 
@@ -771,6 +773,7 @@ class _Evaluator:
                 if x[rank[-3]] - x[rank[-4]] > spread * delta + slack:
                     self.lead = w
                     return set(rank[-3:].tolist())
+        # walking a connected candidate's bitsets slowed an all-dense-solve build by 8 %
         scores = _leading_vector(a, np.arange(n) if connected else state.largest_component())
         if certifiable:
             lead = np.abs(scores)  # abs clears the rounding-level negatives eigh can leave
@@ -787,8 +790,9 @@ class _Evaluator:
         is monotone on either side of the target value, so the ends bound
         the exact contribution: 0 at the low end if the bracket straddles
         the target. The sweep fills no distance matrix, as no term reads
-        one. `exact` runs the kernel, which finds its own hop levels, on a
-        copy of this state's adjacency taken here.
+        one. `exact` runs the kernel, which finds its own hop levels, on
+        the adjacency rebuilt from a copy of this state's neighbour
+        bitsets taken here, so the state may move on before it runs.
         """
         n = state.n
         m = len(state.edges)
@@ -845,13 +849,20 @@ class _Evaluator:
         lo, hi = _bounds(rows)
         if type(brandes) is not tuple:
             return _Score(lo, hi, rows)
-        snapshot = a.copy()  # the state may have moved on when the kernel runs
-        return _Score(lo, hi, rows, lambda: self._pinned(rows, snapshot))
+        bits = list(state.bits)
+        return _Score(lo, hi, rows, lambda: self._pinned(rows, bits))
 
-    def _pinned(self, rows: list, a: np.ndarray) -> list:
+    def _pinned(self, rows: list, bits: list[int]) -> list:
         """`rows` with each bracketed row scored exactly, from the
-        adjacency `a` of the state they score."""
-        n = a.shape[0]
+        neighbour bitsets `bits` of the state they score: its 0/1
+        adjacency is rebuilt by walking their set bits."""
+        n = len(bits)
+        a = np.zeros((n, n))
+        for i, row in enumerate(bits):
+            while row:
+                low = row & -row
+                a[i, low.bit_length() - 1] = 1.0
+                row ^= low
         got = float(_raw_betweenness(a).sum()) / (n * (n - 1) * (n - 2))
         return [(metric, got, _deviation(got, value, weight)) if type(row[1]) is tuple else row
                 for (metric, value, weight, _nodes), row in zip(self.terms, rows)]
@@ -930,44 +941,43 @@ def _coin(u: float, new: _Score, cur: _Score, t: float) -> bool:
 def _anneal(
     state: _State,
     rng: random.Random,
-    iterations: int,
-    t0: float,
-    cooling: float,
-    score,
-    guard,
-    protected: frozenset[tuple[int, int]],
-) -> tuple[float, list[tuple[int, int]]]:
-    """Generic annealing loop over single edge swaps.
+    sched: AnnealingSchedule,
+    evaluator: _Evaluator,
+    check: _HardCheck,
+) -> tuple[_Score, list[tuple[int, int]]]:
+    """The annealing walk over single edge swaps, from a state that keeps
+    every hard rule, cooled and cut off as `sched` says.
 
-    Returns (final score, best edge list). `score` gives a state's
-    `_Score`; every comparison is decided on the brackets where they
-    settle it and on the exact scores otherwise, so the path is that of
-    the exact scores. Scores are non-negative, so the loop stops early at
-    0.0. Temperature cools every proposal; the acceptance coin is only
-    flipped for uphill moves, so the RNG sequence is reproducible. The
-    `guard`, called as guard(state, out_pair, in_pair) on the state before
-    the swap, makes the swaps it accepts and leaves the state of a refused
-    one as the swap and its undo would (`_HardCheck.propose`). A swap the
+    Returns (final score, best edge list), the final `_Score` unpinned.
+    Each comparison of `evaluator.score`s is decided on the brackets where
+    they settle it and on the exact scores otherwise, so the path is that
+    of the exact scores; a bracketed score keeps its state's bitsets, so
+    it can be pinned after the walk has moved on. Scores are non-negative,
+    so the loop stops early at 0.0. Temperature cools every proposal; the
+    acceptance coin is only flipped for uphill moves, so the RNG sequence
+    is reproducible. A proposal that moves a `check.required` pair is
+    skipped, and `check.propose` makes the swaps it accepts and leaves the
+    state of a refused one as the swap and its undo would. A swap the
     score rejects is undone, so every current state is the start or one
-    the guard accepted: from a start that keeps every rule, each state the
-    guard sees keeps them all, which `propose` relies on. Repair follows
-    the same rules on integers (`_HardCheck.repair`).
+    `propose` accepted: each state it sees keeps every rule, which it
+    relies on. Repair follows the same rules on integers
+    (`_HardCheck.repair`).
     """
-    cur = score(state)
+    cur = evaluator.score(state)
     best = cur
     best_edges = list(state.edges)
-    t = t0
-    for _ in range(iterations):
+    t = sched.initial_temperature
+    for _ in range(sched.iterations):
         if _at_most(cur, _ZERO) or not state.edges or not state.non_edges:
             break
         out_pair = state.edges[rng.randrange(len(state.edges))]
         in_pair = state.non_edges[rng.randrange(len(state.non_edges))]
-        t *= cooling
-        if out_pair in protected:
+        t *= sched.cooling_factor
+        if out_pair in check.required:
             continue
-        if not guard(state, out_pair, in_pair):
+        if not check.propose(state, out_pair, in_pair):
             continue
-        new = score(state)
+        new = evaluator.score(state)
         # new <= cur is the sign of the float difference new - cur
         if _at_most(new, cur) or (t > 0.0 and _coin(rng.random(), new, cur, t)):
             cur = new
@@ -976,7 +986,7 @@ def _anneal(
                 best_edges = list(state.edges)
         else:
             state.swap(in_pair, out_pair)
-    return cur.exact(), best_edges
+    return cur, best_edges
 
 
 def synthesize_reference(target: SynthesisTarget) -> LabeledGraph:
@@ -995,13 +1005,7 @@ def synthesize_reference(target: SynthesisTarget) -> LabeledGraph:
 
     for _ in range(_REPAIR_ATTEMPTS):
         state = _State(n, _random_fill(rng, n, target.edge_count, check.required))
-        violations = check.repair(
-            state,
-            rng,
-            iterations=_REPAIR_ITERATIONS,
-            t0=sched.initial_temperature,
-            cooling=sched.cooling_factor,
-        )
+        violations = check.repair(state, rng, _REPAIR_ITERATIONS, sched)
         if violations == 0:
             break
     else:
@@ -1010,14 +1014,5 @@ def synthesize_reference(target: SynthesisTarget) -> LabeledGraph:
             f"{_REPAIR_ATTEMPTS} repair attempts (remaining violation score {float(violations)})"
         )
 
-    _final, best_edges = _anneal(
-        state,
-        rng,
-        iterations=sched.iterations,
-        t0=sched.initial_temperature,
-        cooling=sched.cooling_factor,
-        score=evaluator.score,
-        guard=check.propose,
-        protected=check.required,
-    )
+    best_edges = _anneal(state, rng, sched, evaluator, check)[1]
     return LabeledGraph(order, [(order[i], order[j]) for i, j in sorted(best_edges)])

@@ -785,8 +785,10 @@ def test_score_brackets_the_exact_objective_on_random_states():
     # lo <= objective <= hi on random states of random targets, disconnected
     # ones included. A mean betweenness entry valued at the graph's own mean
     # makes its bracket straddle the value, where the low end scores 0.
+    # Every other open score is pinned only once the walk has moved the
+    # state on, as the annealer may, and must still pin the state it scored.
     rng = random.Random(71)
-    opened = straddled = split = 0
+    opened = straddled = split = moved = 0
     for _ in range(150):
         n = rng.randrange(3, 16)
         g = gnm_graph(rng, n, rng.randrange(n * (n - 1) // 2 + 1))
@@ -798,6 +800,7 @@ def test_score_brackets_the_exact_objective_on_random_states():
         for _ in range(4):
             score = evaluator.score(state)
             exact = evaluator.objective(state)
+            rows = evaluator.contributions(state)
             assert score.lo <= exact <= score.hi
             opened += score.lo < score.hi
             straddled += any(
@@ -805,10 +808,17 @@ def test_score_brackets_the_exact_objective_on_random_states():
                 for t, (_metric, got, _c) in zip(target.soft, score.rows)
             )
             split += state.component_count() > 1
-            assert score.exact() == exact
-            assert score.rows == evaluator.contributions(state)
+            deferred = score.lo < score.hi and opened % 2 == 0
+            if not deferred:
+                assert score.exact() == exact
+                assert score.rows == rows
+            bits = list(state.bits)
             swap_walk(rng, state, 1)
-    assert opened >= 400 and straddled >= 100 and split >= 100
+            if deferred:
+                moved += state.bits != bits and evaluator.objective(state) != exact
+                assert score.exact() == exact
+                assert score.rows == rows
+    assert opened >= 400 and straddled >= 100 and split >= 100 and moved >= 150
 
 
 def test_bracket_decisions_equal_the_exact_comparisons():
@@ -935,16 +945,17 @@ def test_bracketed_annealer_replays_the_eager_loop(target, monkeypatch):
     runs = []
     for anneal in (eager_anneal, synthesis._anneal):
         state, evaluator = _candidate(g, target)
+        rng = random.Random(sched.rng_seed)
         if anneal is eager_anneal:
             score = MetricDictEvaluator(target, order).objective
             guard = lambda s, _cut: check.violations(s) == 0.0
+            result = anneal(
+                state, rng, sched.iterations, sched.initial_temperature, sched.cooling_factor,
+                score, guard, check.required,
+            )
         else:
-            score, guard = evaluator.score, check.propose
-        rng = random.Random(sched.rng_seed)
-        result = anneal(
-            state, rng, sched.iterations, sched.initial_temperature, sched.cooling_factor,
-            score, guard, check.required,
-        )
+            final, best_edges = anneal(state, rng, sched, evaluator, check)
+            result = (final.exact(), best_edges)
         runs.append((result, rng.getstate()))
     assert runs[0] == runs[1]
     assert len(kernel_calls) >= 20
@@ -1441,9 +1452,7 @@ def test_repair_replays_the_swap_then_undo_loop(counted_components):
                 )
             else:
                 before = len(counted_components)
-                final = check.repair(
-                    state, rng, iterations, sched.initial_temperature, sched.cooling_factor
-                )
+                final = check.repair(state, rng, iterations, sched)
                 counts.append(len(counted_components) - before)
             runs.append((final, state_fields(state), rng.getstate()))
         assert runs[0] == runs[1]
